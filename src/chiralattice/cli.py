@@ -28,7 +28,6 @@ from .errors import ChiraLatticeError, ConfigError
 from .lattice_core import (
     Boundary,
     Grid,
-    Rect,
     VectorField,
     format_float,
     read_field_csv,
@@ -163,8 +162,7 @@ def _run_relax(cfg: ExperimentConfig) -> int:
     grid = Grid(p.l, q["nx"], q["ny"], Boundary.OPEN)
     boundary = FixedAngles(_parse_vec(q["chi_left"]), _parse_vec(q["chi_right"]))
     rc = RelaxConfig(
-        max_iters=q["max_iters"], step=q["step"], tol_grad=q["tol_grad"],
-        boundary=boundary, seed=q["seed"], method=q["method"],
+        max_iters=q["max_iters"], step=q["step"], tol_grad=q["tol_grad"], boundary=boundary,
     )
     u0 = wall_start(boundary, p, grid)
     u, trace = relax(u0, p, rc)
@@ -265,8 +263,9 @@ def _run_diagnose(cfg: ExperimentConfig) -> int:
     u = SpinField(grid, raw.values)
     ch = chirality(u, p)
     hn, hs, ratio = hn_vs_hnstar(u, p, ch.chi.valid.shrink(2))
+    large = count_large_angle_cells(u, q["t"])
     report = {
-        "large_angle_cells": count_large_angle_cells(u, q["t"]),
+        "large_angle_cells": large,
         "angle_threshold": q["t"],
         "curl_l1": curl_l1(ch.chi_bar),
         "curl_quantization_residual": curl_quantization_residual(ch.chi_bar, p),
@@ -274,7 +273,7 @@ def _run_diagnose(cfg: ExperimentConfig) -> int:
         "Hn": hn.total,
         "Hn_star": hs.total,
         "Hn_star_over_Hn": ratio if math.isfinite(ratio) else None,
-        "counting_constant": count_large_angle_cells(u, q["t"]) * p.l / p.delta**1.5,
+        "counting_constant": large * p.l / p.delta**1.5,
     }
     report_path = os.path.join(cfg.out_dir, "diagnose_report.json")
     _atomic_write_text(report_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -335,8 +334,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     rx.add_argument("--max-iters", type=int, default=20000)
     rx.add_argument("--step", type=float, default=1.0)
     rx.add_argument("--tol-grad", type=float, default=1e-10)
-    rx.add_argument("--seed", type=int, default=0)
-    rx.add_argument("--method", choices=["gd", "momentum"], default="gd")
     subparsers["relax"] = rx
 
     es = sub.add_parser("entropy-scan", help="sweep the entropy axis over an angular grid")

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .lattice_core import Rect, ScalarField, VectorField, cell_sum, curl_d
+from .lattice_core import Rect, VectorField, cell_sum, curl_d
 from .spin_energy import (
     EnergyRecord,
     ModelParams,
@@ -72,7 +72,6 @@ def hn_vs_hnstar(
     both stencil families are defined on it; the ratio is reported as NaN when
     the shifted-stencil energy vanishes.
     """
-    hn = energy_Hn(u, p)  # computed to learn the valid rect
     # margin check against the full-field valid rectangle
     th, tv = angles(u)
     base = th.valid.intersect(tv.valid)

@@ -12,7 +12,7 @@ also the value of the optimal one-dimensional transition profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -55,7 +55,6 @@ class Entropy:
 
     phi: Callable[[NDArray], NDArray]
     dphi: Callable[[NDArray], NDArray]
-    kind: str = "analytic"
     label: str = ""
 
 
@@ -91,7 +90,7 @@ def jin_kohn(nu) -> Entropy:
             a[..., None, None] ** 2 * outer_a + b[..., None, None] ** 2 * outer_b
         )
 
-    return Entropy(phi, dphi, "analytic", f"jin-kohn(nu=({nu[0]:g},{nu[1]:g}))")
+    return Entropy(phi, dphi, f"jin-kohn(nu=({nu[0]:g},{nu[1]:g}))")
 
 
 def psi_alpha(e: Entropy, xi) -> tuple[NDArray, NDArray]:
@@ -214,19 +213,12 @@ class Interface:
 
 @dataclass(frozen=True)
 class PolygonalBVField:
-    """Piecewise-constant unit field described by its jump segments.
-
-    ``regions`` may optionally carry (vertex-array, value) pairs for
-    serialization; the limit functionals depend on the interfaces only.
-    """
+    """Piecewise-constant unit field described by its jump segments."""
 
     interfaces: tuple[Interface, ...]
-    regions: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "interfaces", tuple(self.interfaces))
-        for _, value in self.regions:
-            _unit(value, "region value")
 
 
 def limit_H_bv(f: PolygonalBVField) -> float:

@@ -19,7 +19,7 @@ are bit-reproducible regardless of thread count or run order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -77,9 +77,6 @@ class Rect:
             min(self.j1, other.j1),
         )
 
-    def contains(self, i: int, j: int) -> bool:
-        return self.i0 <= i < self.i1 and self.j0 <= j < self.j1
-
     def shrink(self, margin: int) -> "Rect":
         return Rect(self.i0 + margin, self.i1 - margin, self.j0 + margin, self.j1 - margin)
 
@@ -114,13 +111,6 @@ class Grid:
     @property
     def periodic(self) -> bool:
         return self.boundary is Boundary.PERIODIC
-
-    def cell_centers(self) -> tuple[NDArray, NDArray]:
-        l = self.spacing
-        return (
-            l * (np.arange(self.nx) + 0.5),
-            l * (np.arange(self.ny) + 0.5),
-        )
 
     def lattice_points(self) -> tuple[NDArray, NDArray]:
         l = self.spacing
@@ -172,9 +162,6 @@ class ScalarField:
         rect = Rect(self.valid.i0 - di, self.valid.i1 - di,
                     self.valid.j0 - dj, self.valid.j1 - dj).intersect(g.full_rect)
         return shifted, rect
-
-    def restrict(self, rect: Rect) -> "ScalarField":
-        return replace(self, values=self.values, valid=self.valid.intersect(rect))
 
 
 @dataclass(eq=False)

@@ -16,15 +16,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.typing import NDArray
 
 from .errors import ConfigError, DomainError, ScalingError
-from .lattice_core import Boundary, Grid, Rect, ScalarField, cell_sum, grad_d, laplace_shifted, _mask_outside
-from .spin_energy import EnergyRecord, ModelParams, SpinField, energy_Hn
+from .lattice_core import Boundary, Grid, Rect, ScalarField, grad_d, laplace_shifted
+from .spin_energy import EnergyRecord, ModelParams, SpinField, _record, energy_Hn, potential_W
 from .entropy import perp, sigma_surface_density
 
 __all__ = [
@@ -336,12 +336,7 @@ def laplacian_AG_energy(phi_n: ScalarField, p: ModelParams, region: Rect | None 
         rect = rect.intersect(region)
     if rect.empty:
         raise DomainError("empty region for the Laplacian energy")
-    w = (1.0 - np.sum(d.values**2, axis=-1)) ** 2
-    w = _mask_outside(w, rect, phi_n.grid)
-    l2 = p.l**2
-    pot = 0.5 / p.eps * l2 * cell_sum(w, rect)
-    der = 0.5 * p.eps * l2 * cell_sum(lap.values**2, rect)
-    return EnergyRecord(pot + der, pot, der)
+    return _record(p, p.l**2, potential_W(d.values), lap.values**2, rect)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DomainError, OptimizationError, ParameterError
-from .lattice_core import Boundary, Grid, Rect, ScalarField, cell_sum
-from .spin_energy import ModelParams, SpinField
+from .errors import DomainError, OptimizationError
+from .lattice_core import Grid, ScalarField, _mask_outside, cell_sum
+from .spin_energy import ModelParams, SpinField, _f_residuals
 
 __all__ = [
     "FixedAngles",
@@ -49,45 +49,25 @@ class RelaxConfig:
     step: float = 1.0
     tol_grad: float = 1e-8
     boundary: FixedAngles | str = "periodic"
-    seed: int = 0
-    method: str = "gd"  # "gd" or "momentum" (heavy ball with reset on increase)
 
     def __post_init__(self):
         if not (self.step > 0):
             raise DomainError("initial step must be positive")
         if not (self.tol_grad > 0):
             raise DomainError("gradient tolerance must be positive")
-        if self.method not in ("gd", "momentum"):
-            raise DomainError(f"unknown descent method {self.method!r}")
         if not isinstance(self.boundary, FixedAngles) and self.boundary != "periodic":
             raise DomainError("boundary must be 'periodic' or FixedAngles(...)")
 
 
-def _residual_rect(grid: Grid) -> Rect:
-    if grid.periodic:
-        return grid.full_rect
-    return Rect(1, grid.nx - 1, 1, grid.ny - 1)
-
-
-def _residuals(psi: NDArray, p: ModelParams, grid: Grid) -> NDArray:
-    """5-point stencil residual of the beta = 2 energy, zero outside its rect."""
-    u = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
-    nb = np.zeros_like(u)
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        nb = nb + np.roll(u, (-di, -dj), axis=(0, 1))
-    r = nb - (p.alpha / 2.0) * u
-    rect = _residual_rect(grid)
-    if not grid.periodic:
-        mask = np.zeros(psi.shape, dtype=bool)
-        si, sj = rect.slices
-        mask[si, sj] = True
-        r = np.where(mask[..., None], r, 0.0)
-    return r
+def _spins(psi: NDArray) -> NDArray:
+    return np.stack([np.cos(psi), np.sin(psi)], axis=-1)
 
 
 def _f_energy(psi: NDArray, p: ModelParams, grid: Grid) -> float:
-    r = _residuals(psi, p, grid)
-    return 0.5 * grid.spacing**2 * cell_sum(np.sum(r * r, axis=-1), _residual_rect(grid))
+    """``energy_F`` of the spins ``(cos psi, sin psi)``, bit for bit at beta = 2."""
+    rh, rv, rect = _f_residuals(_spins(psi), p, grid, grid.full_rect)
+    r = rh + rv
+    return 0.5 * grid.spacing**2 * cell_sum(np.sum(r * r, axis=-1), rect)
 
 
 def f_gradient(psi: ScalarField, p: ModelParams, frozen: NDArray | None = None) -> ScalarField:
@@ -99,14 +79,13 @@ def f_gradient(psi: ScalarField, p: ModelParams, frozen: NDArray | None = None) 
     """
     p.require_transition_regime()
     g = psi.grid
-    vals = psi.values
-    r = _residuals(vals, p, g)
-    rsum = np.zeros_like(r)
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        # residual at (i,j)+(di,dj) sees this site as a neighbour
-        rsum = rsum + np.roll(r, (-di, -dj), axis=(0, 1))
-    total = rsum - (p.alpha / 2.0) * r
-    uperp = np.stack([-np.sin(vals), np.cos(vals)], axis=-1)
+    u = _spins(psi.values)
+    rh, rv, rect = _f_residuals(u, p, g, g.full_rect)
+    r = _mask_outside(rh + rv, rect, g)
+    # the 5-point stencil is symmetric: applying it to r gives its adjoint
+    ah, av, _ = _f_residuals(r, p, g, g.full_rect)
+    total = ah + av
+    uperp = np.stack([-u[..., 1], u[..., 0]], axis=-1)
     grad = g.spacing**2 * np.sum(total * uperp, axis=-1)
     if frozen is not None:
         grad = np.where(frozen, 0.0, grad)
@@ -163,7 +142,7 @@ def wall_start(b: FixedAngles, p: ModelParams, grid: Grid) -> SpinField:
     if grid.periodic:
         raise DomainError("fixed-angle walls need an open grid")
     lift, _ = _roof_lift(b, p, grid)
-    return SpinField(grid, np.stack([np.cos(lift), np.sin(lift)], axis=-1))
+    return SpinField(grid, _spins(lift))
 
 
 def relax(u0: SpinField, p: ModelParams, cfg: RelaxConfig) -> tuple[SpinField, NDArray]:
@@ -185,8 +164,6 @@ def relax(u0: SpinField, p: ModelParams, cfg: RelaxConfig) -> tuple[SpinField, N
     f = _f_energy(psi, p, g)
     trace = [f]
     step = cfg.step
-    velocity = np.zeros_like(psi)
-    mu = 0.9 if cfg.method == "momentum" else 0.0
 
     for _ in range(cfg.max_iters):
         grad = f_gradient(ScalarField(g, psi), p, frozen).values
@@ -196,27 +173,18 @@ def relax(u0: SpinField, p: ModelParams, cfg: RelaxConfig) -> tuple[SpinField, N
         accepted = False
         s = step
         for _bt in range(MAX_BACKTRACKS):
-            if mu:
-                trial_v = mu * velocity - s * grad
-                trial = psi + trial_v
-            else:
-                trial = psi - s * grad
+            trial = psi - s * grad
             ft = _f_energy(trial, p, g)
             if ft <= f - ARMIJO_C * s * gsq:
                 accepted = True
                 break
             s *= BACKTRACK_FACTOR
-            if mu:
-                velocity = np.zeros_like(psi)  # reset momentum when overshooting
         if not accepted:
             raise OptimizationError(
                 f"line search failed after {MAX_BACKTRACKS} backtracks at energy {f:.6g}"
             )
-        if mu:
-            velocity = trial - psi
         psi, f = trial, ft
         trace.append(f)
         step = 2.0 * s
 
-    u = SpinField(g, np.stack([np.cos(psi), np.sin(psi)], axis=-1))
-    return u, np.asarray(trace)
+    return SpinField(g, _spins(psi)), np.asarray(trace)

@@ -194,17 +194,21 @@ def energy_E(u: SpinField, p: ModelParams, region: Rect | None = None) -> float:
     return p.l**2 * cell_sum(per_cell, rect)
 
 
-def _f_residuals(u: SpinField, p: ModelParams) -> tuple[NDArray, NDArray, Rect]:
+def _f_residuals(
+    values: NDArray, p: ModelParams, grid: Grid, valid: Rect
+) -> tuple[NDArray, NDArray, Rect]:
+    """Horizontal and vertical 5-point residuals of ``F`` on a raw
+    ``(nx, ny, 2)`` spin array, and the part of ``valid`` where the full
+    stencil exists.  Indices wrap; the residuals are meaningful only on the
+    returned rect."""
     c = p.alpha / (p.beta + 2.0)
-    rect = u.valid
-    nbs = {}
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        nb, r = u.sample(di, dj)
-        rect = rect.intersect(r)
-        nbs[(di, dj)] = nb
-    rh = nbs[(1, 0)] + nbs[(-1, 0)] - c * u.values
-    rv = nbs[(0, 1)] + nbs[(0, -1)] - c * u.values
-    return rh, rv, rect
+    nbs = {
+        (di, dj): np.roll(values, (-di, -dj), axis=(0, 1))
+        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1))
+    }
+    rh = nbs[(1, 0)] + nbs[(-1, 0)] - c * values
+    rv = nbs[(0, 1)] + nbs[(0, -1)] - c * values
+    return rh, rv, valid if grid.periodic else valid.shrink(1)
 
 
 def energy_F(u: SpinField, p: ModelParams, region: Rect | None = None) -> float:
@@ -214,7 +218,7 @@ def energy_F(u: SpinField, p: ModelParams, region: Rect | None = None) -> float:
     stencil exists, so that the rescaling identity with ``energy_Hn`` holds
     cell by cell also on open grids.
     """
-    rh, rv, rect = _f_residuals(u, p)
+    rh, rv, rect = _f_residuals(u.values, p, u.grid, u.valid)
     if region is None and rect.empty:
         return 0.0
     rect = _resolve_region(rect, region)

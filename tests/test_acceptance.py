@@ -170,7 +170,7 @@ def test_criterion_9_gradient_correctness_and_wall_energy():
     s = 1.0 / math.sqrt(2.0)
     b = FixedAngles((-s, s), (s, s))
     u0 = wall_start(b, p, g)
-    u, trace = relax(u0, p, RelaxConfig(max_iters=8000, boundary=b, method="momentum"))
+    u, trace = relax(u0, p, RelaxConfig(max_iters=8000, boundary=b))
     assert np.all(np.diff(trace) < 0.0)
     tension = energy_Hn(u, p).total / (p.l * (n - 1))
     assert abs(tension - SQRT2_OVER_3) / SQRT2_OVER_3 <= 0.25

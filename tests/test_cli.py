@@ -1,5 +1,6 @@
 """Command-line interface: outputs, manifests, error codes, reproducibility."""
 
+import hashlib
 import json
 import math
 import os
@@ -144,3 +145,38 @@ class TestDiagnose:
                 "--l", "0.05", "--alpha", "7.92", "--nx", "8", "--ny", "8"]
         assert main(args) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "RUNTIME_FAILURE"
+
+
+# sha256 of every output of three fixed configs, recorded with numpy 2.4.6
+# (Python 3.11, x86_64).  Refactors must reproduce these files byte for byte.
+# diagnose_manifest.json is left out: it echoes the absolute --field path.
+FIXED_CONFIG_SHA256 = {
+    "ground_state_field.csv": "4994056108780255c92b08cf8654c699bae8c60937a1ba317030ab891806405f",
+    "ground_state_energies.csv": "ceaae9db0335aabb8bdbf30078d2f2d1c976d93c309e027f56fb12c9c065fffc",
+    "ground_state_manifest.json": "ba933a93092b6d11624e4bbfb17d0885384b080c62f9d577bebc89814e4fe455",
+    "diagnose_report.json": "a789a5c176fc8d92b3c090e47c0f443878d75ca8c460f0972787a8593c03d0c3",
+    "entropy_scan.csv": "76e8cbc4b95b263b40c326875a9c3b57e31d4764298655818c8a1f1ae08bf4f7",
+    "entropy_scan_manifest.json": "8de8574b31f4537d1c8fa31c3469edf99f0a47877553aa7984fe11db1662a8fc",
+    "gamma_table.csv": "c1d1dcfd47e58d55c9bb70fffddd089727d536fd7e508e7664e430ef1242d7c8",
+    "gamma_table_manifest.json": "d92d7729e30d6e5f538727091c1c25c84262cb084bc48aa803246f91029f7a4b",
+}
+
+
+class TestFixedConfigOutputs:
+    def test_outputs_match_recorded_hashes(self, tmp_path):
+        out = str(tmp_path)
+        lattice = ["--l", "0.05", "--nx", "32", "--ny", "32"]
+        field = os.path.join(out, "ground_state_field.csv")
+        runs = [
+            ["ground-state", "--chi", "0.6,0.8", "--theta0", "0.3"] + lattice,
+            ["diagnose", "--field", field, "--alpha", "7.92"] + lattice,
+            ["entropy-scan", "--nx", "32", "--ny", "32", "--l", "0.03125", "--angles", "8"],
+            ["gamma-table", "--levels", "2"],
+        ]
+        for args in runs:
+            assert main(["--out-dir", out] + args) == 0
+        found = {}
+        for name in FIXED_CONFIG_SHA256:
+            with open(os.path.join(out, name), "rb") as fh:
+                found[name] = hashlib.sha256(fh.read()).hexdigest()
+        assert found == FIXED_CONFIG_SHA256

@@ -42,8 +42,6 @@ class TestConfig:
         with pytest.raises(DomainError):
             RelaxConfig(tol_grad=0.0)
         with pytest.raises(DomainError):
-            RelaxConfig(method="newton")
-        with pytest.raises(DomainError):
             RelaxConfig(boundary="clamped")
         RelaxConfig(boundary=FixedAngles((-S, S), (S, S)))
 
@@ -104,10 +102,26 @@ class TestRelax:
         g = Grid(0.05, 10, 10, Boundary.PERIODIC)
         p = ModelParams(l=0.05, alpha=7.5)
         u0 = spins_from_lift(g, rng.normal(scale=0.4, size=(10, 10)))
-        for method in ("gd", "momentum"):
-            _, trace = relax(u0, p, RelaxConfig(max_iters=200, method=method))
-            assert len(trace) > 1
-            assert np.all(np.diff(trace) < 0.0)
+        _, trace = relax(u0, p, RelaxConfig(max_iters=200))
+        assert len(trace) > 1
+        assert np.all(np.diff(trace) < 0.0)
+
+    def test_final_trace_entry_is_energy_F_of_the_result(self):
+        # bitwise: the descent and energy_F share one residual stencil
+        rng = np.random.default_rng(18)
+        g = Grid(0.05, 10, 10, Boundary.PERIODIC)
+        p = ModelParams(l=0.05, alpha=7.5)
+        u0 = spins_from_lift(g, rng.normal(scale=0.4, size=(10, 10)))
+        u, trace = relax(u0, p, RelaxConfig(max_iters=100))
+        assert len(trace) > 1
+        assert trace[-1] == energy_F(u, p)
+
+        p = wall_params()
+        g = Grid(p.l, 16, 16, Boundary.OPEN)
+        b = FixedAngles((-S, S), (S, S))
+        u, trace = relax(wall_start(b, p, g), p, RelaxConfig(max_iters=300, boundary=b))
+        assert len(trace) > 1
+        assert trace[-1] == energy_F(u, p)
 
     def test_global_phase_gauge_invariance(self):
         rng = np.random.default_rng(17)
