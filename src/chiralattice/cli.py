@@ -113,7 +113,10 @@ def _parse_vec(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ConfigError(f"expected 'x,y', got {text!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        return float(parts[0]), float(parts[1])
+    except ValueError:
+        raise ConfigError(f"expected two numbers 'x,y', got {text!r}") from None
 
 
 # ------------------------------------------------------------------ commands

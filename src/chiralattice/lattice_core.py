@@ -26,7 +26,7 @@ from typing import Iterable
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DimensionError, DomainError
+from .errors import ConfigError, DimensionError, DomainError
 
 __all__ = [
     "Boundary",
@@ -177,13 +177,17 @@ def cell_sum(values: NDArray, rect: Rect) -> float:
     """Exactly rounded sum of ``values`` over ``rect`` in fixed row-major order.
 
     ``math.fsum`` gives the correctly rounded result of the real-number sum,
-    which is independent of blocking or thread count by construction.
+    which is independent of blocking or thread count by construction.  A sum
+    beyond the float range (or ``inf - inf``) raises :class:`DomainError`.
     """
     if rect.empty:
         return 0.0
     si, sj = rect.slices
     block = values[si, sj]
-    return math.fsum(block.ravel(order="C"))
+    try:
+        return math.fsum(block.ravel(order="C"))
+    except (OverflowError, ValueError) as exc:
+        raise DomainError(f"cell sum is not a finite float: {exc}") from None
 
 
 def dpartial(v: ScalarField, axis: int) -> ScalarField:
@@ -304,14 +308,37 @@ def write_field_csv(f: ScalarField, path: str) -> None:
 
 
 def read_field_csv(path: str, grid: Grid) -> ScalarField | VectorField:
-    """Read a field written by :func:`write_field_csv` onto ``grid``."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    names = data.dtype.names
+    """Read a field written by :func:`write_field_csv` onto ``grid``.
+
+    The file must give every cell of ``grid`` exactly once; a malformed
+    file, a missing column, or a missing, repeated or out-of-range ``(i, j)``
+    raises :class:`ConfigError`.
+    """
+    try:
+        data = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: malformed field CSV: {exc}") from None
+    names = data.dtype.names or ()
+    if not {"i", "j", "v1"} <= set(names):
+        raise ConfigError(f"{path}: field CSV needs the columns i, j, v1[, v2]")
     vec = "v2" in names
     shape = (grid.nx, grid.ny) + ((2,) if vec else ())
     values = np.zeros(shape)
-    ii = data["i"].astype(int)
-    jj = data["j"].astype(int)
+    fi, fj = data["i"], data["j"]
+    inside = (fi >= 0) & (fi < grid.nx) & (fj >= 0) & (fj < grid.ny)
+    inside &= (np.floor(fi) == fi) & (np.floor(fj) == fj)
+    if not np.all(inside):
+        raise ConfigError(
+            f"{path}: cell index is not an integer inside the {grid.nx}x{grid.ny} grid "
+            f"at row {int(np.argmin(inside)) + 1}"
+        )
+    ii = fi.astype(int)
+    jj = fj.astype(int)
+    hits = np.bincount(ii * grid.ny + jj, minlength=grid.nx * grid.ny)
+    if np.any(hits != 1):
+        bad = int(np.argmax(hits != 1))
+        what = "repeats" if hits[bad] > 1 else "misses"
+        raise ConfigError(f"{path}: field CSV {what} cell {divmod(bad, grid.ny)}")
     if vec:
         values[ii, jj, 0] = data["v1"]
         values[ii, jj, 1] = data["v2"]

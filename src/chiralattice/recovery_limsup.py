@@ -91,7 +91,8 @@ def quartic_bump(radius: float = 1.0) -> Mollifier:
 
     def kernel(z: NDArray) -> NDArray:
         z = np.asarray(z, dtype=np.float64)
-        r2 = np.sum((z / radius) ** 2, axis=-1)
+        zr = z / radius
+        r2 = zr[..., 0] ** 2 + zr[..., 1] ** 2
         return c * np.maximum(1.0 - r2, 0.0) ** 4
 
     return Mollifier(kernel, radius)
@@ -243,6 +244,10 @@ def _marginal_factory(m: Mollifier, nu: NDArray, order: int = 32) -> Callable[[N
     return marginal
 
 
+def _chunks(lo: int, hi: int, size: int) -> list[slice]:
+    return [slice(k, min(k + size, hi)) for k in range(lo, hi, size)]
+
+
 def mollified_wall_potential(
     cfg: WallConfig, eps: float, m: Mollifier, order: int = 96
 ) -> Callable[[NDArray], NDArray]:
@@ -252,6 +257,13 @@ def mollified_wall_potential(
     moment; the kink part reduces to ``g(s) = int marg(w) |s + eps w| dw``,
     integrated piecewise on both sides of the kink ``w = -s/eps`` so every
     quadrature panel sees a smooth integrand.
+
+    Outside the layer, where ``|clip(-s/eps, -R, R)| == R``, one of the two
+    panels is the full panel ``[-R, R]`` (mid 0.0, half ``R``) and the other
+    has zero width, so its weights are 0.0 and it adds exactly 0.0.  The
+    nodes, weights and marginal values of the full panel do not depend on
+    ``s``; they are computed once here, and points outside the layer cost a
+    single weighted sum with the same bits as the two-panel rule.
     """
     if eps <= 0:
         raise DomainError("mollification scale must be positive")
@@ -265,6 +277,9 @@ def mollified_wall_potential(
     kvals = ww * np.asarray(m.kernel(zz))
     moment_tau = math.fsum((kvals * (zz @ nup)).tolist())
     zq, wq = leggauss(order)
+    full_w = R * zq
+    full_wt = R * wq
+    full_marg = marginal(full_w)
 
     def panel(s: NDArray, lo: NDArray, hi: NDArray) -> NDArray:
         mid = 0.5 * (lo + hi)
@@ -274,8 +289,10 @@ def mollified_wall_potential(
         vals = marginal(w_nodes) * np.abs(s[..., None] + eps * w_nodes)
         return np.sum(weights * vals, axis=-1)
 
-    def g(s: NDArray) -> NDArray:
-        kink = np.clip(-s / eps, -R, R)
+    def g_far(s: NDArray) -> NDArray:
+        return np.sum(full_wt * (full_marg * np.abs(s[:, None] + eps * full_w)), axis=-1)
+
+    def g_near(s: NDArray, kink: NDArray) -> NDArray:
         edge = R * np.ones_like(s)
         return panel(s, -edge, kink) + panel(s, kink, edge)
 
@@ -284,10 +301,15 @@ def mollified_wall_potential(
         s = x @ nu - cfg.wall_offset
         shape = np.asarray(s).shape
         uniq, inverse = np.unique(np.asarray(s).reshape(-1), return_inverse=True)
+        kink = np.clip(-uniq / eps, -R, R)
+        # uniq is sorted and kink monotone in it, so the layer is one slice
+        near = np.flatnonzero(np.abs(kink) < R)
+        a, b = (near[0], near[-1] + 1) if near.size else (uniq.size, uniq.size)
         gs = np.empty_like(uniq)
-        chunk = 4096
-        for k in range(0, uniq.size, chunk):
-            gs[k : k + chunk] = g(uniq[k : k + chunk])
+        for sl in _chunks(0, a, 4096) + _chunks(b, uniq.size, 4096):
+            gs[sl] = g_far(uniq[sl])
+        for sl in _chunks(a, b, 512):
+            gs[sl] = g_near(uniq[sl], kink[sl])
         tang = t_comp * (x @ nup + eps * moment_tau)
         return tang + dh * gs[inverse].reshape(shape)
 
@@ -416,13 +438,15 @@ def gamma_limsup_experiment(
     if m is None:
         m = quartic_bump(DEFAULT_KERNEL_RADIUS)
     x0, y0, x1, y1 = cfg.domain
+    # farthest reach of the domain on each side of the wall, over all corners
+    reach = np.array([[x0, y0], [x1, y0], [x0, y1], [x1, y1]]) @ np.asarray(cfg.nu)
+    lo_gap = cfg.wall_offset - reach.min()
+    hi_gap = reach.max() - cfg.wall_offset
     rows: list[dict] = []
     sigma = sigma_surface_density(cfg.chi_plus, cfg.chi_minus, cfg.nu)
     for n, p in enumerate(schedule.entries):
         l = p.l
         layer = p.eps * m.radius
-        lo_gap = cfg.wall_offset - (np.array([x0, y0]) @ np.asarray(cfg.nu))
-        hi_gap = (np.array([x1, y1]) @ np.asarray(cfg.nu)) - cfg.wall_offset
         if min(lo_gap, hi_gap) <= layer:
             raise ConfigError(
                 f"mollified layer of width {layer:.4g} does not fit between the "

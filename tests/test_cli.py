@@ -61,6 +61,11 @@ class TestGroundState:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "CONFIG_INVALID"
 
+    def test_non_numeric_chirality_is_a_config_error(self, tmp_path, capsys):
+        code = main(["--out-dir", str(tmp_path), "ground-state", "--chi", "abc,1"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "CONFIG_INVALID"
+
 
 class TestGammaTable:
     def test_header_and_row_count(self, tmp_path):
@@ -82,6 +87,23 @@ class TestGammaTable:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "CONFIG_INVALID"
 
+    def test_rotated_walls_fit_at_the_default_eps0(self, tmp_path):
+        # at 45 degrees the corners (0, 0) and (1, 1) both lie on the wall line
+        for angle in ("45", "30"):
+            out = str(tmp_path / angle)
+            assert main(["--out-dir", out, "gamma-table", "--wall-angle", angle,
+                         "--levels", "1"]) == 0
+            _, rows = read_csv_rows(os.path.join(out, "gamma_table.csv"))
+            assert len(rows) == 1 and float(rows[0]["Hn"]) > 0.0
+
+    def test_over_wide_layer_is_a_config_error(self, tmp_path, capsys):
+        # eps0 * radius = 0.8 exceeds every corner's distance from the wall
+        for angle in ("0", "45"):
+            code = main(["--out-dir", str(tmp_path), "gamma-table", "--wall-angle", angle,
+                         "--eps0", "0.2", "--levels", "1"])
+            assert code == 2
+            assert json.loads(capsys.readouterr().err)["error"] == "CONFIG_INVALID"
+
 
 class TestEntropyScan:
     def test_default_wall_scan(self, tmp_path):
@@ -95,6 +117,16 @@ class TestEntropyScan:
         productions = [float(r["production"]) for r in rows]
         # wall-normal axis realizes the largest production in the scan
         assert max(productions) > 0.0
+
+    def test_field_not_matching_the_grid_is_a_config_error(self, tmp_path, capsys):
+        out = str(tmp_path)
+        assert main(["--out-dir", out] + GROUND_STATE_ARGS) == 0
+        field = os.path.join(out, "ground_state_field.csv")
+        for n in ("20", "12"):  # the file holds 16 x 16 cells
+            code = main(["--out-dir", out, "entropy-scan", "--field", field,
+                         "--nx", n, "--ny", n, "--l", "0.05", "--angles", "4"])
+            assert code == 2
+            assert json.loads(capsys.readouterr().err)["error"] == "CONFIG_INVALID"
 
     def test_config_file_defaults_and_flag_override(self, tmp_path):
         ini = tmp_path / "exp.ini"
@@ -161,6 +193,13 @@ FIXED_CONFIG_SHA256 = {
     "gamma_table_manifest.json": "d92d7729e30d6e5f538727091c1c25c84262cb084bc48aa803246f91029f7a4b",
 }
 
+# the same for a wall rotated by 30 degrees, where every lattice point has
+# its own distance from the wall
+ROTATED_WALL_SHA256 = {
+    "gamma_table.csv": "c7d07d17ff61c8ed172e0c98027af2a88f2dc3fcb2f2505b47ac1270cbd9aae8",
+    "gamma_table_manifest.json": "5063b50f979dac3770f47d7922e9d4325bd936d73e56637c6b9a5e7993a762fa",
+}
+
 
 class TestFixedConfigOutputs:
     def test_outputs_match_recorded_hashes(self, tmp_path):
@@ -180,3 +219,13 @@ class TestFixedConfigOutputs:
             with open(os.path.join(out, name), "rb") as fh:
                 found[name] = hashlib.sha256(fh.read()).hexdigest()
         assert found == FIXED_CONFIG_SHA256
+
+    def test_rotated_wall_outputs_match_recorded_hashes(self, tmp_path):
+        out = str(tmp_path / "rotated")
+        args = ["gamma-table", "--wall-angle", "30", "--eps0", "0.04", "--levels", "1"]
+        assert main(["--out-dir", out] + args) == 0
+        found = {}
+        for name in ROTATED_WALL_SHA256:
+            with open(os.path.join(out, name), "rb") as fh:
+                found[name] = hashlib.sha256(fh.read()).hexdigest()
+        assert found == ROTATED_WALL_SHA256

@@ -7,6 +7,7 @@ import pytest
 
 from chiralattice import (
     Boundary,
+    ConfigError,
     DimensionError,
     DomainError,
     Grid,
@@ -138,6 +139,22 @@ class TestForwardDifferences:
         assert cell_sum(d.values, g.full_rect) == 0.0
 
 
+class TestCellSum:
+    def test_intermediate_overflow_is_a_domain_error(self):
+        vals = np.array([[1.7e308, 1.7e308, -1.7e308]])
+        with pytest.raises(DomainError):
+            cell_sum(vals, Rect(0, 1, 0, 3))
+
+    def test_opposite_infinities_are_a_domain_error(self):
+        vals = np.array([[np.inf, -np.inf]])
+        with pytest.raises(DomainError):
+            cell_sum(vals, Rect(0, 1, 0, 2))
+
+    def test_sums_near_the_float_range_stay_exact(self):
+        vals = np.array([[1.7e308, -1.7e308, 1.7e308, 2.0**-1074]])
+        assert cell_sum(vals, Rect(0, 1, 0, 4)) == 1.7e308
+
+
 class TestShiftedLaplacian:
     def test_affine_has_zero_laplacian(self):
         g = periodic_grid(6)
@@ -232,3 +249,45 @@ class TestSerialization:
         back = read_field_csv(path, g)
         assert isinstance(back, VectorField)
         assert np.array_equal(back.values, f.values)
+
+    def _written(self, tmp_path, n=4):
+        rng = np.random.default_rng(12)
+        path = tmp_path / "field.csv"
+        write_field_csv(VectorField(open_grid(n), rng.normal(size=(n, n, 2))), str(path))
+        return path
+
+    def test_grid_larger_than_the_file_is_rejected(self, tmp_path):
+        path = self._written(tmp_path)
+        with pytest.raises(ConfigError, match="misses"):
+            read_field_csv(str(path), open_grid(5))
+
+    def test_grid_smaller_than_the_file_is_rejected(self, tmp_path):
+        path = self._written(tmp_path)
+        with pytest.raises(ConfigError, match="inside"):
+            read_field_csv(str(path), open_grid(3))
+
+    def test_repeated_cell_is_rejected(self, tmp_path):
+        path = self._written(tmp_path)
+        lines = path.read_text().splitlines()
+        lines[-1] = lines[1]  # cell (3, 3) replaced by a second copy of (0, 0)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="repeats"):
+            read_field_csv(str(path), open_grid(4))
+
+    def test_fractional_index_is_rejected(self, tmp_path):
+        path = self._written(tmp_path)
+        lines = path.read_text().splitlines()
+        lines[2] = "0.5" + lines[2][1:]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="inside"):
+            read_field_csv(str(path), open_grid(4))
+
+    def test_malformed_rows_and_columns_are_rejected(self, tmp_path):
+        path = self._written(tmp_path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + ["1,2"]) + "\n")
+        with pytest.raises(ConfigError, match="malformed"):
+            read_field_csv(str(path), open_grid(4))
+        path.write_text("a,b,c\n0,0,1.0\n")
+        with pytest.raises(ConfigError, match="columns"):
+            read_field_csv(str(path), open_grid(4))

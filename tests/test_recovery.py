@@ -114,6 +114,18 @@ class TestMollification:
         below = float(phi_eps(np.array([0.5, 0.5 - 0.013])))
         assert math.isclose(above, below, rel_tol=1e-12)
 
+    def test_values_do_not_depend_on_the_batch(self):
+        # far points take the precomputed full panel and in-layer points the
+        # split rule, each in chunks; neither may change a point's bits.  The
+        # aligned wall keeps x . nu exact, so only the wall profile is tested.
+        m = quartic_bump(DEFAULT_KERNEL_RADIUS)
+        phi_eps = mollified_wall_potential(canonical_wall(), 0.02, m)
+        pts = np.random.default_rng(5).uniform(0.0, 1.0, size=(12000, 2))
+        full = phi_eps(pts)
+        assert np.array_equal(phi_eps(pts[::7]), full[::7])
+        for k in (0, 1, 5999, 11999):
+            assert phi_eps(pts[k]) == full[k]
+
     def test_reduction_matches_generic_mollification(self):
         w = canonical_wall()
         eps = 0.02
@@ -217,3 +229,4 @@ class TestGammaTable(object):
         wall = canonical_wall(wall_offset=0.05)
         with pytest.raises(ConfigError):
             gamma_limsup_experiment(wall, schedule)
+
