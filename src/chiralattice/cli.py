@@ -168,7 +168,7 @@ def _run_relax(cfg: ExperimentConfig) -> int:
         max_iters=q["max_iters"], step=q["step"], tol_grad=q["tol_grad"], boundary=boundary,
     )
     u0 = wall_start(boundary, p, grid)
-    u, trace = relax(u0, p, rc)
+    u, trace, grad_max = relax(u0, p, rc)
     trace_path = os.path.join(cfg.out_dir, "relax_trace.csv")
     _write_csv(trace_path, ("iter", "F"),
                [{"iter": k, "F": v} for k, v in enumerate(trace.tolist())])
@@ -180,6 +180,7 @@ def _run_relax(cfg: ExperimentConfig) -> int:
         {
             "delta": p.delta, "eps": p.eps, "l": p.l, "alpha": p.alpha,
             "final_F": float(trace[-1]), "final_Hn": hn.total, "iterations": len(trace) - 1,
+            "converged": grad_max <= rc.tol_grad, "grad_max": grad_max,
             "heuristic": True,  # local descent: no optimality claim
         },
         [trace_path, field_path],

@@ -264,6 +264,13 @@ def mollified_wall_potential(
     nodes, weights and marginal values of the full panel do not depend on
     ``s``; they are computed once here, and points outside the layer cost a
     single weighted sum with the same bits as the two-panel rule.
+
+    The values are bitwise reproducible for the same batch of points only.
+    The offsets ``x @ nu`` go through a matrix product, whose last bits for
+    a point may depend on the batch it comes in; for a rotated wall,
+    ``phi_eps(pts[k])`` and ``phi_eps(pts)[k]`` may differ by about 1e-15
+    relative.  Aligned walls, where ``nu`` has a zero component, are not
+    affected, and the CLI always evaluates the whole grid at once.
     """
     if eps <= 0:
         raise DomainError("mollification scale must be positive")

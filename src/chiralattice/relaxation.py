@@ -20,7 +20,7 @@ from numpy.typing import NDArray
 
 from .errors import DomainError, OptimizationError
 from .lattice_core import Grid, ScalarField, _mask_outside, cell_sum
-from .spin_energy import ModelParams, SpinField, _f_residuals
+from .spin_energy import ModelParams, SpinField, _f_residuals, _sq_norm
 
 __all__ = [
     "FixedAngles",
@@ -67,7 +67,7 @@ def _f_energy(psi: NDArray, p: ModelParams, grid: Grid) -> float:
     """``energy_F`` of the spins ``(cos psi, sin psi)``, bit for bit at beta = 2."""
     rh, rv, rect = _f_residuals(_spins(psi), p, grid, grid.full_rect)
     r = rh + rv
-    return 0.5 * grid.spacing**2 * cell_sum(np.sum(r * r, axis=-1), rect)
+    return 0.5 * grid.spacing**2 * cell_sum(_sq_norm(r), rect)
 
 
 def f_gradient(psi: ScalarField, p: ModelParams, frozen: NDArray | None = None) -> ScalarField:
@@ -145,9 +145,11 @@ def wall_start(b: FixedAngles, p: ModelParams, grid: Grid) -> SpinField:
     return SpinField(grid, _spins(lift))
 
 
-def relax(u0: SpinField, p: ModelParams, cfg: RelaxConfig) -> tuple[SpinField, NDArray]:
-    """Backtracking gradient descent on the lift; returns the relaxed field
-    and the strictly decreasing trace of accepted energies.
+def relax(u0: SpinField, p: ModelParams, cfg: RelaxConfig) -> tuple[SpinField, NDArray, float]:
+    """Backtracking gradient descent on the lift; returns the relaxed field,
+    the strictly decreasing trace of accepted energies, and the max |grad|
+    at the returned field.  The run converged iff that is at most
+    ``cfg.tol_grad``; otherwise it stopped after ``cfg.max_iters`` steps.
 
     With ``FixedAngles`` boundary the outer columns are reset to the
     prescribed ground-state lifts and never move.
@@ -165,9 +167,10 @@ def relax(u0: SpinField, p: ModelParams, cfg: RelaxConfig) -> tuple[SpinField, N
     trace = [f]
     step = cfg.step
 
-    for _ in range(cfg.max_iters):
+    for it in range(cfg.max_iters + 1):
         grad = f_gradient(ScalarField(g, psi), p, frozen).values
-        if float(np.max(np.abs(grad))) <= cfg.tol_grad:
+        grad_max = float(np.max(np.abs(grad)))
+        if grad_max <= cfg.tol_grad or it == cfg.max_iters:
             break
         gsq = cell_sum(grad * grad, g.full_rect)
         accepted = False
@@ -187,4 +190,4 @@ def relax(u0: SpinField, p: ModelParams, cfg: RelaxConfig) -> tuple[SpinField, N
         trace.append(f)
         step = 2.0 * s
 
-    return SpinField(g, _spins(psi)), np.asarray(trace)
+    return SpinField(g, _spins(psi)), np.asarray(trace), grad_max

@@ -201,14 +201,27 @@ def _f_residuals(
     ``(nx, ny, 2)`` spin array, and the part of ``valid`` where the full
     stencil exists.  Indices wrap; the residuals are meaningful only on the
     returned rect."""
-    c = p.alpha / (p.beta + 2.0)
-    nbs = {
-        (di, dj): np.roll(values, (-di, -dj), axis=(0, 1))
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1))
-    }
-    rh = nbs[(1, 0)] + nbs[(-1, 0)] - c * values
-    rv = nbs[(0, 1)] + nbs[(0, -1)] - c * values
+    cv = (p.alpha / (p.beta + 2.0)) * values
+    rh = np.empty_like(values)
+    rv = np.empty_like(values)
+    # ahead + behind along each axis, wrapping at both ends, then - c * v
+    np.add(values[2:], values[:-2], out=rh[1:-1])
+    np.add(values[1], values[-1], out=rh[0])
+    np.add(values[0], values[-2], out=rh[-1])
+    np.add(values[:, 2:], values[:, :-2], out=rv[:, 1:-1])
+    np.add(values[:, 1], values[:, -1], out=rv[:, 0])
+    np.add(values[:, 0], values[:, -2], out=rv[:, -1])
+    rh -= cv
+    rv -= cv
     return rh, rv, valid if grid.periodic else valid.shrink(1)
+
+
+def _sq_norm(r: NDArray) -> NDArray:
+    """``|r|^2`` per cell of a ``(nx, ny, 2)`` array: the same bits as
+    ``np.sum(r * r, axis=-1)`` (squares are never -0.0), without a
+    reduction over the length-2 axis."""
+    r1, r2 = r[..., 0], r[..., 1]
+    return r1 * r1 + r2 * r2
 
 
 def energy_F(u: SpinField, p: ModelParams, region: Rect | None = None) -> float:
@@ -222,9 +235,8 @@ def energy_F(u: SpinField, p: ModelParams, region: Rect | None = None) -> float:
     if region is None and rect.empty:
         return 0.0
     rect = _resolve_region(rect, region)
-    sq = lambda r: np.sum(r * r, axis=-1)
-    combined = sq(rh + rv)
-    split = sq(rh) + sq(rv)
+    combined = _sq_norm(rh + rv)
+    split = _sq_norm(rh) + _sq_norm(rv)
     per_cell = (p.beta / 4.0) * combined + ((2.0 - p.beta) / 4.0) * split
     return p.l**2 * cell_sum(per_cell, rect)
 

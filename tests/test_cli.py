@@ -155,6 +155,16 @@ class TestRelax:
         assert manifest["derived"]["heuristic"] is True
         assert manifest["derived"]["final_F"] == values[-1]
 
+    def test_manifest_says_whether_the_descent_converged(self, tmp_path):
+        args = ["relax", "--eps", "0.08", "--nx", "8", "--ny", "8", "--tol-grad", "1e-5"]
+        for max_iters, converged in (("5", False), ("5000", True)):
+            out = str(tmp_path / max_iters)
+            assert main(["--out-dir", out] + args + ["--max-iters", max_iters]) == 0
+            derived = read_manifest(out, "relax")["derived"]
+            assert derived["converged"] is converged
+            assert (derived["grad_max"] <= 1e-5) is converged
+            assert (derived["iterations"] < int(max_iters)) is converged
+
 
 class TestDiagnose:
     def test_report_keys(self, tmp_path):
@@ -200,6 +210,13 @@ ROTATED_WALL_SHA256 = {
     "gamma_table_manifest.json": "5063b50f979dac3770f47d7922e9d4325bd936d73e56637c6b9a5e7993a762fa",
 }
 
+# the same for a short relaxation; relax_manifest.json is left out, since its
+# derived facts may grow while the trace and the field stay put
+RELAX_SHA256 = {
+    "relax_trace.csv": "da924cdc36f43b94117406fd7cc784da53680b414a620a745301b648f52e2a96",
+    "relax_field.csv": "d35fdb1a05c4e08b40a34cca6cb9b89327a20f53d185d7371c253ac60e0aa68e",
+}
+
 
 class TestFixedConfigOutputs:
     def test_outputs_match_recorded_hashes(self, tmp_path):
@@ -229,3 +246,13 @@ class TestFixedConfigOutputs:
             with open(os.path.join(out, name), "rb") as fh:
                 found[name] = hashlib.sha256(fh.read()).hexdigest()
         assert found == ROTATED_WALL_SHA256
+
+    def test_relax_outputs_match_recorded_hashes(self, tmp_path):
+        out = str(tmp_path)
+        args = ["relax", "--eps", "0.08", "--nx", "12", "--ny", "12", "--max-iters", "300"]
+        assert main(["--out-dir", out] + args) == 0
+        found = {}
+        for name in RELAX_SHA256:
+            with open(os.path.join(out, name), "rb") as fh:
+                found[name] = hashlib.sha256(fh.read()).hexdigest()
+        assert found == RELAX_SHA256

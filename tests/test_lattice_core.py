@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chiralattice import (
     Boundary,
@@ -25,6 +27,7 @@ from chiralattice import (
     read_field_csv,
     write_field_csv,
 )
+from chiralattice import lattice_core
 
 
 def open_grid(n, l=0.25):
@@ -68,6 +71,15 @@ class TestRectAndGrid:
             VectorField(g, np.zeros((4, 4)))
         with pytest.raises(DomainError):
             ScalarField(g, np.full((4, 4), np.nan))
+
+    def test_sample_wraps_like_np_roll(self):
+        rng = np.random.default_rng(3)
+        for g, values in ((periodic_grid(5), rng.random((5, 5))),
+                          (Grid(0.25, 4, 6), rng.random((4, 6, 2)))):
+            f = (ScalarField if values.ndim == 2 else VectorField)(g, values)
+            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, 1), (2, 0), (0, 2)):
+                shifted, _ = f.sample(di, dj)
+                assert np.array_equal(shifted, np.roll(values, (-di, -dj), axis=(0, 1)))
 
     def test_field_values_are_write_locked(self):
         f = ScalarField(open_grid(4), np.zeros((4, 4)))
@@ -153,6 +165,85 @@ class TestCellSum:
     def test_sums_near_the_float_range_stay_exact(self):
         vals = np.array([[1.7e308, -1.7e308, 1.7e308, 2.0**-1074]])
         assert cell_sum(vals, Rect(0, 1, 0, 4)) == 1.7e308
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_fsum_bitwise(self, data):
+        vals, rect = data.draw(_grid_and_rect())
+        assert_fsum_equal(vals, rect)
+
+    @pytest.mark.parametrize("shape", [(3, 40000), (700, 100), (2, 70000)])
+    def test_blocks_of_every_shape_stay_exact(self, shape):
+        # more rows than one block, and rows wider than one block
+        rng = np.random.default_rng(sum(shape))
+        vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+        vals[:, 1::2] = -vals[:, ::2][:, : shape[1] // 2]
+        vals[0, 0] += 1e-40
+        assert_fsum_equal(vals, Rect(0, shape[0], 0, shape[1]))
+        assert_fsum_equal(vals, Rect(1, shape[0], 3, shape[1] - 2))
+
+    def test_block_size_does_not_change_the_sum(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        vals = rng.standard_normal((40, 50)) * 10.0 ** rng.integers(-200, 200, (40, 50))
+        rect = Rect(2, 39, 1, 50)
+        sums = set()
+        for cells in (7, 50, 64, 1000, 1 << 16):
+            monkeypatch.setattr(lattice_core, "_BLOCK_CELLS", cells)
+            sums.add(cell_sum(vals, rect))
+        assert sums == {math.fsum(vals[2:39, 1:50].ravel().tolist())}
+
+    def test_blocks_near_the_float_range_keep_the_fsum_behaviour(self):
+        vals = np.full((6, 8), 1e307)
+        vals[:, 1::2] = -1e307
+        vals[0, 0] = 3.0
+        assert_fsum_equal(vals, Rect(0, 6, 0, 8))
+        with pytest.raises(DomainError):
+            cell_sum(np.full((6, 8), 1e307), Rect(0, 6, 0, 8))
+
+    def test_empty_rect_sums_to_zero(self):
+        assert cell_sum(np.ones((4, 4)), Rect(2, 2, 0, 4)) == 0.0
+
+    @pytest.mark.parametrize("n", [4, 300])
+    def test_nan_gives_nan(self, n):
+        vals = np.ones((n, n))
+        vals[n - 1, n // 2] = np.nan
+        assert math.isnan(cell_sum(vals, Rect(0, n, 0, n)))
+        vals[0, 0] = np.inf
+        assert math.isnan(cell_sum(vals, Rect(0, n, 0, n)))
+        vals[0, 1] = -np.inf
+        with pytest.raises(DomainError):
+            cell_sum(vals, Rect(0, n, 0, n))
+
+
+def assert_fsum_equal(vals, rect):
+    si, sj = rect.slices
+    expected = math.fsum(vals[si, sj].ravel().tolist())
+    found = cell_sum(vals, rect)
+    assert found.hex() == expected.hex()
+
+
+@st.composite
+def _grid_and_rect(draw):
+    """A grid of values whose exponents run from subnormal up to 1e300, with
+    exact cancellations ``x, -x``, a few drawn floats, in random order, and a
+    non-empty sub-rectangle of it."""
+    ni = draw(st.integers(1, 30))
+    nj = draw(st.integers(1, 30))
+    n = ni * nj
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.integers(-1070, 996))  # 2.0**996 is about 6.7e299
+    low = max(-1074, top - draw(st.integers(0, 2100)))
+    vals = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(low, top + 1, n))
+    pairs = draw(st.integers(0, n // 2))
+    vals[n - pairs :] = -vals[:pairs]
+    extra = draw(st.lists(st.floats(min_value=-1e300, max_value=1e300), max_size=min(n, 4)))
+    vals[: len(extra)] = extra
+    rng.shuffle(vals)
+    i0 = draw(st.integers(0, min(2, ni - 1)))
+    j0 = draw(st.integers(0, min(2, nj - 1)))
+    i1 = ni - draw(st.integers(0, min(2, ni - i0 - 1)))
+    j1 = nj - draw(st.integers(0, min(2, nj - j0 - 1)))
+    return vals.reshape(ni, nj), Rect(i0, i1, j0, j1)
 
 
 class TestShiftedLaplacian:

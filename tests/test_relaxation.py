@@ -93,7 +93,7 @@ class TestRelax:
         # the commensurate helix at its own delta: recompute alpha to match
         delta = 4.0 * math.sin(theta / 2.0) ** 2
         p = ModelParams(l=0.05, alpha=8.0 - 2.0 * delta)
-        u, trace = relax(u0, p, RelaxConfig(max_iters=50))
+        u, trace, _ = relax(u0, p, RelaxConfig(max_iters=50))
         assert len(trace) == 1
         assert np.allclose(u.values, u0.values, atol=1e-15)
 
@@ -102,7 +102,7 @@ class TestRelax:
         g = Grid(0.05, 10, 10, Boundary.PERIODIC)
         p = ModelParams(l=0.05, alpha=7.5)
         u0 = spins_from_lift(g, rng.normal(scale=0.4, size=(10, 10)))
-        _, trace = relax(u0, p, RelaxConfig(max_iters=200))
+        _, trace, _ = relax(u0, p, RelaxConfig(max_iters=200))
         assert len(trace) > 1
         assert np.all(np.diff(trace) < 0.0)
 
@@ -112,16 +112,32 @@ class TestRelax:
         g = Grid(0.05, 10, 10, Boundary.PERIODIC)
         p = ModelParams(l=0.05, alpha=7.5)
         u0 = spins_from_lift(g, rng.normal(scale=0.4, size=(10, 10)))
-        u, trace = relax(u0, p, RelaxConfig(max_iters=100))
+        u, trace, _ = relax(u0, p, RelaxConfig(max_iters=100))
         assert len(trace) > 1
         assert trace[-1] == energy_F(u, p)
 
         p = wall_params()
         g = Grid(p.l, 16, 16, Boundary.OPEN)
         b = FixedAngles((-S, S), (S, S))
-        u, trace = relax(wall_start(b, p, g), p, RelaxConfig(max_iters=300, boundary=b))
+        u, trace, _ = relax(wall_start(b, p, g), p, RelaxConfig(max_iters=300, boundary=b))
         assert len(trace) > 1
         assert trace[-1] == energy_F(u, p)
+
+    def test_reports_the_gradient_at_the_returned_field(self):
+        p = wall_params()
+        g = Grid(p.l, 8, 8, Boundary.OPEN)
+        b = FixedAngles((-S, S), (S, S))
+        frozen = np.zeros((8, 8), dtype=bool)
+        frozen[[0, -1], :] = True
+        frozen[:, [0, -1]] = True
+        for max_iters, converged in ((5, False), (5000, True)):
+            cfg = RelaxConfig(max_iters=max_iters, tol_grad=1e-5, boundary=b)
+            u, trace, grad_max = relax(wall_start(b, p, g), p, cfg)
+            assert (grad_max <= cfg.tol_grad) is converged
+            assert (len(trace) - 1 < max_iters) is converged
+            psi = ScalarField(g, np.arctan2(u.values[..., 1], u.values[..., 0]))
+            grad = f_gradient(psi, p, frozen).values
+            assert grad_max == pytest.approx(np.max(np.abs(grad)), rel=1e-6)
 
     def test_global_phase_gauge_invariance(self):
         rng = np.random.default_rng(17)
@@ -130,7 +146,7 @@ class TestRelax:
         psi0 = rng.normal(scale=0.3, size=(10, 10))
         traces = []
         for shift in (0.0, 0.7):
-            _, trace = relax(spins_from_lift(g, psi0 + shift), p, RelaxConfig(max_iters=150))
+            _, trace, _ = relax(spins_from_lift(g, psi0 + shift), p, RelaxConfig(max_iters=150))
             traces.append(np.asarray(trace))
         assert len(traces[0]) == len(traces[1])
         assert np.max(np.abs(traces[0] - traces[1])) <= 1e-12
@@ -162,7 +178,7 @@ class TestWallBoundary:
         g = Grid(p.l, 16, 16, Boundary.OPEN)
         b = FixedAngles((-S, S), (S, S))
         u0 = wall_start(b, p, g)
-        u, trace = relax(u0, p, RelaxConfig(max_iters=300, boundary=b))
+        u, trace, _ = relax(u0, p, RelaxConfig(max_iters=300, boundary=b))
         assert np.all(np.diff(trace) < 0.0)
         assert trace[-1] < 0.5 * trace[0]
         assert energy_Hn(u, p).total > 0.0
