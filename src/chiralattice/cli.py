@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import ChiraLatticeError, ConfigError
+from .errors import ChiraLatticeError, ConfigError, DomainError
 from .lattice_core import (
     Boundary,
     Grid,
@@ -155,7 +155,16 @@ def _run_ground_state(cfg: ExperimentConfig) -> int:
 
 
 def _params_from_eps(eps: float, delta_exponent: float) -> ModelParams:
-    delta = eps**delta_exponent
+    if not (0 < eps < math.inf and math.isfinite(delta_exponent)):
+        raise ConfigError(
+            f"need a finite eps > 0 and delta exponent, got {eps!r}, {delta_exponent!r}"
+        )
+    try:
+        delta = eps**delta_exponent
+    except OverflowError:
+        delta = math.inf
+    if not (0 < delta < 4):
+        raise ConfigError(f"delta = eps**delta_exponent = {delta!r} must lie in (0, 4)")
     return ModelParams(l=eps * math.sqrt(delta), alpha=8.0 - 2.0 * delta, beta=2.0)
 
 
@@ -164,9 +173,12 @@ def _run_relax(cfg: ExperimentConfig) -> int:
     p = _params_from_eps(q["eps"], q["delta_exponent"])
     grid = Grid(p.l, q["nx"], q["ny"], Boundary.OPEN)
     boundary = FixedAngles(_parse_vec(q["chi_left"]), _parse_vec(q["chi_right"]))
-    rc = RelaxConfig(
-        max_iters=q["max_iters"], step=q["step"], tol_grad=q["tol_grad"], boundary=boundary,
-    )
+    try:
+        rc = RelaxConfig(
+            max_iters=q["max_iters"], step=q["step"], tol_grad=q["tol_grad"], boundary=boundary,
+        )
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
     u0 = wall_start(boundary, p, grid)
     u, trace, grad_max = relax(u0, p, rc)
     trace_path = os.path.join(cfg.out_dir, "relax_trace.csv")
@@ -306,8 +318,16 @@ def run(cfg: ExperimentConfig) -> int:
 # --------------------------------------------------------------- arg parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose errors are ``ConfigError``s, so they end in the
+    same JSON line and exit status 2 as every other bad configuration."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chiralattice",
         description="Chirality-wall energies on spin lattices: experiments and reports.",
     )

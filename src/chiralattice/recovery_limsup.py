@@ -248,6 +248,11 @@ def _chunks(lo: int, hi: int, size: int) -> list[slice]:
     return [slice(k, min(k + size, hi)) for k in range(lo, hi, size)]
 
 
+def _project(x: NDArray, v: NDArray) -> NDArray:
+    """``x . v`` over the last axis, with the same bits for every batch."""
+    return x[..., 0] * v[0] + x[..., 1] * v[1]
+
+
 def mollified_wall_potential(
     cfg: WallConfig, eps: float, m: Mollifier, order: int = 96
 ) -> Callable[[NDArray], NDArray]:
@@ -265,12 +270,9 @@ def mollified_wall_potential(
     ``s``; they are computed once here, and points outside the layer cost a
     single weighted sum with the same bits as the two-panel rule.
 
-    The values are bitwise reproducible for the same batch of points only.
-    The offsets ``x @ nu`` go through a matrix product, whose last bits for
-    a point may depend on the batch it comes in; for a rotated wall,
-    ``phi_eps(pts[k])`` and ``phi_eps(pts)[k]`` may differ by about 1e-15
-    relative.  Aligned walls, where ``nu`` has a zero component, are not
-    affected, and the CLI always evaluates the whole grid at once.
+    The projections ``x . nu`` and ``x . nu_perp`` are formed component by
+    component, not by a matrix product, so a point's value does not depend
+    on the batch it comes in: ``phi_eps(pts[k]) == phi_eps(pts)[k]``.
     """
     if eps <= 0:
         raise DomainError("mollification scale must be positive")
@@ -305,7 +307,7 @@ def mollified_wall_potential(
 
     def phi_eps(x: NDArray) -> NDArray:
         x = np.asarray(x, dtype=np.float64)
-        s = x @ nu - cfg.wall_offset
+        s = _project(x, nu) - cfg.wall_offset
         shape = np.asarray(s).shape
         uniq, inverse = np.unique(np.asarray(s).reshape(-1), return_inverse=True)
         kink = np.clip(-uniq / eps, -R, R)
@@ -317,7 +319,7 @@ def mollified_wall_potential(
             gs[sl] = g_far(uniq[sl])
         for sl in _chunks(a, b, 512):
             gs[sl] = g_near(uniq[sl], kink[sl])
-        tang = t_comp * (x @ nup + eps * moment_tau)
+        tang = t_comp * (_project(x, nup) + eps * moment_tau)
         return tang + dh * gs[inverse].reshape(shape)
 
     return phi_eps

@@ -1,10 +1,10 @@
-"""Gradient relaxation of the bulk energy over angle lifts.
+"""Relaxation of the bulk energy over angle lifts.
 
 The spins are parametrized as ``u = (cos psi, sin psi)`` so the unit-norm
 constraint disappears and the ``beta = 2`` energy becomes a smooth function of
-the lift ``psi``.  Descent with a backtracking line search then produces
-chirality walls dynamically when opposite chiralities are imposed on the
-frozen boundary frame.
+the lift ``psi``.  Limited-memory BFGS (two-loop recursion; Liu & Nocedal
+1989) with Armijo backtracking then produces chirality walls dynamically when
+opposite chiralities are imposed on the frozen boundary frame.
 
 Nothing here carries asymptotic guarantees: relaxed states are critical
 points found by local descent and all outputs are labeled heuristic.
@@ -13,6 +13,7 @@ points found by local descent and all outputs are labeled heuristic.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
 ]
 
 ARMIJO_C = 1e-4
+LBFGS_MEMORY = 8  # (s, y) pairs kept for the two-loop recursion
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 60
 
@@ -51,8 +53,10 @@ class RelaxConfig:
     boundary: FixedAngles | str = "periodic"
 
     def __post_init__(self):
-        if not (self.step > 0):
-            raise DomainError("initial step must be positive")
+        if self.max_iters < 0:
+            raise DomainError("max_iters must be nonnegative")
+        if not (0 < self.step < math.inf):
+            raise DomainError("initial step must be positive and finite")
         if not (self.tol_grad > 0):
             raise DomainError("gradient tolerance must be positive")
         if not isinstance(self.boundary, FixedAngles) and self.boundary != "periodic":
@@ -63,11 +67,25 @@ def _spins(psi: NDArray) -> NDArray:
     return np.stack([np.cos(psi), np.sin(psi)], axis=-1)
 
 
-def _f_energy(psi: NDArray, p: ModelParams, grid: Grid) -> float:
-    """``energy_F`` of the spins ``(cos psi, sin psi)``, bit for bit at beta = 2."""
-    rh, rv, rect = _f_residuals(_spins(psi), p, grid, grid.full_rect)
+def _f_energy(u: NDArray, p: ModelParams, grid: Grid) -> float:
+    """``energy_F`` of the raw spin array ``u``, bit for bit at beta = 2."""
+    rh, rv, rect = _f_residuals(u, p, grid, grid.full_rect)
     r = rh + rv
     return 0.5 * grid.spacing**2 * cell_sum(_sq_norm(r), rect)
+
+
+def _lift_gradient(u: NDArray, p: ModelParams, grid: Grid, frozen: NDArray | None) -> NDArray:
+    """Gradient of ``_f_energy`` against the lift, from the spins ``u``."""
+    rh, rv, rect = _f_residuals(u, p, grid, grid.full_rect)
+    r = _mask_outside(rh + rv, rect, grid)
+    # the 5-point stencil is symmetric: applying it to r gives its adjoint
+    ah, av, _ = _f_residuals(r, p, grid, grid.full_rect)
+    total = ah + av
+    # total . u_perp with u_perp = (-u_2, u_1), the spin turned by 90 degrees
+    grad = grid.spacing**2 * (total[..., 0] * -u[..., 1] + total[..., 1] * u[..., 0])
+    if frozen is not None:
+        grad = np.where(frozen, 0.0, grad)
+    return grad
 
 
 def f_gradient(psi: ScalarField, p: ModelParams, frozen: NDArray | None = None) -> ScalarField:
@@ -78,18 +96,30 @@ def f_gradient(psi: ScalarField, p: ModelParams, frozen: NDArray | None = None) 
     lift rotates it by 90 degrees.
     """
     p.require_transition_regime()
-    g = psi.grid
-    u = _spins(psi.values)
-    rh, rv, rect = _f_residuals(u, p, g, g.full_rect)
-    r = _mask_outside(rh + rv, rect, g)
-    # the 5-point stencil is symmetric: applying it to r gives its adjoint
-    ah, av, _ = _f_residuals(r, p, g, g.full_rect)
-    total = ah + av
-    uperp = np.stack([-u[..., 1], u[..., 0]], axis=-1)
-    grad = g.spacing**2 * np.sum(total * uperp, axis=-1)
-    if frozen is not None:
-        grad = np.where(frozen, 0.0, grad)
-    return ScalarField(g, grad)
+    return ScalarField(psi.grid, _lift_gradient(_spins(psi.values), p, psi.grid, frozen))
+
+
+def _dot(a: NDArray, b: NDArray) -> float:
+    """Inner product by numpy's pairwise sum, so no BLAS thread count enters."""
+    return float(np.sum(a * b))
+
+
+def _lbfgs_direction(grad: NDArray, pairs: deque) -> NDArray:
+    """``-H grad`` for the L-BFGS inverse-Hessian estimate ``H`` of the stored
+    ``(s, y, 1 / s.y)`` pairs, oldest first, by the two-loop recursion; the
+    initial estimate is ``(s.y / y.y) I`` from the newest pair, or ``I``."""
+    q = -grad
+    coeffs = []
+    for s, y, rho in reversed(pairs):
+        a = rho * _dot(s, q)
+        q -= a * y
+        coeffs.append(a)
+    if pairs:
+        _, y, rho = pairs[-1]
+        q *= 1.0 / (rho * _dot(y, y))
+    for (s, y, rho), a in zip(pairs, reversed(coeffs)):
+        q += (a - rho * _dot(y, q)) * s
+    return q
 
 
 def _ground_state_angles(chi, p: ModelParams) -> tuple[float, float]:
@@ -146,10 +176,16 @@ def wall_start(b: FixedAngles, p: ModelParams, grid: Grid) -> SpinField:
 
 
 def relax(u0: SpinField, p: ModelParams, cfg: RelaxConfig) -> tuple[SpinField, NDArray, float]:
-    """Backtracking gradient descent on the lift; returns the relaxed field,
-    the strictly decreasing trace of accepted energies, and the max |grad|
-    at the returned field.  The run converged iff that is at most
+    """L-BFGS with Armijo backtracking on the lift; returns the relaxed
+    field, the strictly decreasing trace of accepted energies, and the max
+    |grad| at the returned field.  The run converged iff that is at most
     ``cfg.tol_grad``; otherwise it stopped after ``cfg.max_iters`` steps.
+
+    The trial step is ``cfg.step`` while no ``(s, y)`` pair is stored (on
+    the first iteration, say) and 1 after that.  A pair is stored only when
+    ``s . y > 0``; a direction that does not descend is replaced by
+    ``-grad``, and the stored pairs are dropped.  A line search that finds no
+    decrease raises ``OptimizationError``.
 
     With ``FixedAngles`` boundary the outer columns are reset to the
     prescribed ground-state lifts and never move.
@@ -160,34 +196,47 @@ def relax(u0: SpinField, p: ModelParams, cfg: RelaxConfig) -> tuple[SpinField, N
     frozen = None
     if isinstance(cfg.boundary, FixedAngles):
         lift, frozen = _roof_lift(cfg.boundary, p, g)
-        psi = psi.copy()
         psi[frozen] = lift[frozen]
 
-    f = _f_energy(psi, p, g)
+    u = _spins(psi)
+    f = _f_energy(u, p, g)
+    grad = _lift_gradient(u, p, g, frozen)
     trace = [f]
-    step = cfg.step
+    pairs = deque(maxlen=LBFGS_MEMORY)
 
-    for it in range(cfg.max_iters + 1):
-        grad = f_gradient(ScalarField(g, psi), p, frozen).values
-        grad_max = float(np.max(np.abs(grad)))
-        if grad_max <= cfg.tol_grad or it == cfg.max_iters:
-            break
-        gsq = cell_sum(grad * grad, g.full_rect)
-        accepted = False
-        s = step
-        for _bt in range(MAX_BACKTRACKS):
-            trial = psi - s * grad
-            ft = _f_energy(trial, p, g)
-            if ft <= f - ARMIJO_C * s * gsq:
-                accepted = True
+    # The Armijo test is strict: when the decrease it asks for is below the
+    # rounding of f, the right side rounds to f and F must still go down, so
+    # the trace decreases strictly.  An over-long trial may overflow; its
+    # energy is then not finite and fails the test like any rejected step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(cfg.max_iters + 1):
+            grad_max = float(np.max(np.abs(grad)))
+            if grad_max <= cfg.tol_grad or it == cfg.max_iters:
                 break
-            s *= BACKTRACK_FACTOR
-        if not accepted:
-            raise OptimizationError(
-                f"line search failed after {MAX_BACKTRACKS} backtracks at energy {f:.6g}"
-            )
-        psi, f = trial, ft
-        trace.append(f)
-        step = 2.0 * s
+            d = _lbfgs_direction(grad, pairs)
+            slope = _dot(grad, d)
+            if not slope < 0.0:
+                pairs.clear()
+                d = -grad
+                slope = _dot(grad, d)
+            t = 1.0 if pairs else cfg.step
+            for _bt in range(MAX_BACKTRACKS):
+                trial = psi + t * d
+                u_t = _spins(trial)
+                f_t = _f_energy(u_t, p, g)
+                if f_t < f + ARMIJO_C * t * slope:
+                    break
+                t *= BACKTRACK_FACTOR
+            else:
+                raise OptimizationError(
+                    f"line search failed after {MAX_BACKTRACKS} backtracks at energy {f:.6g}"
+                )
+            grad_t = _lift_gradient(u_t, p, g, frozen)
+            s, y = trial - psi, grad_t - grad
+            sy = _dot(s, y)
+            if sy > 0.0:
+                pairs.append((s, y, 1.0 / sy))
+            psi, u, f, grad = trial, u_t, f_t, grad_t
+            trace.append(f)
 
-    return SpinField(g, _spins(psi)), np.asarray(trace), grad_max
+    return SpinField(g, u), np.asarray(trace), grad_max

@@ -1,10 +1,18 @@
 """Command-line interface: outputs, manifests, error codes, reproducibility."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import tempfile
+import warnings
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chiralattice import relaxation
 from chiralattice.cli import main
 
 
@@ -165,6 +173,69 @@ class TestRelax:
             assert (derived["grad_max"] <= 1e-5) is converged
             assert (derived["iterations"] < int(max_iters)) is converged
 
+    def test_bad_numbers_are_config_errors(self, tmp_path, capsys):
+        for flags in (["--max-iters", "-5"], ["--eps", "inf"], ["--eps", "-1"],
+                      ["--delta-exponent", "-1"], ["--step", "inf"]):
+            code = main(["--out-dir", str(tmp_path), "relax", "--nx", "6", "--ny", "6"] + flags)
+            assert code == 2
+            assert json.loads(capsys.readouterr().err)["error"] == "CONFIG_INVALID"
+
+    def test_argparse_errors_are_json_config_errors(self, tmp_path, capsys):
+        for flags in (["--tol-grad", "-1e-5"], ["--nx", "eight"], ["--no-such-flag"]):
+            code = main(["--out-dir", str(tmp_path), "relax"] + flags)
+            assert code == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"] == "CONFIG_INVALID"
+
+    def test_failed_line_search_is_a_runtime_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(relaxation, "_f_energy", lambda u, p, grid: 1.0)
+        code = main(["--out-dir", str(tmp_path), "relax", "--nx", "8", "--ny", "8"])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "RUNTIME_FAILURE" and "line search" in err["message"]
+
+
+_WILD_FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, -1.0, 1e-300, 1e300]))
+_WILD_INTS = st.integers(-5, 2)
+# relax's numeric flags: (values that make a valid run, values to break it)
+RELAX_FLAGS = {
+    "eps": (st.floats(1e-3, 0.5), _WILD_FLOATS),
+    "delta-exponent": (st.floats(0.1, 1.5), _WILD_FLOATS),
+    "step": (st.floats(1e-3, 10.0), _WILD_FLOATS),
+    "tol-grad": (st.floats(1e-12, 1e-2), _WILD_FLOATS),
+    "nx": (st.integers(3, 8), _WILD_INTS),
+    "ny": (st.integers(3, 8), _WILD_INTS),
+    "max-iters": (st.integers(0, 20), _WILD_INTS),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_relax_numeric_flags_end_in_success_or_one_json_error(data):
+    # up to two flags leave their valid range; the run must exit 0, or 1/2
+    # with exactly one JSON error line on stderr.  Warnings are errors here,
+    # so none may escape either.
+    wild = data.draw(st.sets(st.sampled_from(sorted(RELAX_FLAGS)), max_size=2))
+    # --flag=value, so that negative values reach the checks as numbers
+    argv = ["relax"] + [
+        f"--{name}={data.draw(pair[name in wild])!r}" for name, pair in RELAX_FLAGS.items()
+    ]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--out-dir", out] + argv)
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error", "message"}
+
 
 class TestDiagnose:
     def test_report_keys(self, tmp_path):
@@ -206,15 +277,15 @@ FIXED_CONFIG_SHA256 = {
 # the same for a wall rotated by 30 degrees, where every lattice point has
 # its own distance from the wall
 ROTATED_WALL_SHA256 = {
-    "gamma_table.csv": "c7d07d17ff61c8ed172e0c98027af2a88f2dc3fcb2f2505b47ac1270cbd9aae8",
+    "gamma_table.csv": "d5311e0631334901715afacfadd1ff392c52abfc8c7697ddc772bcb9e8ba7e70",
     "gamma_table_manifest.json": "5063b50f979dac3770f47d7922e9d4325bd936d73e56637c6b9a5e7993a762fa",
 }
 
 # the same for a short relaxation; relax_manifest.json is left out, since its
 # derived facts may grow while the trace and the field stay put
 RELAX_SHA256 = {
-    "relax_trace.csv": "da924cdc36f43b94117406fd7cc784da53680b414a620a745301b648f52e2a96",
-    "relax_field.csv": "d35fdb1a05c4e08b40a34cca6cb9b89327a20f53d185d7371c253ac60e0aa68e",
+    "relax_trace.csv": "f8cc798a627c23e9933cab11fdee4586e244adb08faa4892b62f6dd2bc8e7779",
+    "relax_field.csv": "86bb2b7c453137f632fb6c93a22a4916ff28014eaa814afa2623b3588b5d53b6",
 }
 
 

@@ -116,15 +116,24 @@ class TestMollification:
 
     def test_values_do_not_depend_on_the_batch(self):
         # far points take the precomputed full panel and in-layer points the
-        # split rule, each in chunks; neither may change a point's bits.  The
-        # aligned wall keeps x . nu exact, so only the wall profile is tested.
+        # split rule, each in chunks; neither may change a point's bits.  On
+        # the 30 degree wall both components of nu enter each x . nu.
         m = quartic_bump(DEFAULT_KERNEL_RADIUS)
-        phi_eps = mollified_wall_potential(canonical_wall(), 0.02, m)
+        a = math.radians(30.0)
+        s = 1.0 / math.sqrt(2.0)
+        rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+        nu = (-math.sin(a), math.cos(a))
+        rotated = WallConfig(
+            tuple(rot @ np.array([s, s])), tuple(rot @ np.array([s, -s])), nu,
+            float(np.array([0.5, 0.5]) @ np.asarray(nu)),
+        )
         pts = np.random.default_rng(5).uniform(0.0, 1.0, size=(12000, 2))
-        full = phi_eps(pts)
-        assert np.array_equal(phi_eps(pts[::7]), full[::7])
-        for k in (0, 1, 5999, 11999):
-            assert phi_eps(pts[k]) == full[k]
+        for wall in (canonical_wall(), rotated):
+            phi_eps = mollified_wall_potential(wall, 0.02, m)
+            full = phi_eps(pts)
+            assert np.array_equal(phi_eps(pts[::7]), full[::7])
+            for k in (0, 1, 5999, 11999):
+                assert phi_eps(pts[k]) == full[k]
 
     def test_reduction_matches_generic_mollification(self):
         w = canonical_wall()
