@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import ChiraLatticeError, ConfigError, DomainError
+from .errors import ChiraLatticeError, ConfigError, DimensionError, DomainError, ParameterError
 from .lattice_core import (
     Boundary,
     Grid,
@@ -119,6 +119,36 @@ def _parse_vec(text: str) -> tuple[float, float]:
         raise ConfigError(f"expected two numbers 'x,y', got {text!r}") from None
 
 
+# smallest nx and ny of an open grid on which every region a subcommand sums
+# over keeps a cell; a periodic grid loses no edge cells and needs one less
+_MIN_CELLS = {"ground-state": 3, "relax": 3, "entropy-scan": 2, "diagnose": 6}
+
+
+def _model(
+    cfg: ExperimentConfig, l: float, alpha: float | None = None
+) -> tuple[ModelParams | None, Grid]:
+    """Grid, and ModelParams in the transition regime when ``alpha`` is given,
+    from a subcommand's flags.  Any value they reject, or a grid too small for
+    the subcommand, is a ``ConfigError`` before any numerics run."""
+    q = cfg.params
+    boundary = Boundary(q.get("boundary", "open"))
+    least = _MIN_CELLS[cfg.command] - (boundary is Boundary.PERIODIC)
+    if min(q["nx"], q["ny"]) < least:
+        raise ConfigError(f"{cfg.command} needs {least}x{least} cells, got {q['nx']}x{q['ny']}")
+    # the energies weigh cells by l^2 and Hn squares |Ad| <= 8 / (sqrt(delta) l),
+    # with delta >= 8.9e-16: in this range neither comes near overflow
+    if not (1e-100 < l < 1e100):
+        raise ConfigError(f"lattice spacing must lie in (1e-100, 1e100), got {l!r}")
+    try:
+        p = None
+        if alpha is not None:
+            p = ModelParams(l=l, alpha=alpha, beta=2.0)
+            p.require_transition_regime()
+        return p, Grid(l, q["nx"], q["ny"], boundary)
+    except (ParameterError, DimensionError, DomainError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
 # ------------------------------------------------------------------ commands
 
 
@@ -129,8 +159,7 @@ def _run_ground_state(cfg: ExperimentConfig) -> int:
     if norm == 0:
         raise ConfigError("chirality must be nonzero")
     chi = (chi[0] / norm, chi[1] / norm)  # tolerate 4-5 digit inputs
-    p = ModelParams(l=q["l"], alpha=q["alpha"], beta=2.0)
-    grid = Grid(q["l"], q["nx"], q["ny"], Boundary(q["boundary"]))
+    p, grid = _model(cfg, q["l"], q["alpha"])
     u = ground_state_from_chirality(chi, p, grid, q["theta0"])
     e = energy_E(u, p)
     f = energy_F(u, p)
@@ -154,7 +183,8 @@ def _run_ground_state(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _params_from_eps(eps: float, delta_exponent: float) -> ModelParams:
+def _scales_from_eps(eps: float, delta_exponent: float) -> tuple[float, float]:
+    """``(l, alpha)`` with ``delta = eps**delta_exponent`` and ``l = eps sqrt(delta)``."""
     if not (0 < eps < math.inf and math.isfinite(delta_exponent)):
         raise ConfigError(
             f"need a finite eps > 0 and delta exponent, got {eps!r}, {delta_exponent!r}"
@@ -165,13 +195,12 @@ def _params_from_eps(eps: float, delta_exponent: float) -> ModelParams:
         delta = math.inf
     if not (0 < delta < 4):
         raise ConfigError(f"delta = eps**delta_exponent = {delta!r} must lie in (0, 4)")
-    return ModelParams(l=eps * math.sqrt(delta), alpha=8.0 - 2.0 * delta, beta=2.0)
+    return eps * math.sqrt(delta), 8.0 - 2.0 * delta
 
 
 def _run_relax(cfg: ExperimentConfig) -> int:
     q = cfg.params
-    p = _params_from_eps(q["eps"], q["delta_exponent"])
-    grid = Grid(p.l, q["nx"], q["ny"], Boundary.OPEN)
+    p, grid = _model(cfg, *_scales_from_eps(q["eps"], q["delta_exponent"]))
     boundary = FixedAngles(_parse_vec(q["chi_left"]), _parse_vec(q["chi_right"]))
     try:
         rc = RelaxConfig(
@@ -200,10 +229,10 @@ def _run_relax(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _sharp_wall_chi(nx: int, ny: int, l: float) -> VectorField:
+def _sharp_wall_chi(grid: Grid) -> VectorField:
     s = 1.0 / math.sqrt(2.0)
-    grid = Grid(l, nx, ny, Boundary.OPEN)
-    vals = np.empty((nx, ny, 2))
+    ny = grid.ny
+    vals = np.empty((grid.nx, ny, 2))
     vals[..., 0] = s
     vals[:, : ny // 2, 1] = -s
     vals[:, ny // 2 :, 1] = s
@@ -212,13 +241,13 @@ def _sharp_wall_chi(nx: int, ny: int, l: float) -> VectorField:
 
 def _run_entropy_scan(cfg: ExperimentConfig) -> int:
     q = cfg.params
+    _, grid = _model(cfg, q["l"])
     if q.get("field"):
-        grid = Grid(q["l"], q["nx"], q["ny"], Boundary.OPEN)
         chi = read_field_csv(q["field"], grid)
         if not isinstance(chi, VectorField):
             raise ConfigError("entropy-scan needs a two-component field")
     else:
-        chi = _sharp_wall_chi(q["nx"], q["ny"], q["l"])
+        chi = _sharp_wall_chi(grid)
     n = q["angles"]
     if n < 1:
         raise ConfigError("need at least one scan angle")
@@ -240,6 +269,8 @@ def _run_gamma_table(cfg: ExperimentConfig) -> int:
         eps0=q["eps0"], levels=q["levels"],
         delta_exponent=q["delta_exponent"], ratio=q["ratio"],
     )
+    if not math.isfinite(q["wall_angle"]):
+        raise ConfigError(f"wall angle must be finite, got {q['wall_angle']!r}")
     angle = math.radians(q["wall_angle"])
     nu = (-math.sin(angle), math.cos(angle))
     rot = np.array([[math.cos(angle), -math.sin(angle)],
@@ -251,7 +282,10 @@ def _run_gamma_table(cfg: ExperimentConfig) -> int:
     wall = WallConfig(chi_plus, chi_minus, nu, float(center @ np.asarray(nu)))
     if q["kernel"] != "quartic":
         raise ConfigError(f"unknown kernel {q['kernel']!r}")
-    m = quartic_bump(q["radius"])
+    try:
+        m = quartic_bump(q["radius"])
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
     rows = gamma_limsup_experiment(wall, schedule, m)
     table_path = os.path.join(cfg.out_dir, "gamma_table.csv")
     _write_csv(table_path, GAMMA_TABLE_COLUMNS, rows)
@@ -271,8 +305,7 @@ def _run_gamma_table(cfg: ExperimentConfig) -> int:
 
 def _run_diagnose(cfg: ExperimentConfig) -> int:
     q = cfg.params
-    p = ModelParams(l=q["l"], alpha=q["alpha"], beta=2.0)
-    grid = Grid(q["l"], q["nx"], q["ny"], Boundary(q["boundary"]))
+    p, grid = _model(cfg, q["l"], q["alpha"])
     raw = read_field_csv(q["field"], grid)
     if not isinstance(raw, VectorField):
         raise ConfigError("diagnose needs a two-component spin field")

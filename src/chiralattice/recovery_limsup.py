@@ -6,9 +6,11 @@ field.  Along a scaling schedule ``(l_n, delta_n, eps_n)`` the rescaled
 transition energy of these fields approaches the sharp wall cost
 ``|[chi]|^3 / 6`` per unit interface length.
 
-Mollification of the roof is reduced exactly to a one-dimensional convolution
-against the kernel's marginal across the wall; the quadrature splits at the
-roof kink so the integrand is smooth on each piece.
+The kernel is the quartic bump, whose marginal across the wall is
+``m(w) = (256/315) c R (1 - w^2/R^2)^{9/2}``, so the mollified roof has a
+closed form without quadrature (``mollified_wall_potential``): ``|s|`` outside
+the layer ``|s| < eps R``, arcsine plus polynomial inside it.  ``mollify`` is
+the generic tensor-rule reference it is tested against.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.typing import NDArray
 
-from .errors import ConfigError, DomainError, ScalingError
+from .errors import ConfigError, DomainError, ParameterError, ScalingError
 from .lattice_core import Boundary, Grid, Rect, ScalarField, grad_d, laplace_shifted
 from .spin_energy import EnergyRecord, ModelParams, SpinField, _record, energy_Hn, potential_W
 from .entropy import perp, sigma_surface_density
@@ -50,52 +52,27 @@ __all__ = [
 DEFAULT_KERNEL_RADIUS = 4.0
 
 
-def _tensor_gauss(radius: float, order: int) -> tuple[NDArray, NDArray]:
-    z, w = leggauss(order)
-    z = z * radius
-    w = w * radius
-    zz = np.stack(np.meshgrid(z, z, indexing="ij"), axis=-1).reshape(-1, 2)
-    ww = (w[:, None] * w[None, :]).reshape(-1)
-    return zz, ww
-
-
 @dataclass(frozen=True)
 class Mollifier:
-    """Compactly supported smooth kernel with unit mass on |z| <= radius."""
+    """The quartic bump ``c (1 - |z/R|^2)^4``, ``c = 5 / (pi R^2)``, of unit
+    mass on ``|z| <= R``; the only kernel, as ``mollified_wall_potential``
+    uses its closed form."""
 
-    kernel: Callable[[NDArray], NDArray]
     radius: float = 1.0
 
     def __post_init__(self):
-        if not (self.radius > 0):
-            raise DomainError("kernel radius must be positive")
-        # the support edge cuts across the tensor grid, so a high order is
-        # needed for the mass of merely finitely-smooth kernels
-        zz, ww = _tensor_gauss(self.radius, 192)
-        mass = math.fsum((ww * np.asarray(self.kernel(zz))).tolist())
-        if abs(mass - 1.0) > 1e-10:
-            raise DomainError(f"kernel mass is {mass}, expected 1 within 1e-10")
-        # crude smoothness probe: second differences along a diameter stay bounded
-        s = np.linspace(-self.radius, self.radius, 257)
-        line = np.stack([s, np.zeros_like(s)], axis=-1)
-        vals = np.asarray(self.kernel(line))
-        h = s[1] - s[0]
-        second = np.abs(np.diff(vals, 2)) / h**2
-        if np.any(~np.isfinite(second)) or np.max(second) > 1e8:
-            raise DomainError("kernel fails the sampled second-difference bound")
+        if not (0 < self.radius < math.inf):
+            raise DomainError(f"kernel radius must be positive and finite, got {self.radius!r}")
+
+    def kernel(self, z: NDArray) -> NDArray:
+        zr = np.asarray(z, dtype=np.float64) / self.radius
+        r2 = zr[..., 0] ** 2 + zr[..., 1] ** 2
+        return 5.0 / (math.pi * self.radius**2) * np.maximum(1.0 - r2, 0.0) ** 4
 
 
 def quartic_bump(radius: float = 1.0) -> Mollifier:
     """Normalized kernel ``c (1 - |z/R|^2)^4`` supported on |z| <= R."""
-    c = 5.0 / (math.pi * radius**2)
-
-    def kernel(z: NDArray) -> NDArray:
-        z = np.asarray(z, dtype=np.float64)
-        zr = z / radius
-        r2 = zr[..., 0] ** 2 + zr[..., 1] ** 2
-        return c * np.maximum(1.0 - r2, 0.0) ** 4
-
-    return Mollifier(kernel, radius)
+    return Mollifier(radius)
 
 
 def _unit(v, name: str) -> NDArray:
@@ -196,8 +173,10 @@ def mollify(
     )
 
     def build(q: int):
-        zz, ww = _tensor_gauss(m.radius, q)
-        wk = ww * np.asarray(m.kernel(zz))
+        z, w = leggauss(q)
+        z, w = z * m.radius, w * m.radius
+        zz = np.stack(np.meshgrid(z, z, indexing="ij"), axis=-1).reshape(-1, 2)
+        wk = (w[:, None] * w[None, :]).reshape(-1) * m.kernel(zz)
         keep = wk != 0.0
 
         def phi_eps(x: NDArray) -> NDArray:
@@ -228,99 +207,68 @@ def mollify(
     return current
 
 
-def _marginal_factory(m: Mollifier, nu: NDArray, order: int = 32) -> Callable[[NDArray], NDArray]:
-    """Marginal of the kernel along ``nu``: m(w) = int kernel(w nu + t nu_perp) dt."""
-    nup = perp(nu)
-    z, wq = leggauss(order)
-    t = z * m.radius
-    wt = wq * m.radius
-
-    def marginal(w: NDArray) -> NDArray:
-        w = np.asarray(w, dtype=np.float64)
-        pts = w[..., None, None] * nu + t[:, None] * nup  # (..., order, 2)
-        vals = np.asarray(m.kernel(pts))
-        return vals @ wt
-
-    return marginal
-
-
-def _chunks(lo: int, hi: int, size: int) -> list[slice]:
-    return [slice(k, min(k + size, hi)) for k in range(lo, hi, size)]
-
-
 def _project(x: NDArray, v: NDArray) -> NDArray:
     """``x . v`` over the last axis, with the same bits for every batch."""
     return x[..., 0] * v[0] + x[..., 1] * v[1]
 
 
+# normalized marginal of the quartic bump: C (1 - v^2)^{9/2} on |v| <= 1
+_C = 256.0 / (63.0 * math.pi)
+
+
+def _kink_profile(s: NDArray, width: float) -> NDArray:
+    """The kink profile ``g`` of ``mollified_wall_potential``; ``width = eps R``.
+
+    ``P`` and ``Q`` are the mass and first moment of the normalized marginal
+    on ``[-1, k]``.
+    """
+    flat = np.reshape(s, -1)
+    g = np.abs(flat)
+    inside = g < width
+    k = -flat[inside] / width
+    r2 = (1.0 - k) * (1.0 + k)  # 1 - k^2 without cancellation near |k| = 1
+    r = np.sqrt(r2)
+    poly = r * (63 / 256 + r2 * (63 / 384 + r2 * (63 / 480 + r2 * (9 / 80 + r2 / 10))))
+    mass = _C * (k * poly + (63 / 256) * (np.arcsin(k) + math.pi / 2))
+    moment = -_C / 11 * (r2 * r2) * (r2 * r2) * r2 * r
+    g[inside] = width * (k * (2.0 * mass - 1.0) - 2.0 * moment)
+    return g.reshape(np.shape(s))
+
+
 def mollified_wall_potential(
-    cfg: WallConfig, eps: float, m: Mollifier, order: int = 96
+    cfg: WallConfig, eps: float, m: Mollifier
 ) -> Callable[[NDArray], NDArray]:
-    """Exact 1D reduction of ``mollify(single_wall_potential(cfg), eps, m)``.
+    """Closed form of ``mollify(single_wall_potential(cfg), eps, m)``.
 
-    The affine part passes through mollification up to the kernel's first
-    moment; the kink part reduces to ``g(s) = int marg(w) |s + eps w| dw``,
-    integrated piecewise on both sides of the kink ``w = -s/eps`` so every
-    quadrature panel sees a smooth integrand.
-
-    Outside the layer, where ``|clip(-s/eps, -R, R)| == R``, one of the two
-    panels is the full panel ``[-R, R]`` (mid 0.0, half ``R``) and the other
-    has zero width, so its weights are 0.0 and it adds exactly 0.0.  The
-    nodes, weights and marginal values of the full panel do not depend on
-    ``s``; they are computed once here, and points outside the layer cost a
-    single weighted sum with the same bits as the two-panel rule.
+    With ``s = x . nu - offset`` the mollified roof is
+    ``t (x . nu_perp) + (d/2) g(s)``: the kernel is radial, so its first
+    moment vanishes and the affine part passes through unchanged.  The kink
+    part is ``g(s) = int m(w) |s + eps w| dw`` against the kernel's marginal
+    along ``nu``, ``m(w) = (256/315) c R (1 - w^2/R^2)^{9/2}``.  Outside the
+    layer, ``|s| >= eps R``, ``g(s) = |s|``.  Inside it, with
+    ``k = -s / (eps R)`` and ``r = sqrt(1 - k^2)``,
+    ``g(s) = eps R (k (2 P(k) - 1) - 2 Q(k))``, where ``C = 256 / (63 pi)``,
+    ``Q(k) = -C r^11 / 11`` and
+    ``P(k) = C (k (r^9/10 + 9r^7/80 + 63r^5/480 + 63r^3/384 + 63r/256)
+    + (63/256)(asin k + pi/2))``.
 
     The projections ``x . nu`` and ``x . nu_perp`` are formed component by
-    component, not by a matrix product, so a point's value does not depend
-    on the batch it comes in: ``phi_eps(pts[k]) == phi_eps(pts)[k]``.
+    component, not by a matrix product, and ``g`` is elementwise, so a
+    point's value does not depend on the batch it comes in:
+    ``phi_eps(pts[k]) == phi_eps(pts)[k]``.
     """
-    if eps <= 0:
-        raise DomainError("mollification scale must be positive")
+    if not (0 < eps < math.inf):
+        raise DomainError("mollification scale must be positive and finite")
     nu = np.asarray(cfg.nu, dtype=np.float64)
     nup = perp(nu)
-    t_comp = cfg.tangential
+    t = cfg.tangential
     dh = cfg.half_jump
-    R = m.radius
-    marginal = _marginal_factory(m, nu)
-    zz, ww = _tensor_gauss(R, 48)
-    kvals = ww * np.asarray(m.kernel(zz))
-    moment_tau = math.fsum((kvals * (zz @ nup)).tolist())
-    zq, wq = leggauss(order)
-    full_w = R * zq
-    full_wt = R * wq
-    full_marg = marginal(full_w)
-
-    def panel(s: NDArray, lo: NDArray, hi: NDArray) -> NDArray:
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        w_nodes = mid[..., None] + half[..., None] * zq
-        weights = half[..., None] * wq
-        vals = marginal(w_nodes) * np.abs(s[..., None] + eps * w_nodes)
-        return np.sum(weights * vals, axis=-1)
-
-    def g_far(s: NDArray) -> NDArray:
-        return np.sum(full_wt * (full_marg * np.abs(s[:, None] + eps * full_w)), axis=-1)
-
-    def g_near(s: NDArray, kink: NDArray) -> NDArray:
-        edge = R * np.ones_like(s)
-        return panel(s, -edge, kink) + panel(s, kink, edge)
+    width = eps * m.radius
 
     def phi_eps(x: NDArray) -> NDArray:
         x = np.asarray(x, dtype=np.float64)
         s = _project(x, nu) - cfg.wall_offset
-        shape = np.asarray(s).shape
-        uniq, inverse = np.unique(np.asarray(s).reshape(-1), return_inverse=True)
-        kink = np.clip(-uniq / eps, -R, R)
-        # uniq is sorted and kink monotone in it, so the layer is one slice
-        near = np.flatnonzero(np.abs(kink) < R)
-        a, b = (near[0], near[-1] + 1) if near.size else (uniq.size, uniq.size)
-        gs = np.empty_like(uniq)
-        for sl in _chunks(0, a, 4096) + _chunks(b, uniq.size, 4096):
-            gs[sl] = g_far(uniq[sl])
-        for sl in _chunks(a, b, 512):
-            gs[sl] = g_near(uniq[sl], kink[sl])
-        tang = t_comp * (_project(x, nup) + eps * moment_tau)
-        return tang + dh * gs[inverse].reshape(shape)
+        return t * _project(x, nup) + dh * _kink_profile(s, width)
 
     return phi_eps
 
@@ -358,7 +306,12 @@ def spin_from_potential(phi_n: ScalarField, p: ModelParams) -> SpinField:
 
 def laplacian_AG_energy(phi_n: ScalarField, p: ModelParams, region: Rect | None = None) -> EnergyRecord:
     """Discrete Aviles-Giga energy with the shifted 5-point Laplacian:
-    ``(1/2) int (1/eps) W(D_d phi) + eps |Delta_s phi|^2``."""
+    ``(1/2) int (1/eps) W(D_d phi) + eps |Delta_s phi|^2``.
+
+    ``W`` is taken of the one-sided forward gradient, so, unlike ``Hn``, the
+    energy is not invariant under a lattice reflection: mirrored walls give
+    different values.
+    """
     p.require_transition_regime()
     d = grad_d(phi_n)
     lap = laplace_shifted(phi_n)
@@ -402,15 +355,20 @@ class ScalingSchedule:
         ratio: float = 0.5,
     ) -> "ScalingSchedule":
         """Default schedule: eps_n = eps0 ratio^n, delta = eps^q, l = eps sqrt(delta)."""
-        if not (0 < ratio < 1) or levels < 1:
-            raise ScalingError("geometric schedule needs 0 < ratio < 1 and levels >= 1")
+        if not (0 < ratio < 1 and levels >= 1 and 0 < eps0 < math.inf
+                and 0 < delta_exponent < math.inf):
+            raise ScalingError("geometric schedule needs 0 < ratio < 1, levels >= 1, "
+                               "and a finite eps0 > 0 and delta exponent > 0")
         entries = []
-        for n in range(levels):
-            eps = eps0 * ratio**n
-            delta = eps**delta_exponent
-            l = eps * math.sqrt(delta)
-            entries.append(ModelParams(l=l, alpha=8.0 - 2.0 * delta, beta=2.0))
-        return cls(tuple(entries))
+        try:
+            for n in range(levels):
+                eps = eps0 * ratio**n
+                delta = eps**delta_exponent
+                l = eps * math.sqrt(delta)
+                entries.append(ModelParams(l=l, alpha=8.0 - 2.0 * delta, beta=2.0))
+            return cls(tuple(entries))
+        except (OverflowError, ParameterError) as exc:
+            raise ScalingError(f"geometric schedule: {exc}") from None
 
 
 def _wall_length_in_box(cfg: WallConfig, box: tuple[float, float, float, float]) -> float:

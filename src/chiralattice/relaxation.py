@@ -182,7 +182,8 @@ def relax(u0: SpinField, p: ModelParams, cfg: RelaxConfig) -> tuple[SpinField, N
     ``cfg.tol_grad``; otherwise it stopped after ``cfg.max_iters`` steps.
 
     The trial step is ``cfg.step`` while no ``(s, y)`` pair is stored (on
-    the first iteration, say) and 1 after that.  A pair is stored only when
+    the first iteration, say), capped so that no angle moves by more than
+    pi, and 1 after that.  A pair is stored only when
     ``s . y > 0``; a direction that does not descend is replaced by
     ``-grad``, and the stored pairs are dropped.  A line search that finds no
     decrease raises ``OptimizationError``.
@@ -219,7 +220,8 @@ def relax(u0: SpinField, p: ModelParams, cfg: RelaxConfig) -> tuple[SpinField, N
                 pairs.clear()
                 d = -grad
                 slope = _dot(grad, d)
-            t = 1.0 if pairs else cfg.step
+            # -grad carries no curvature scale: no angle may turn past pi
+            t = 1.0 if pairs else min(cfg.step, math.pi / float(np.max(np.abs(d))))
             for _bt in range(MAX_BACKTRACKS):
                 trial = psi + t * d
                 u_t = _spins(trial)

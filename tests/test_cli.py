@@ -9,10 +9,11 @@ import os
 import tempfile
 import warnings
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiralattice import relaxation
+from chiralattice import cli, relaxation
 from chiralattice.cli import main
 
 
@@ -188,6 +189,14 @@ class TestRelax:
             assert len(lines) == 1
             assert json.loads(lines[0])["error"] == "CONFIG_INVALID"
 
+    def test_huge_first_step_is_capped(self, tmp_path):
+        # uncapped, 60 halvings of 1e25 never reach a step that descends
+        args = ["relax", "--nx", "6", "--ny", "6", "--max-iters", "5", "--step", "1e25"]
+        assert main(["--out-dir", str(tmp_path)] + args) == 0
+        _, rows = read_csv_rows(os.path.join(str(tmp_path), "relax_trace.csv"))
+        values = [float(r["F"]) for r in rows]
+        assert len(values) == 6 and all(b < a for a, b in zip(values, values[1:]))
+
     def test_failed_line_search_is_a_runtime_failure(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(relaxation, "_f_energy", lambda u, p, grid: 1.0)
         code = main(["--out-dir", str(tmp_path), "relax", "--nx", "8", "--ny", "8"])
@@ -196,6 +205,66 @@ class TestRelax:
         assert len(lines) == 1
         err = json.loads(lines[0])
         assert err["error"] == "RUNTIME_FAILURE" and "line search" in err["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["relax", "--nx", "0"],
+    ["relax", "--nx", "2"],
+    ["relax", "--eps", "1e-300", "--delta-exponent", "1e-300"],
+    ["ground-state", "--nx", "0"],
+    ["ground-state", "--alpha", "9"],
+    ["ground-state", "--l", "inf"],
+    ["entropy-scan", "--nx", "1", "--ny", "1"],
+    ["gamma-table", "--eps0", "0", "--levels", "1"],
+    ["gamma-table", "--eps0", "nan", "--levels", "1"],
+    ["gamma-table", "--eps0=-1", "--levels", "1"],
+    ["gamma-table", "--delta-exponent=-1", "--levels", "1"],
+    ["gamma-table", "--radius=-1", "--levels", "1"],
+    ["gamma-table", "--radius", "nan", "--levels", "1"],
+    ["gamma-table", "--radius", "inf", "--levels", "1"],
+    ["gamma-table", "--wall-angle", "nan", "--levels", "1"],
+])
+def test_bad_flags_are_config_errors_before_any_numerics(argv, tmp_path, capsys, monkeypatch):
+    def numerics(*args, **kwargs):
+        raise AssertionError("numerics ran on a bad configuration")
+
+    for name in ("relax", "ground_state_from_chirality", "total_variation_production",
+                 "gamma_limsup_experiment"):
+        monkeypatch.setattr(cli, name, numerics)
+    assert main(["--out-dir", str(tmp_path)] + argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] in ("CONFIG_INVALID", "SCALING_VIOLATION")
+
+
+def _draw_argv(data, command, flags):
+    """``command`` with every flag set; up to two leave their valid range.
+
+    Values go as ``--flag=value``, so that negative ones reach the checks as
+    numbers.
+    """
+    wild = data.draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
+    return [command] + [
+        f"--{name}={data.draw(pair[name in wild])!r}" for name, pair in flags.items()
+    ]
+
+
+def _exit_code(argv):
+    """Exit status of one run: 0 with nothing on stderr, or 1/2 with exactly
+    one JSON error line.  Warnings are errors here, so none may escape."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--out-dir", out] + argv)
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error", "message"}
+    return code
 
 
 _WILD_FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, -1.0, 1e-300, 1e300]))
@@ -215,26 +284,27 @@ RELAX_FLAGS = {
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_relax_numeric_flags_end_in_success_or_one_json_error(data):
-    # up to two flags leave their valid range; the run must exit 0, or 1/2
-    # with exactly one JSON error line on stderr.  Warnings are errors here,
-    # so none may escape either.
-    wild = data.draw(st.sets(st.sampled_from(sorted(RELAX_FLAGS)), max_size=2))
-    # --flag=value, so that negative values reach the checks as numbers
-    argv = ["relax"] + [
-        f"--{name}={data.draw(pair[name in wild])!r}" for name, pair in RELAX_FLAGS.items()
-    ]
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(["--out-dir", out] + argv)
-    assert code in (0, 1, 2)
-    lines = err.getvalue().splitlines()
-    if code == 0:
-        assert lines == []
-    else:
-        assert len(lines) == 1
-        assert set(json.loads(lines[0])) == {"error", "message"}
+    _exit_code(_draw_argv(data, "relax", RELAX_FLAGS))
+
+
+# the schedule flags set the lattice spacing: a small positive eps0 or ratio,
+# or a large finite exponent, would ask for billions of cells, so their wild
+# values are ones the schedule rejects, or an eps0 above the valid range
+_NOT_POSITIVE_FINITE = st.sampled_from([0.0, -0.0, -1.0, -math.inf, math.inf, math.nan])
+GAMMA_TABLE_FLAGS = {
+    "eps0": (st.floats(0.04, 0.08), st.one_of(_NOT_POSITIVE_FINITE, st.floats(min_value=0.04))),
+    "delta-exponent": (st.floats(0.3, 0.8), st.one_of(_NOT_POSITIVE_FINITE, st.just(1e300))),
+    "ratio": (st.floats(0.5, 0.9), st.one_of(_NOT_POSITIVE_FINITE, st.sampled_from([1.0, 1.5]))),
+    "levels": (st.integers(1, 2), st.integers(-3, 0)),
+    "radius": (st.floats(1.0, 4.0), _WILD_FLOATS),
+    "wall-angle": (st.floats(-90.0, 90.0), _WILD_FLOATS),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_gamma_table_numeric_flags_end_in_success_or_a_config_error(data):
+    assert _exit_code(_draw_argv(data, "gamma-table", GAMMA_TABLE_FLAGS)) in (0, 2)
 
 
 class TestDiagnose:
@@ -270,14 +340,14 @@ FIXED_CONFIG_SHA256 = {
     "diagnose_report.json": "a789a5c176fc8d92b3c090e47c0f443878d75ca8c460f0972787a8593c03d0c3",
     "entropy_scan.csv": "76e8cbc4b95b263b40c326875a9c3b57e31d4764298655818c8a1f1ae08bf4f7",
     "entropy_scan_manifest.json": "8de8574b31f4537d1c8fa31c3469edf99f0a47877553aa7984fe11db1662a8fc",
-    "gamma_table.csv": "c1d1dcfd47e58d55c9bb70fffddd089727d536fd7e508e7664e430ef1242d7c8",
+    "gamma_table.csv": "a81df054a34426a7141fe9a07bb9c003b0316af2c6988ebe8a080e2167940d4f",
     "gamma_table_manifest.json": "d92d7729e30d6e5f538727091c1c25c84262cb084bc48aa803246f91029f7a4b",
 }
 
 # the same for a wall rotated by 30 degrees, where every lattice point has
 # its own distance from the wall
 ROTATED_WALL_SHA256 = {
-    "gamma_table.csv": "d5311e0631334901715afacfadd1ff392c52abfc8c7697ddc772bcb9e8ba7e70",
+    "gamma_table.csv": "718f1f14c82365bd4df8868c106d9c4fd6a194d049260a6e0ef8eee1e859d122",
     "gamma_table_manifest.json": "5063b50f979dac3770f47d7922e9d4325bd936d73e56637c6b9a5e7993a762fa",
 }
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from chiralattice import (
     Boundary,
@@ -44,17 +45,21 @@ def gamma_rows():
 
 class TestMollifierAndWall:
     def test_quartic_bump_has_unit_mass(self):
-        quartic_bump(1.0)
-        quartic_bump(DEFAULT_KERNEL_RADIUS)
+        # r * kernel is a polynomial of degree 9 in r on the support, so the
+        # 8-node radial rule is exact along every direction
+        z, w = leggauss(8)
+        for radius in (1.0, DEFAULT_KERNEL_RADIUS):
+            m = quartic_bump(radius)
+            r = 0.5 * radius * (z + 1.0)
+            for theta in (0.0, 0.7, 2.0):
+                pts = np.stack([r * math.cos(theta), r * math.sin(theta)], axis=-1)
+                radial = math.fsum((0.5 * radius * w * r * m.kernel(pts)).tolist())
+                assert abs(2.0 * math.pi * radial - 1.0) <= 1e-14
 
-    def test_badly_normalized_kernel_rejected(self):
-        def kernel(z):
-            z = np.asarray(z, dtype=np.float64)
-            r2 = np.sum(z**2, axis=-1)
-            return 1.1 * 5.0 / math.pi * np.maximum(1.0 - r2, 0.0) ** 4
-
-        with pytest.raises(DomainError):
-            Mollifier(kernel, 1.0)
+    def test_radius_must_be_positive_and_finite(self):
+        for radius in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                Mollifier(radius)
 
     def test_wall_config_invariants(self):
         s = 1.0 / math.sqrt(2.0)
@@ -146,6 +151,66 @@ class TestMollification:
         assert np.allclose(fast(pts), slow(pts), rtol=0, atol=1e-5)
 
 
+def _kink_oracle(k):
+    """``int C (1 - v^2)^{9/2} |v - k| dv`` over ``[-1, 1]``, ``C = 256 / (63 pi)``.
+
+    With ``v = sin(theta)`` on each side of the kink the integrand becomes
+    ``C cos^10(theta) |sin(theta) - k|``, smooth on each piece, so
+    Gauss-Legendre converges to rounding.
+    """
+    z, w = leggauss(48)
+    cut = math.asin(min(max(k, -1.0), 1.0))
+    terms = []
+    for lo, hi, sign in ((-math.pi / 2, cut, -1.0), (cut, math.pi / 2, 1.0)):
+        theta = 0.5 * (lo + hi) + 0.5 * (hi - lo) * z
+        piece = 0.5 * (hi - lo) * w * np.cos(theta) ** 10 * sign * (np.sin(theta) - k)
+        terms += piece.tolist()
+    return 256.0 / (63.0 * math.pi) * math.fsum(terms)
+
+
+class TestClosedFormKink:
+    # chi = (0, +-1) across nu = (0, 1) through the origin: no tangential
+    # part and d/2 = 1, so phi_eps((0, s)) is the kink profile g(s) itself
+    WALL = WallConfig((0.0, 1.0), (0.0, -1.0), (0.0, 1.0), 0.0)
+    EPS = 0.04
+
+    def profile(self, radius=DEFAULT_KERNEL_RADIUS):
+        phi_eps = mollified_wall_potential(self.WALL, self.EPS, quartic_bump(radius))
+        return lambda s: phi_eps(np.stack([np.zeros_like(s), s], axis=-1))
+
+    def test_matches_the_quadrature_oracle(self):
+        for radius in (1.0, DEFAULT_KERNEL_RADIUS):
+            width = self.EPS * radius
+            ks = np.array([0.0, 0.5, -0.5, 1 - 1e-9, -(1 - 1e-9), 0.83, 1.0, -1.0, 1.5, -3.0])
+            s = -ks * width
+            g = self.profile(radius)(s)
+            for si, gi in zip(s.tolist(), g.tolist()):
+                ref = width * _kink_oracle(-si / width)
+                assert abs(gi - ref) <= 1e-14 * ref, (si, gi, ref)
+
+    def test_second_derivative_is_twice_the_marginal(self):
+        # g''(s) = (2 / eps) m(-s / eps), m(w) = (256/315) c R (1 - w^2/R^2)^{9/2}
+        R = DEFAULT_KERNEL_RADIUS
+        c = 5.0 / (math.pi * R**2)
+        g = self.profile()
+        h = 1e-4 * self.EPS * R
+        s = self.EPS * R * np.array([-0.9, -0.4, 0.0, 0.3, 0.75])
+        second = (g(s + h) - 2.0 * g(s) + g(s - h)) / h**2
+        w = -s / self.EPS
+        marginal = 256.0 / 315.0 * c * R * (1.0 - (w / R) ** 2) ** 4.5
+        exact = 2.0 / self.EPS * marginal
+        # rounding in g, 1e-17 over h^2, sets the floor near the layer edge
+        assert np.allclose(second, exact, rtol=1e-6, atol=1e-6 * exact.max())
+
+    def test_continuous_at_the_layer_edge(self):
+        width = self.EPS * DEFAULT_KERNEL_RADIUS
+        g = self.profile()
+        for edge in (width, -width):
+            inside = np.nextafter(edge, 0.0)
+            assert g(np.array(edge)) == abs(edge)
+            assert abs(g(np.array(inside)) - abs(inside)) <= 4e-16 * width
+
+
 class TestSpinFromPotential:
     def test_zero_potential_gives_the_ferromagnet(self):
         g = Grid(0.05, 8, 8, Boundary.OPEN)
@@ -232,6 +297,26 @@ class TestGammaTable(object):
             scales.append(g.spacing / p.eps)
         slopes = np.diff(np.log(gaps)) / np.diff(np.log(scales))
         assert np.all(np.abs(slopes - 1.0) <= 0.3)
+
+    def test_gap_differs_between_mirrored_walls(self):
+        # the +-30 degree walls are mirror images, and Hn agrees; the gap does
+        # not, since laplacian_AG_energy takes W of the one-sided forward
+        # gradient, which a lattice reflection does not preserve
+        schedule = ScalingSchedule.geometric(eps0=0.04, levels=1)
+        s = 1.0 / math.sqrt(2.0)
+        rows = {}
+        for degrees in (30.0, -30.0):
+            a = math.radians(degrees)
+            rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+            nu = (-math.sin(a), math.cos(a))
+            wall = WallConfig(
+                tuple(rot @ np.array([s, s])), tuple(rot @ np.array([s, -s])), nu,
+                float(np.array([0.5, 0.5]) @ np.asarray(nu)),
+            )
+            rows[degrees] = gamma_limsup_experiment(wall, schedule)[0]
+        assert math.isclose(rows[30.0]["Hn"], rows[-30.0]["Hn"], rel_tol=1e-11)
+        assert math.isclose(rows[30.0]["gap"], 0.139437670452, rel_tol=1e-9)
+        assert math.isclose(rows[-30.0]["gap"], 0.0535382290808, rel_tol=1e-9)
 
     def test_layer_must_fit_in_the_domain(self):
         schedule = ScalingSchedule.geometric(eps0=0.08, levels=1)
