@@ -114,9 +114,12 @@ def _parse_vec(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise ConfigError(f"expected 'x,y', got {text!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        x, y = float(parts[0]), float(parts[1])
     except ValueError:
-        raise ConfigError(f"expected two numbers 'x,y', got {text!r}") from None
+        x = y = math.nan
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ConfigError(f"expected two finite numbers 'x,y', got {text!r}")
+    return x, y
 
 
 # smallest nx and ny of an open grid on which every region a subcommand sums
@@ -159,6 +162,8 @@ def _run_ground_state(cfg: ExperimentConfig) -> int:
     if norm == 0:
         raise ConfigError("chirality must be nonzero")
     chi = (chi[0] / norm, chi[1] / norm)  # tolerate 4-5 digit inputs
+    if not math.isfinite(q["theta0"]):
+        raise ConfigError(f"theta0 must be finite, got {q['theta0']!r}")
     p, grid = _model(cfg, q["l"], q["alpha"])
     u = ground_state_from_chirality(chi, p, grid, q["theta0"])
     e = energy_E(u, p)
@@ -201,8 +206,8 @@ def _scales_from_eps(eps: float, delta_exponent: float) -> tuple[float, float]:
 def _run_relax(cfg: ExperimentConfig) -> int:
     q = cfg.params
     p, grid = _model(cfg, *_scales_from_eps(q["eps"], q["delta_exponent"]))
-    boundary = FixedAngles(_parse_vec(q["chi_left"]), _parse_vec(q["chi_right"]))
     try:
+        boundary = FixedAngles(_parse_vec(q["chi_left"]), _parse_vec(q["chi_right"]))
         rc = RelaxConfig(
             max_iters=q["max_iters"], step=q["step"], tol_grad=q["tol_grad"], boundary=boundary,
         )
@@ -306,6 +311,8 @@ def _run_gamma_table(cfg: ExperimentConfig) -> int:
 def _run_diagnose(cfg: ExperimentConfig) -> int:
     q = cfg.params
     p, grid = _model(cfg, q["l"], q["alpha"])
+    if not (0 < q["t"] < math.pi):
+        raise ConfigError(f"threshold must lie in (0, pi), got {q['t']}")
     raw = read_field_csv(q["field"], grid)
     if not isinstance(raw, VectorField):
         raise ConfigError("diagnose needs a two-component spin field")

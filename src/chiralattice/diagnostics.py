@@ -72,16 +72,12 @@ def hn_vs_hnstar(
     both stencil families are defined on it; the ratio is reported as NaN when
     the shifted-stencil energy vanishes.
     """
-    # margin check against the full-field valid rectangle
-    th, tv = angles(u)
-    base = th.valid.intersect(tv.valid)
     if not u.grid.periodic:
-        if (
-            inner_region.i0 < base.i0 + 2
-            or inner_region.i1 > base.i1 - 2
-            or inner_region.j0 < base.j0 + 2
-            or inner_region.j1 > base.j1 - 2
-        ):
+        # the cells where both neighbour angles exist (energy_Hn raises if none)
+        v = u.valid
+        ahead = Rect(v.i0 - 1, v.i1 - 1, v.j0 - 1, v.j1 - 1)
+        base = v.intersect(ahead).intersect(u.grid.full_rect)
+        if not base.empty and base.shrink(2).intersect(inner_region) != inner_region:
             raise DomainError("inner region must keep a margin of >= 2 cells")
     hn = energy_Hn(u, p, inner_region)
     hs = energy_Hn_star(u, p, inner_region)
@@ -95,8 +91,7 @@ def curl_quantization_residual(chi_bar: VectorField, p: ModelParams) -> float:
     Each plaquette value is a cyclic sum of four neighbour angles and can only
     be a full turn up to rounding; recovery fields give identically zero.
     """
-    c = curl_d(chi_bar)
-    si, sj = c.valid.slices
-    vals = p.l * math.sqrt(p.delta) * c.values[si, sj]
+    # outside the curl's valid set the values are zeros, whose distance is 0
+    vals = p.l * math.sqrt(p.delta) * curl_d(chi_bar).values
     dist = np.minimum(np.abs(vals), np.abs(np.abs(vals) - 2.0 * math.pi))
-    return float(np.max(dist)) if dist.size else 0.0
+    return float(np.max(dist))

@@ -7,9 +7,12 @@ difference operators are of the form ``(v[(i,j)+e_k] - v[i,j]) / l``.
 
 Under the open boundary mode an operator needing out-of-range neighbours is
 undefined there; every field therefore carries the half-open index rectangle
-on which its values are meaningful, and values outside that rectangle are
-stored as exact zeros.  Under the periodic boundary mode indices wrap and the
-valid rectangle is always the full grid.
+on which its values are meaningful.  Under the periodic boundary mode indices
+wrap and the valid rectangle is always the full grid.  The field constructor
+alone enforces the invariant: a field's values are finite, exact zeros outside
+its rectangle, and write-locked.  Public constructors copy the caller's array
+and check it; internal operators hand over the fresh array they computed,
+which is checked for finiteness all the same.
 
 All cell reductions go through :func:`cell_sum`.  It extracts the cells'
 values error-free into a few exact partials in numpy and rounds their sum
@@ -119,15 +122,15 @@ class Grid:
         return l * np.arange(self.nx), l * np.arange(self.ny)
 
 
-def _mask_outside(values: NDArray, rect: Rect, grid: Grid) -> NDArray:
-    """Zero all entries outside ``rect`` (no-op when rect is the full grid)."""
-    if rect.i0 == 0 and rect.j0 == 0 and rect.i1 == grid.nx and rect.j1 == grid.ny:
-        return values
-    out = np.zeros_like(values)
-    if not rect.empty:
-        si, sj = rect.slices
-        out[si, sj] = values[si, sj]
-    return out
+def _zero_outside(values: NDArray, rect: Rect) -> None:
+    """Zero ``values`` in place outside ``values[rect.slices]``, allocating nothing."""
+    rows = range(values.shape[0])[rect.i0 : rect.i1]
+    cols = range(values.shape[1])[rect.j0 : rect.j1]
+    if not (rows and cols):
+        values[...] = 0.0
+        return
+    values[: rows.start] = values[rows.stop :] = 0.0
+    values[:, : cols.start] = values[:, cols.stop :] = 0.0
 
 
 def _shifted(values: NDArray, di: int, dj: int) -> NDArray:
@@ -154,15 +157,27 @@ class ScalarField:
     def __post_init__(self):
         if self.valid is None:
             self.valid = self.grid.full_rect
-        shape = (self.grid.nx, self.grid.ny) + ((2,) if self._vdim else ())
         self.values = np.array(self.values, dtype=np.float64, order="C", copy=True)
+        self._seal()
+
+    @classmethod
+    def _adopt(cls, grid: Grid, values: NDArray, valid: Rect):
+        """Field that takes over ``values``, a fresh float64 array no one else holds."""
+        f = cls.__new__(cls)
+        f.grid, f.values, f.valid = grid, values, valid
+        f._seal()
+        return f
+
+    def _seal(self) -> None:
+        """Enforce the field invariant on the array the field owns."""
+        shape = (self.grid.nx, self.grid.ny) + ((2,) if self._vdim else ())
         if self.values.shape != shape:
             raise DimensionError(
                 f"field values have shape {self.values.shape}, expected {shape}"
             )
+        _zero_outside(self.values, self.valid)
         if not np.all(np.isfinite(self.values)):
             raise DomainError("field values must be finite")
-        self.values = _mask_outside(self.values, self.valid, self.grid)
         self.values.setflags(write=False)
 
     def sample(self, di: int, dj: int) -> tuple[NDArray, Rect]:
@@ -185,7 +200,7 @@ class VectorField(ScalarField):
 
     def component(self, k: int) -> ScalarField:
         """Component k in {1, 2} as a scalar field on the same grid."""
-        return ScalarField(self.grid, self.values[..., k - 1].copy(), self.valid)
+        return ScalarField._adopt(self.grid, self.values[..., k - 1].copy(), self.valid)
 
 
 def cell_sum(values: NDArray, rect: Rect) -> float:
@@ -267,16 +282,12 @@ def dpartial(v: ScalarField, axis: int) -> ScalarField:
     if axis not in (1, 2):
         raise DomainError(f"axis must be 1 or 2, got {axis}")
     g = v.grid
-    if (axis == 1 and g.nx < 2) or (axis == 2 and g.ny < 2):
-        raise DimensionError("grid too small along difference axis")
     di, dj = (1, 0) if axis == 1 else (0, 1)
     ahead, rect = v.sample(di, dj)
     rect = rect.intersect(v.valid)
     if not g.periodic and rect.empty:
         raise DimensionError("empty valid set after forward difference")
-    vals = (ahead - v.values) / g.spacing
-    cls = type(v)
-    return cls(g, _mask_outside(vals, rect, g), rect)
+    return type(v)._adopt(g, (ahead - v.values) / g.spacing, rect)
 
 
 def grad_d(v: ScalarField) -> VectorField:
@@ -284,22 +295,21 @@ def grad_d(v: ScalarField) -> VectorField:
     d1 = dpartial(v, 1)
     d2 = dpartial(v, 2)
     rect = d1.valid.intersect(d2.valid)
-    vals = np.stack([d1.values, d2.values], axis=-1)
-    return VectorField(v.grid, _mask_outside(vals, rect, v.grid), rect)
+    return VectorField._adopt(v.grid, np.stack([d1.values, d2.values], axis=-1), rect)
 
 
 def div_d(v: VectorField) -> ScalarField:
     d1 = dpartial(v.component(1), 1)
     d2 = dpartial(v.component(2), 2)
     rect = d1.valid.intersect(d2.valid)
-    return ScalarField(v.grid, _mask_outside(d1.values + d2.values, rect, v.grid), rect)
+    return ScalarField._adopt(v.grid, d1.values + d2.values, rect)
 
 
 def curl_d(v: VectorField) -> ScalarField:
     d1 = dpartial(v.component(2), 1)
     d2 = dpartial(v.component(1), 2)
     rect = d1.valid.intersect(d2.valid)
-    return ScalarField(v.grid, _mask_outside(d1.values - d2.values, rect, v.grid), rect)
+    return ScalarField._adopt(v.grid, d1.values - d2.values, rect)
 
 
 def laplace_shifted(phi: ScalarField) -> ScalarField:
@@ -320,8 +330,7 @@ def laplace_shifted(phi: ScalarField) -> ScalarField:
         rect = rect.intersect(r)
     if not g.periodic and rect.empty:
         raise DimensionError("empty valid set for shifted Laplacian")
-    vals = total / g.spacing**2
-    return ScalarField(g, _mask_outside(vals, rect, g), rect)
+    return ScalarField._adopt(g, total / g.spacing**2, rect)
 
 
 def interpolate_I(v: VectorField, x: Iterable[float]) -> NDArray:

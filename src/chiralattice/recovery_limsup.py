@@ -27,7 +27,7 @@ from numpy.typing import NDArray
 from .errors import ConfigError, DomainError, ParameterError, ScalingError
 from .lattice_core import Boundary, Grid, Rect, ScalarField, grad_d, laplace_shifted
 from .spin_energy import EnergyRecord, ModelParams, SpinField, _record, energy_Hn, potential_W
-from .entropy import perp, sigma_surface_density
+from .entropy import _unit, perp, sigma_surface_density
 
 __all__ = [
     "Mollifier",
@@ -51,6 +51,9 @@ __all__ = [
 # value about 0.7% above the optimal-profile cost.
 DEFAULT_KERNEL_RADIUS = 4.0
 
+# the default schedule needs about 5.8 million cells at six levels, 35 million at seven
+MAX_GRID_CELLS = 1 << 24
+
 
 @dataclass(frozen=True)
 class Mollifier:
@@ -73,13 +76,6 @@ class Mollifier:
 def quartic_bump(radius: float = 1.0) -> Mollifier:
     """Normalized kernel ``c (1 - |z/R|^2)^4`` supported on |z| <= R."""
     return Mollifier(radius)
-
-
-def _unit(v, name: str) -> NDArray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (2,) or abs(math.hypot(v[0], v[1]) - 1.0) > 1e-12:
-        raise DomainError(f"{name} must be a unit 2-vector")
-    return v
 
 
 @dataclass(frozen=True)
@@ -292,8 +288,7 @@ def spin_from_potential(phi_n: ScalarField, p: ModelParams) -> SpinField:
     p.require_transition_regime()
     sqd = math.sqrt(p.delta)
     d = grad_d(phi_n)
-    si, sj = d.valid.slices
-    max_angle = sqd * float(np.max(np.abs(d.values[si, sj]))) if not d.valid.empty else 0.0
+    max_angle = sqd * float(np.max(np.abs(d.values)))  # d.values are zeros outside d.valid
     if max_angle >= math.pi:
         raise ScalingError(
             f"sqrt(delta) * max|D_d phi| = {max_angle:.6g} >= pi; "
@@ -401,6 +396,9 @@ def gamma_limsup_experiment(
     ``cfg.domain``, and report the transition energy, the scalar-potential
     Laplacian energy, their relative gap, and the sharp limit cost for the
     wall length actually covered by the summed cells.
+
+    Before any level runs, a level whose mollified layer does not fit, or
+    whose grid is over ``MAX_GRID_CELLS`` cells or under 3x3, is a ``ConfigError``.
     """
     if m is None:
         m = quartic_bump(DEFAULT_KERNEL_RADIUS)
@@ -409,19 +407,25 @@ def gamma_limsup_experiment(
     reach = np.array([[x0, y0], [x1, y0], [x0, y1], [x1, y1]]) @ np.asarray(cfg.nu)
     lo_gap = cfg.wall_offset - reach.min()
     hi_gap = reach.max() - cfg.wall_offset
-    rows: list[dict] = []
-    sigma = sigma_surface_density(cfg.chi_plus, cfg.chi_minus, cfg.nu)
+    grids = []
     for n, p in enumerate(schedule.entries):
-        l = p.l
         layer = p.eps * m.radius
         if min(lo_gap, hi_gap) <= layer:
             raise ConfigError(
                 f"mollified layer of width {layer:.4g} does not fit between the "
                 "wall and the domain boundary",
             )
-        nx = int(round((x1 - x0) / l)) + 2
-        ny = int(round((y1 - y0) / l)) + 2
-        grid = Grid(l, nx, ny, Boundary.OPEN)
+        sx, sy = (x1 - x0) / p.l, (y1 - y0) / p.l
+        if not sx * sy <= MAX_GRID_CELLS:
+            raise ConfigError(f"level {n} needs about {sx * sy:.3g} cells, over {MAX_GRID_CELLS}")
+        nx, ny = int(round(sx)) + 2, int(round(sy)) + 2
+        if min(nx, ny) < 3:
+            raise ConfigError(f"level {n} has a {nx}x{ny} grid; the energies need 3x3")
+        grids.append(Grid(p.l, nx, ny, Boundary.OPEN))
+    rows: list[dict] = []
+    sigma = sigma_surface_density(cfg.chi_plus, cfg.chi_minus, cfg.nu)
+    for n, (p, grid) in enumerate(zip(schedule.entries, grids)):
+        l, nx, ny = p.l, grid.nx, grid.ny
         origin = (x0 - l, y0 - l)
         phi_eps = mollified_wall_potential(cfg, p.eps, m)
         phi_n = discretize_potential(phi_eps, grid, origin)

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from .entropy import _unit
 from .errors import DomainError, OptimizationError
-from .lattice_core import Grid, ScalarField, _mask_outside, cell_sum
+from .lattice_core import Grid, ScalarField, _zero_outside, cell_sum
 from .spin_energy import ModelParams, SpinField, _f_residuals, _sq_norm
 
 __all__ = [
@@ -43,6 +44,10 @@ class FixedAngles:
 
     chi_left: tuple[float, float]
     chi_right: tuple[float, float]
+
+    def __post_init__(self):
+        for chi in (self.chi_left, self.chi_right):
+            _unit(chi, "boundary chirality")
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,8 @@ def _f_energy(u: NDArray, p: ModelParams, grid: Grid) -> float:
 def _lift_gradient(u: NDArray, p: ModelParams, grid: Grid, frozen: NDArray | None) -> NDArray:
     """Gradient of ``_f_energy`` against the lift, from the spins ``u``."""
     rh, rv, rect = _f_residuals(u, p, grid, grid.full_rect)
-    r = _mask_outside(rh + rv, rect, grid)
+    r = rh + rv
+    _zero_outside(r, rect)
     # the 5-point stencil is symmetric: applying it to r gives its adjoint
     ah, av, _ = _f_residuals(r, p, grid, grid.full_rect)
     total = ah + av
@@ -123,9 +129,6 @@ def _lbfgs_direction(grad: NDArray, pairs: deque) -> NDArray:
 
 
 def _ground_state_angles(chi, p: ModelParams) -> tuple[float, float]:
-    chi = np.asarray(chi, dtype=np.float64)
-    if abs(math.hypot(chi[0], chi[1]) - 1.0) > 1e-12:
-        raise DomainError("boundary chirality must be a unit vector")
     sqd = math.sqrt(p.delta)
     return (
         2.0 * math.asin(sqd * chi[0] / 2.0),

@@ -24,7 +24,6 @@ from .lattice_core import (
     Rect,
     ScalarField,
     VectorField,
-    _mask_outside,
     cell_sum,
     dpartial,
 )
@@ -88,8 +87,8 @@ class ModelParams:
 class SpinField(VectorField):
     """Unit-vector valued lattice field (checked to 1e-12 per cell)."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _seal(self) -> None:
+        super()._seal()
         si, sj = self.valid.slices
         norms = np.hypot(self.values[si, sj, 0], self.values[si, sj, 1])
         if norms.size and np.max(np.abs(norms - 1.0)) > 1e-12:
@@ -136,8 +135,7 @@ def angles(u: SpinField) -> tuple[ScalarField, ScalarField]:
         rect = rect.intersect(u.valid)
         if rect.empty:
             raise DimensionError("empty valid set for neighbour angles")
-        theta = _oriented_angle(u.values, nb)
-        out.append(ScalarField(g, _mask_outside(theta, rect, g), rect))
+        out.append(ScalarField._adopt(g, _oriented_angle(u.values, nb), rect))
     return out[0], out[1]
 
 
@@ -151,8 +149,7 @@ def chirality(u: SpinField, p: ModelParams) -> ChiralityFields:
     rect = th.valid.intersect(tv.valid)
 
     def pack(f1: NDArray, f2: NDArray) -> VectorField:
-        vals = np.stack([f1, f2], axis=-1)
-        return VectorField(g, _mask_outside(vals, rect, g), rect)
+        return VectorField._adopt(g, np.stack([f1, f2], axis=-1), rect)
 
     chi = pack(2.0 / sqd * np.sin(th.values / 2.0), 2.0 / sqd * np.sin(tv.values / 2.0))
     chi_tilde = pack(np.sin(th.values) / sqd, np.sin(tv.values) / sqd)
@@ -256,40 +253,31 @@ def bulk_identity_check(u: SpinField, p: ModelParams) -> float:
     return abs(e + shift - f) / (1.0 + abs(f))
 
 
-def _chi_sq_shifted(ch: ChiralityFields) -> tuple[NDArray, Rect]:
-    """2 - |chi1|^2(i,j) - |chi1|^2(i-1,j) - |chi2|^2(i,j) - |chi2|^2(i,j-1)."""
+def Wd(ch: ChiralityFields) -> ScalarField:
+    """Discrete double-well density ``w^2 / 4`` from four shifted chirality squares,
+    ``w = 2 - |chi1|^2(i,j) - |chi1|^2(i-1,j) - |chi2|^2(i,j) - |chi2|^2(i,j-1)``."""
     g = ch.chi.grid
-    c1 = ScalarField(g, ch.chi.values[..., 0] ** 2, ch.chi.valid)
-    c2 = ScalarField(g, ch.chi.values[..., 1] ** 2, ch.chi.valid)
+    c1 = ScalarField._adopt(g, ch.chi.values[..., 0] ** 2, ch.chi.valid)
+    c2 = ScalarField._adopt(g, ch.chi.values[..., 1] ** 2, ch.chi.valid)
     c1m, r1 = c1.sample(-1, 0)
     c2m, r2 = c2.sample(0, -1)
     rect = c1.valid.intersect(r1).intersect(r2)
-    w = 2.0 - c1.values - c1m - c2.values - c2m
-    return w, rect
-
-
-def Wd(ch: ChiralityFields) -> ScalarField:
-    """Discrete double-well density built from four shifted chirality squares."""
-    g = ch.chi.grid
-    w, rect = _chi_sq_shifted(ch)
     if rect.empty:
         raise DimensionError("empty valid set for the shifted well density")
-    return ScalarField(g, _mask_outside(w * w / 4.0, rect, g), rect)
+    w = 2.0 - c1.values - c1m - c2.values - c2m
+    return ScalarField._adopt(g, w * w / 4.0, rect)
 
 
 def Ad(ch: ChiralityFields) -> ScalarField:
     """Shifted discrete divergence of the sine-variant chirality."""
-    g = ch.chi.grid
-    t1 = ScalarField(g, ch.chi_tilde.values[..., 0].copy(), ch.chi_tilde.valid)
-    t2 = ScalarField(g, ch.chi_tilde.values[..., 1].copy(), ch.chi_tilde.valid)
-    d1 = dpartial(t1, 1)
-    d2 = dpartial(t2, 2)
+    d1 = dpartial(ch.chi_tilde.component(1), 1)
+    d2 = dpartial(ch.chi_tilde.component(2), 2)
     d1s, r1 = d1.sample(-1, 0)
     d2s, r2 = d2.sample(0, -1)
     rect = r1.intersect(r2)
     if rect.empty:
         raise DimensionError("empty valid set for the shifted divergence")
-    return ScalarField(g, _mask_outside(d1s + d2s, rect, g), rect)
+    return ScalarField._adopt(ch.chi.grid, d1s + d2s, rect)
 
 
 @dataclass(frozen=True)
@@ -326,43 +314,37 @@ def potential_W(xi: NDArray) -> NDArray:
     return (1.0 - np.sum(xi * xi, axis=-1)) ** 2
 
 
+def _well_and_jacobian(
+    p: ModelParams, w: NDArray, comps, rect: Rect, region: Rect | None
+) -> EnergyRecord:
+    """Energy of the well density ``w`` and the squared full forward-difference
+    matrix of ``comps``, over the part of ``rect`` where all of it exists."""
+    dsq = 0.0
+    for comp in comps:
+        for axis in (1, 2):
+            d = dpartial(comp, axis)
+            rect = rect.intersect(d.valid)
+            dsq = dsq + d.values**2
+    return _record(p, p.l**2, w, dsq, _resolve_region(rect, region))
+
+
 def energy_Hn_star(u: SpinField, p: ModelParams, region: Rect | None = None) -> EnergyRecord:
     """Auxiliary energy with the pointwise well W(chi) and the full forward
     difference matrix of chi in place of the shifted stencils."""
     p.require_transition_regime()
     ch = chirality(u, p)
-    g = ch.chi.grid
-    w = potential_W(ch.chi.values)
-    rect = ch.chi.valid
-    dsq = np.zeros((g.nx, g.ny))
-    for k in (1, 2):
-        comp = ch.chi.component(k)
-        for axis in (1, 2):
-            d = dpartial(comp, axis)
-            rect = rect.intersect(d.valid)
-            dsq = dsq + d.values**2
-    rect = _resolve_region(rect, region)
-    return _record(p, p.l**2, w, dsq, rect)
+    comps = (ch.chi.component(1), ch.chi.component(2))
+    return _well_and_jacobian(p, potential_W(ch.chi.values), comps, ch.chi.valid, region)
 
 
 def energy_AGd(phi: ScalarField, p: ModelParams, region: Rect | None = None) -> EnergyRecord:
     """Discrete Aviles-Giga energy of a scalar potential: well of the discrete
     gradient plus the full second forward-difference matrix."""
     p.require_transition_regime()
-    g = phi.grid
     d1 = dpartial(phi, 1)
     d2 = dpartial(phi, 2)
-    rect = d1.valid.intersect(d2.valid)
     w = (1.0 - d1.values**2 - d2.values**2) ** 2
-    dsq = np.zeros((g.nx, g.ny))
-    for comp in (d1, d2):
-        for axis in (1, 2):
-            dd = dpartial(comp, axis)
-            rect = rect.intersect(dd.valid)
-            dsq = dsq + dd.values**2
-    rect = _resolve_region(rect, region)
-    # w was formed from possibly masked gradients; re-zero outside the rect
-    return _record(p, p.l**2, _mask_outside(w, rect, g), dsq, rect)
+    return _well_and_jacobian(p, w, (d1, d2), d1.valid.intersect(d2.valid), region)
 
 
 def q_n(xi, p: ModelParams):

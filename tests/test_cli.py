@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiralattice import cli, relaxation
+from chiralattice import cli, recovery_limsup, relaxation
 from chiralattice.cli import main
 
 
@@ -223,18 +223,71 @@ class TestRelax:
     ["gamma-table", "--radius", "nan", "--levels", "1"],
     ["gamma-table", "--radius", "inf", "--levels", "1"],
     ["gamma-table", "--wall-angle", "nan", "--levels", "1"],
+    ["relax", "--chi-left", "1,1"],
+    ["relax", "--chi-right", "nan,1"],
+    ["ground-state", "--theta0", "inf"],
+    ["ground-state", "--chi", "inf,1"],
+    ["ground-state", "--chi", "0.6,nan"],
+    ["diagnose", "--field", "x.csv", "--l", "0.05", "--alpha", "7.92", "--nx", "8", "--ny", "8",
+     "--t", "9"],
+    ["diagnose", "--field", "x.csv", "--l", "0.05", "--alpha", "7.92", "--nx", "8", "--ny", "8",
+     "--t", "0"],
 ])
 def test_bad_flags_are_config_errors_before_any_numerics(argv, tmp_path, capsys, monkeypatch):
     def numerics(*args, **kwargs):
         raise AssertionError("numerics ran on a bad configuration")
 
     for name in ("relax", "ground_state_from_chirality", "total_variation_production",
-                 "gamma_limsup_experiment"):
+                 "gamma_limsup_experiment", "read_field_csv"):
         monkeypatch.setattr(cli, name, numerics)
     assert main(["--out-dir", str(tmp_path)] + argv) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] in ("CONFIG_INVALID", "SCALING_VIOLATION")
+
+
+@pytest.mark.parametrize("argv", [
+    # l is about 6e-6: the one level would need about 2.5e10 cells
+    ["gamma-table", "--eps0", "1e-4", "--levels", "1"],
+    # l is about 2.4: a 2 x 2 grid, too small for the energies
+    ["gamma-table", "--eps0", "2", "--delta-exponent", "0.5", "--radius", "0.125", "--levels", "1"],
+])
+def test_gamma_table_grid_out_of_bounds_is_a_config_error(argv, tmp_path, capsys, monkeypatch):
+    def discretize(*args, **kwargs):
+        raise AssertionError("a level was discretized before every level was sized")
+
+    monkeypatch.setattr(recovery_limsup, "discretize_potential", discretize)
+    assert main(["--out-dir", str(tmp_path)] + argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "CONFIG_INVALID"
+
+
+def _checkerboard_chirality_csv(path, magnitude):
+    lines = ["i,j,v1,v2"]
+    for i in range(4):
+        for j in range(4):
+            s = magnitude if (i + j) % 2 == 0 else -magnitude
+            lines.append(f"{i},{j},{s!r},{-s!r}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("magnitude", [6e101, 1e200])
+def test_overflowing_entropy_production_is_a_runtime_failure(magnitude, tmp_path, capsys):
+    # at 6e101 Phi stays finite and the difference quotients of div_d overflow;
+    # at 1e200 Phi itself overflows
+    field = tmp_path / "chi.csv"
+    _checkerboard_chirality_csv(field, magnitude)
+    argv = ["entropy-scan", "--field", str(field), "--nx", "4", "--ny", "4", "--l", "0.001"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["--out-dir", str(tmp_path)] + argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "RUNTIME_FAILURE", "message": "field values must be finite",
+    }
+    assert not (tmp_path / "entropy_scan.csv").exists()
 
 
 def _draw_argv(data, command, flags):
@@ -359,6 +412,24 @@ RELAX_SHA256 = {
 }
 
 
+# the same for runs that read a stored field: entropy-scan on a 32 x 32
+# chirality CSV (a VectorField from the read path), and diagnose on a periodic
+# ground state; both manifests echo the absolute --field path and are left out
+FIELD_READ_SHA256 = {
+    "entropy_scan.csv": "77d258151665a214d24030375f41bcc2298fd92d843bbec47b388de81ee0c458",
+    "diagnose_report.json": "c4dcf8115d01e205d053505b9dcccd968c020702ba4c3cb01e27369f930b8c07",
+}
+
+
+def _smooth_wall_chirality_csv(path, n=32):
+    lines = ["i,j,v1,v2"]
+    for i in range(n):
+        for j in range(n):
+            a = 0.25 * math.pi * math.tanh((i + 0.5 * j - 24.0) / 3.0) + 0.1 * math.sin(j / 5.0)
+            lines.append(f"{i},{j},{math.cos(a)!r},{math.sin(a)!r}")
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestFixedConfigOutputs:
     def test_outputs_match_recorded_hashes(self, tmp_path):
         out = str(tmp_path)
@@ -397,3 +468,28 @@ class TestFixedConfigOutputs:
             with open(os.path.join(out, name), "rb") as fh:
                 found[name] = hashlib.sha256(fh.read()).hexdigest()
         assert found == RELAX_SHA256
+
+    def test_field_read_outputs_match_recorded_hashes(self, tmp_path):
+        out = str(tmp_path)
+        chi_path = tmp_path / "chi.csv"
+        _smooth_wall_chirality_csv(chi_path)
+        # a helix winding once along x and twice along y on the 32 x 32 torus
+        s1, s2 = math.sin(math.pi / 32), math.sin(math.pi / 16)
+        delta = 4.0 * (s1**2 + s2**2)
+        chi = f"{2 * s1 / math.sqrt(delta)!r},{2 * s2 / math.sqrt(delta)!r}"
+        lattice = ["--l", "0.05", "--nx", "32", "--ny", "32", "--boundary", "periodic",
+                   "--alpha", repr(8.0 - 2.0 * delta)]
+        field = os.path.join(out, "ground_state_field.csv")
+        runs = [
+            ["entropy-scan", "--field", str(chi_path), "--nx", "32", "--ny", "32",
+             "--l", "0.03125", "--angles", "8"],
+            ["ground-state", "--chi", chi] + lattice,
+            ["diagnose", "--field", field] + lattice,
+        ]
+        for args in runs:
+            assert main(["--out-dir", out] + args) == 0
+        found = {}
+        for name in FIELD_READ_SHA256:
+            with open(os.path.join(out, name), "rb") as fh:
+                found[name] = hashlib.sha256(fh.read()).hexdigest()
+        assert found == FIELD_READ_SHA256

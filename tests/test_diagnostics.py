@@ -11,8 +11,10 @@ from chiralattice import (
     Grid,
     HelixSpec,
     ModelParams,
+    Rect,
     SpinField,
     VectorField,
+    angles,
     chirality,
     count_large_angle_cells,
     curl_l1,
@@ -22,6 +24,7 @@ from chiralattice import (
     hn_vs_hnstar,
     lp_norm,
 )
+from chiralattice import diagnostics
 from chiralattice.lattice_core import ScalarField
 
 
@@ -131,6 +134,26 @@ class TestEnergyComparison:
         p = ModelParams(l=0.05, alpha=7.5)
         with pytest.raises(DomainError):
             hn_vs_hnstar(u, p, g.full_rect)
+
+    def test_margin_follows_a_partial_valid_rect_without_an_angles_pass(self, monkeypatch):
+        g = Grid(0.05, 16, 16, Boundary.OPEN)
+        valid = Rect(1, 15, 2, 16)
+        u = SpinField(g, random_spins(g, 3).values, valid)
+        p = ModelParams(l=0.05, alpha=7.5)
+        th, tv = angles(u)
+        inner = th.valid.intersect(tv.valid).shrink(2)
+        assert inner == Rect(3, 12, 4, 13)
+
+        def no_angles(*args):
+            raise AssertionError("the margin check ran an angles pass")
+
+        monkeypatch.setattr(diagnostics, "angles", no_angles)
+        hn, hs, _ = hn_vs_hnstar(u, p, inner)
+        assert hn.total > 0.0 and hs.total > 0.0
+        for grown in (Rect(2, 12, 4, 13), Rect(3, 13, 4, 13), Rect(3, 12, 3, 13),
+                      Rect(3, 12, 4, 14)):
+            with pytest.raises(DomainError, match="margin"):
+                hn_vs_hnstar(u, p, grown)
 
 
 class TestCurlQuantization:
