@@ -247,15 +247,15 @@ def _sharp_wall_chi(grid: Grid) -> VectorField:
 def _run_entropy_scan(cfg: ExperimentConfig) -> int:
     q = cfg.params
     _, grid = _model(cfg, q["l"])
+    n = q["angles"]
+    if n < 1:
+        raise ConfigError("need at least one scan angle")
     if q.get("field"):
         chi = read_field_csv(q["field"], grid)
         if not isinstance(chi, VectorField):
             raise ConfigError("entropy-scan needs a two-component field")
     else:
         chi = _sharp_wall_chi(grid)
-    n = q["angles"]
-    if n < 1:
-        raise ConfigError("need at least one scan angle")
     rows = []
     for k in range(n):
         angle = 2.0 * math.pi * k / n
@@ -316,7 +316,10 @@ def _run_diagnose(cfg: ExperimentConfig) -> int:
     raw = read_field_csv(q["field"], grid)
     if not isinstance(raw, VectorField):
         raise ConfigError("diagnose needs a two-component spin field")
-    u = SpinField(grid, raw.values)
+    try:
+        u = SpinField(grid, raw.values)
+    except DomainError as exc:
+        raise ConfigError(f"{q['field']}: {exc}") from None
     ch = chirality(u, p)
     hn, hs, ratio = hn_vs_hnstar(u, p, ch.chi.valid.shrink(2))
     large = count_large_angle_cells(u, q["t"])

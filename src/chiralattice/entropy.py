@@ -49,8 +49,9 @@ def perp(v: NDArray) -> NDArray:
 class Entropy:
     """An entropy carried as a pair of callables (Phi, DPhi).
 
-    ``phi`` maps (...,2) arrays to (...,2); ``dphi`` maps (...,2) arrays to
-    (...,2,2) Jacobians.  Both must be pure and reentrant.
+    ``phi`` maps (...,2) arrays to new (...,2) float64 arrays, which the
+    production takes over; ``dphi`` maps (...,2) arrays to (...,2,2)
+    Jacobians.  Both must be pure and reentrant.
     """
 
     phi: Callable[[NDArray], NDArray]
@@ -62,7 +63,7 @@ def _unit(v, name: str) -> NDArray:
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (2,):
         raise DomainError(f"{name} must be a 2-vector")
-    if abs(math.hypot(v[0], v[1]) - 1.0) > 1e-12:
+    if not abs(math.hypot(v[0], v[1]) - 1.0) <= 1e-12:  # rejects nan too
         raise DomainError(f"{name} must be a unit vector")
     return v
 
@@ -145,9 +146,7 @@ def ent_norm_estimate(e: Entropy, sample_box, resolution: int) -> float:
 
 
 def _production_density(chi: VectorField, e: Entropy) -> ScalarField:
-    w = e.phi(perp(chi.values))
-    vf = VectorField(chi.grid, w, chi.valid)
-    return div_d(vf)
+    return div_d(VectorField._adopt(chi.grid, e.phi(perp(chi.values)), chi.valid))
 
 
 def entropy_production(chi: VectorField, e: Entropy, zeta: Callable) -> float:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -372,40 +373,69 @@ def format_float(x: float) -> str:
 
 
 def write_field_csv(f: ScalarField, path: str) -> None:
-    """Write a field as CSV with columns (i, j, v1[, v2]) in row-major order."""
+    """Write a field as ASCII CSV: the header ``i,j,v1[,v2]``, then one line
+    per cell in row-major order with each value as ``%.17g`` (the bytes of
+    :func:`format_float`), so every float64 reads back exactly.
+
+    Lines are formatted one grid row at a time by a single ``%`` template, so
+    the per-cell work runs in C and memory stays at one row of text.
+    """
     vec = isinstance(f, VectorField)
-    header = "i,j,v1,v2" if vec else "i,j,v1"
-    lines = [header]
-    for i in range(f.grid.nx):
-        for j in range(f.grid.ny):
-            if vec:
-                lines.append(
-                    f"{i},{j},{format_float(f.values[i, j, 0])},{format_float(f.values[i, j, 1])}"
-                )
-            else:
-                lines.append(f"{i},{j},{format_float(f.values[i, j])}")
+    nx, ny = f.grid.nx, f.grid.ny
+    row_fmt = "%d,%d,%.17g,%.17g\n" if vec else "%d,%d,%.17g\n"
+    width = 4 if vec else 3
+    values = f.values.reshape(nx, ny, -1)
+    cells = [0] * (width * ny)
+    cells[1::width] = range(ny)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("i,j,v1,v2\n" if vec else "i,j,v1\n")
+        for i in range(nx):
+            cells[0::width] = [i] * ny
+            cells[2::width] = values[i, :, 0].tolist()
+            if vec:
+                cells[3::width] = values[i, :, 1].tolist()
+            fh.write((row_fmt * ny) % tuple(cells))
 
 
 def read_field_csv(path: str, grid: Grid) -> ScalarField | VectorField:
     """Read a field written by :func:`write_field_csv` onto ``grid``.
 
-    The file must give every cell of ``grid`` exactly once; a malformed
-    file, a missing column, or a missing, repeated or out-of-range ``(i, j)``
-    raises :class:`ConfigError`.
+    The first line names the columns; ``i``, ``j`` and ``v1`` are required
+    and ``v2`` makes a vector field.  The columns may come in any order and
+    extra ones are ignored.  Every other line that is not blank holds one
+    number per column, and these lines must give every cell of ``grid``
+    exactly once, in any order.  Values written as ``%.17g`` read back bit
+    for bit.
+
+    Every bad file raises :class:`ConfigError`: a file that is not ASCII, a
+    body that does not parse as numbers in as many columns as the header
+    ("malformed"), a missing column ("columns"), an index that is not an
+    integer inside the grid ("inside"), a cell given twice ("repeats") or
+    not at all ("misses", also for a header with no rows), and a value that
+    is not finite.  A missing or unreadable file raises ``OSError``.
     """
     try:
-        data = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
-    except ValueError as exc:
+        with open(path, encoding="ascii") as fh:
+            names = [name.strip() for name in fh.readline().split(",")]
+            with warnings.catch_warnings():
+                # a header-only file is the "misses" error below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                rows = (line for line in fh if not line.isspace())
+                data = np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError as exc:  # UnicodeDecodeError included
         raise ConfigError(f"{path}: malformed field CSV: {exc}") from None
-    names = data.dtype.names or ()
     if not {"i", "j", "v1"} <= set(names):
         raise ConfigError(f"{path}: field CSV needs the columns i, j, v1[, v2]")
+    if data.size == 0:
+        data = data.reshape(0, len(names))
+    if data.shape[1] != len(names):
+        raise ConfigError(
+            f"{path}: malformed field CSV: the header names {len(names)} columns, "
+            f"the rows hold {data.shape[1]}"
+        )
     vec = "v2" in names
-    shape = (grid.nx, grid.ny) + ((2,) if vec else ())
-    values = np.zeros(shape)
-    fi, fj = data["i"], data["j"]
+    fi, fj = data[:, names.index("i")], data[:, names.index("j")]
     inside = (fi >= 0) & (fi < grid.nx) & (fj >= 0) & (fj < grid.ny)
     inside &= (np.floor(fi) == fi) & (np.floor(fj) == fj)
     if not np.all(inside):
@@ -420,9 +450,15 @@ def read_field_csv(path: str, grid: Grid) -> ScalarField | VectorField:
         bad = int(np.argmax(hits != 1))
         what = "repeats" if hits[bad] > 1 else "misses"
         raise ConfigError(f"{path}: field CSV {what} cell {divmod(bad, grid.ny)}")
+    v1 = data[:, names.index("v1")]
     if vec:
-        values[ii, jj, 0] = data["v1"]
-        values[ii, jj, 1] = data["v2"]
-        return VectorField(grid, values)
-    values[ii, jj] = data["v1"]
-    return ScalarField(grid, values)
+        cls, values = VectorField, np.empty((grid.nx, grid.ny, 2))
+        values[ii, jj, 0] = v1
+        values[ii, jj, 1] = data[:, names.index("v2")]
+    else:
+        cls, values = ScalarField, np.empty((grid.nx, grid.ny))
+        values[ii, jj] = v1
+    try:
+        return cls._adopt(grid, values, grid.full_rect)
+    except DomainError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

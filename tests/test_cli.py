@@ -9,11 +9,15 @@ import os
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiralattice import cli, recovery_limsup, relaxation
+from chiralattice import (
+    Boundary, ConfigError, Grid, ScalarField, VectorField, cli, read_field_csv, recovery_limsup,
+    relaxation, write_field_csv,
+)
 from chiralattice.cli import main
 
 
@@ -232,6 +236,7 @@ class TestRelax:
      "--t", "9"],
     ["diagnose", "--field", "x.csv", "--l", "0.05", "--alpha", "7.92", "--nx", "8", "--ny", "8",
      "--t", "0"],
+    ["entropy-scan", "--field", "nope.csv", "--angles", "0"],
 ])
 def test_bad_flags_are_config_errors_before_any_numerics(argv, tmp_path, capsys, monkeypatch):
     def numerics(*args, **kwargs):
@@ -358,6 +363,96 @@ GAMMA_TABLE_FLAGS = {
 @given(data=st.data())
 def test_gamma_table_numeric_flags_end_in_success_or_a_config_error(data):
     assert _exit_code(_draw_argv(data, "gamma-table", GAMMA_TABLE_FLAGS)) in (0, 2)
+
+
+def _field_csv(tmp_path_factory, n, values):
+    path = tmp_path_factory.mktemp("field") / "field.csv"
+    write_field_csv(VectorField(Grid(0.05, n, n, Boundary.OPEN), values), str(path))
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def random_field_4x4(tmp_path_factory):
+    return _field_csv(tmp_path_factory, 4, np.random.default_rng(21).normal(size=(4, 4, 2)))
+
+
+@pytest.fixture(scope="module")
+def spin_field_8x8(tmp_path_factory):
+    theta = 0.3 * np.add.outer(np.arange(8.0), 2.0 * np.arange(8.0))
+    return _field_csv(tmp_path_factory, 8, np.stack([np.cos(theta), np.sin(theta)], axis=-1))
+
+
+_CSV_MUTATIONS = ("drop row", "duplicate row", "truncate row", "extra column", "token",
+                  "blank line", "header only", "empty", "rename column", "non-ascii")
+_TOKENS = st.sampled_from(["", " ", "x", "nan", "-inf", "1e400", "0x1", "1_0", "--1", "#"])
+
+
+def _mutated_csv(data, text: bytes) -> bytes:
+    """``text``, a valid field CSV, with one drawn mutation."""
+    kind = data.draw(st.sampled_from(_CSV_MUTATIONS))
+    if kind == "empty":
+        return b""
+    if kind == "non-ascii":
+        at = data.draw(st.integers(0, len(text)))
+        byte = data.draw(st.sampled_from([b"\xe9", b"\xff", "\u00e9".encode()]))
+        return text[:at] + byte + text[at:]
+    lines = text.decode("ascii").splitlines()
+    row = data.draw(st.integers(1, len(lines) - 1))
+    if kind == "drop row":
+        del lines[row]
+    elif kind == "duplicate row":
+        lines.insert(row, lines[row])
+    elif kind == "truncate row":
+        lines[row] = lines[row][: data.draw(st.integers(0, len(lines[row]) - 1))]
+    elif kind == "extra column":
+        if data.draw(st.booleans()):  # in every line: a valid file with a column to ignore
+            lines = [lines[0] + ",extra"] + [line + ",1.5" for line in lines[1:]]
+        else:
+            lines[row] += "," + data.draw(_TOKENS)
+    elif kind == "token":
+        cells = lines[row].split(",")
+        cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(_TOKENS)
+        lines[row] = ",".join(cells)
+    elif kind == "blank line":
+        blank = data.draw(st.sampled_from(["", " \t"]))
+        lines.insert(data.draw(st.integers(1, len(lines))), blank)
+    elif kind == "header only":
+        lines = lines[:1]
+    else:  # rename column
+        names = lines[0].split(",")
+        names[data.draw(st.integers(0, len(names) - 1))] = data.draw(
+            st.sampled_from(["x", "I", "v3", "v1", "j", ""]))
+        lines[0] = ",".join(names)
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_field_csv_reads_or_is_a_config_error(data, random_field_4x4):
+    text = _mutated_csv(data, random_field_4x4)
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = os.path.join(tmp, "field.csv")
+        with open(path, "wb") as fh:
+            fh.write(text)
+        try:
+            f = read_field_csv(path, Grid(0.05, 4, 4, Boundary.OPEN))
+        except ConfigError:
+            return
+    assert isinstance(f, ScalarField) and f.values.shape[:2] == (4, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_diagnose_on_a_mutated_field_csv_succeeds_or_is_a_config_error(data, spin_field_8x8):
+    text = _mutated_csv(data, spin_field_8x8)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "field.csv")
+        with open(path, "wb") as fh:
+            fh.write(text)
+        argv = ["diagnose", "--field", path, "--l", "0.05", "--alpha", "7.92",
+                "--nx", "8", "--ny", "8"]
+        assert _exit_code(argv) in (0, 2)
 
 
 class TestDiagnose:

@@ -84,6 +84,12 @@ class TestJinKohnFamily:
         with pytest.raises(DomainError):
             jin_kohn((1.0, 1.0))
 
+    def test_rejects_a_nan_axis_component(self):
+        # |hypot(nan, 1) - 1| > tol is false, so nan must be rejected explicitly
+        for nu in ((math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(DomainError, match="unit vector"):
+                jin_kohn(nu)
+
 
 class TestPsiAlpha:
     def test_axis_example(self):

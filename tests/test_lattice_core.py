@@ -1,6 +1,7 @@
 """Discrete operators, fields, and CSV round-trips."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -316,7 +317,77 @@ class TestInterpolation:
             interpolate_I(vf, (-0.1, 0.0))
 
 
+def reference_field_csv(f):
+    """The per-cell writer that ``write_field_csv`` replaced: the oracle for
+    its bytes."""
+    vec = isinstance(f, VectorField)
+    lines = ["i,j,v1,v2" if vec else "i,j,v1"]
+    for i in range(f.grid.nx):
+        for j in range(f.grid.ny):
+            if vec:
+                lines.append(
+                    f"{i},{j},{format_float(f.values[i, j, 0])},{format_float(f.values[i, j, 1])}"
+                )
+            else:
+                lines.append(f"{i},{j},{format_float(f.values[i, j])}")
+    return "\n".join(lines) + "\n"
+
+
+def extreme_field(cls):
+    """A field on a 5x7 open grid of random finite bit patterns, led by
+    signed zero, the smallest subnormal, the float extremes and 0.1."""
+    shape = (5, 7, 2) if cls is VectorField else (5, 7)
+    bits = np.random.default_rng(13).integers(0, 2**64, size=shape, dtype=np.uint64)
+    vals = bits.view(np.float64)
+    vals[~np.isfinite(vals)] = 0.5
+    vals.flat[:5] = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+    return cls(Grid(0.25, 5, 7, Boundary.OPEN), vals)
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("cls", [ScalarField, VectorField])
+    def test_writer_matches_the_per_cell_reference_and_reads_back_bitwise(self, cls, tmp_path):
+        f = extreme_field(cls)
+        path = tmp_path / "field.csv"
+        write_field_csv(f, str(path))
+        assert path.read_bytes() == reference_field_csv(f).encode("ascii")
+        back = read_field_csv(str(path), f.grid)
+        assert type(back) is cls
+        assert back.values.tobytes() == f.values.tobytes()
+
+    def test_columns_and_rows_in_any_order_between_blank_lines(self, tmp_path):
+        f = extreme_field(VectorField)
+        path = tmp_path / "field.csv"
+        write_field_csv(f, str(path))
+        header, *rows = path.read_text().splitlines()
+        order = [1, 3, 0, 2]  # j, v2, i, v1
+        lines = [",".join(header.split(",")[k] for k in order)]
+        for r in np.random.default_rng(14).permutation(len(rows)):
+            cells = rows[r].split(",")
+            lines.append(",".join(cells[k] for k in order))
+        assert lines[0] == "j,v2,i,v1"
+        lines[5:5] = ["", " \t "]
+        path.write_text("\n".join(lines) + "\n")
+        back = read_field_csv(str(path), f.grid)
+        assert type(back) is VectorField
+        assert back.values.tobytes() == f.values.tobytes()
+
+    def test_header_only_non_ascii_and_non_finite_files_are_config_errors(self, tmp_path):
+        path = tmp_path / "field.csv"
+        cases = [
+            (b"i,j,v1,v2\n", "misses"),
+            (b"i,j,v1,v\xe92\n0,0,1,2\n", "malformed"),
+            (b"i,j,v1,v2\n0,0,1,2\xff\n", "malformed"),
+            (b"i,j,v1\n0,0,1\n0,1,nan\n1,0,1\n1,1,1\n", "finite"),
+            (b"i,j,v1\n0,0,1\n0,1,1e400\n1,0,1\n1,1,1\n", "finite"),
+        ]
+        for text, match in cases:
+            path.write_bytes(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConfigError, match=match):
+                    read_field_csv(str(path), open_grid(2))
+
     def test_format_float_round_trips(self):
         for x in (0.1, -1.0 / 3.0, 2.0**-52, 1e300):
             assert float(format_float(x)) == x

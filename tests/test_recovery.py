@@ -74,6 +74,13 @@ class TestMollifierAndWall:
         with pytest.raises(DomainError):
             WallConfig((s, s), (s, -s), (0.0, 1.0), 0.5, (0.0, 0.0, 0.0, 1.0))
 
+    def test_wall_config_rejects_a_nan_vector(self):
+        s = 1.0 / math.sqrt(2.0)
+        for args in (((math.nan, s), (s, -s)), ((s, s), (s, math.nan)),
+                     ((s, s), (s, -s), (math.nan, 1.0))):
+            with pytest.raises(DomainError, match="unit vector"):
+                WallConfig(*args)
+
     def test_roof_potential_gradient_sides(self):
         w = canonical_wall()
         phi = single_wall_potential(w)

@@ -52,6 +52,12 @@ class TestConfig:
             RelaxConfig(boundary="clamped")
         RelaxConfig(boundary=FixedAngles((-S, S), (S, S)))
 
+    def test_fixed_angles_reject_a_nan_component(self):
+        with pytest.raises(DomainError, match="unit vector"):
+            FixedAngles((math.nan, 1.0), (0.6, 0.8))
+        with pytest.raises(DomainError, match="unit vector"):
+            FixedAngles((0.6, 0.8), (1.0, math.nan))
+
 
 class TestGradient:
     def test_matches_central_differences_of_the_bulk_energy(self):
