@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,7 @@ from .ground_states import ground_state_from_chirality
 from .entropy import jin_kohn, total_variation_production
 from .recovery_limsup import (
     DEFAULT_KERNEL_RADIUS,
+    MAX_GRID_CELLS,
     ScalingSchedule,
     WallConfig,
     gamma_limsup_experiment,
@@ -89,20 +91,6 @@ def _write_csv(path: str, columns, rows) -> None:
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _write_manifest(cfg: ExperimentConfig, derived: dict, outputs: list[str]) -> str:
-    manifest = {
-        "command": cfg.command,
-        "version": __version__,
-        "threads": cfg.threads,
-        "parameters": cfg.params,
-        "derived": derived,
-        "outputs": [os.path.basename(p) for p in outputs],
-    }
-    path = os.path.join(cfg.out_dir, f"{cfg.command.replace('-', '_')}_manifest.json")
-    _atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def _write_field(fieldobj, path: str) -> None:
     tmp = path + ".tmp"
     write_field_csv(fieldobj, tmp)
@@ -132,12 +120,15 @@ def _model(
 ) -> tuple[ModelParams | None, Grid]:
     """Grid, and ModelParams in the transition regime when ``alpha`` is given,
     from a subcommand's flags.  Any value they reject, or a grid too small for
-    the subcommand, is a ``ConfigError`` before any numerics run."""
+    the subcommand or over ``MAX_GRID_CELLS`` cells, is a ``ConfigError``
+    before any numerics run."""
     q = cfg.params
     boundary = Boundary(q.get("boundary", "open"))
     least = _MIN_CELLS[cfg.command] - (boundary is Boundary.PERIODIC)
     if min(q["nx"], q["ny"]) < least:
         raise ConfigError(f"{cfg.command} needs {least}x{least} cells, got {q['nx']}x{q['ny']}")
+    if q["nx"] * q["ny"] > MAX_GRID_CELLS:
+        raise ConfigError(f"a {q['nx']}x{q['ny']} grid has over {MAX_GRID_CELLS} cells")
     # the energies weigh cells by l^2 and Hn squares |Ad| <= 8 / (sqrt(delta) l),
     # with delta >= 8.9e-16: in this range neither comes near overflow
     if not (1e-100 < l < 1e100):
@@ -153,14 +144,16 @@ def _model(
 
 
 # ------------------------------------------------------------------ commands
+# Each runner writes its outputs and returns the manifest's derived facts and
+# the output paths; ``run`` writes the manifest.
 
 
-def _run_ground_state(cfg: ExperimentConfig) -> int:
+def _run_ground_state(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
     q = cfg.params
     chi = _parse_vec(q["chi"])
     norm = math.hypot(*chi)
-    if norm == 0:
-        raise ConfigError("chirality must be nonzero")
+    if not norm >= sys.float_info.min:  # a subnormal norm does not normalize to 1e-12
+        raise ConfigError(f"chirality must be nonzero, got |chi| = {norm!r}")
     chi = (chi[0] / norm, chi[1] / norm)  # tolerate 4-5 digit inputs
     if not math.isfinite(q["theta0"]):
         raise ConfigError(f"theta0 must be finite, got {q['theta0']!r}")
@@ -183,9 +176,8 @@ def _run_ground_state(cfg: ExperimentConfig) -> int:
             }
         ],
     )
-    _write_manifest(cfg, {"delta": p.delta, "eps": p.eps, "chi_normalized": list(chi)},
-                    [field_path, energy_path])
-    return 0
+    return ({"delta": p.delta, "eps": p.eps, "chi_normalized": list(chi)},
+            [field_path, energy_path])
 
 
 def _scales_from_eps(eps: float, delta_exponent: float) -> tuple[float, float]:
@@ -203,7 +195,7 @@ def _scales_from_eps(eps: float, delta_exponent: float) -> tuple[float, float]:
     return eps * math.sqrt(delta), 8.0 - 2.0 * delta
 
 
-def _run_relax(cfg: ExperimentConfig) -> int:
+def _run_relax(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
     q = cfg.params
     p, grid = _model(cfg, *_scales_from_eps(q["eps"], q["delta_exponent"]))
     try:
@@ -221,17 +213,13 @@ def _run_relax(cfg: ExperimentConfig) -> int:
     field_path = os.path.join(cfg.out_dir, "relax_field.csv")
     _write_field(u, field_path)
     hn = energy_Hn(u, p)
-    _write_manifest(
-        cfg,
-        {
-            "delta": p.delta, "eps": p.eps, "l": p.l, "alpha": p.alpha,
-            "final_F": float(trace[-1]), "final_Hn": hn.total, "iterations": len(trace) - 1,
-            "converged": grad_max <= rc.tol_grad, "grad_max": grad_max,
-            "heuristic": True,  # local descent: no optimality claim
-        },
-        [trace_path, field_path],
-    )
-    return 0
+    derived = {
+        "delta": p.delta, "eps": p.eps, "l": p.l, "alpha": p.alpha,
+        "final_F": float(trace[-1]), "final_Hn": hn.total, "iterations": len(trace) - 1,
+        "converged": grad_max <= rc.tol_grad, "grad_max": grad_max,
+        "heuristic": True,  # local descent: no optimality claim
+    }
+    return derived, [trace_path, field_path]
 
 
 def _sharp_wall_chi(grid: Grid) -> VectorField:
@@ -244,7 +232,7 @@ def _sharp_wall_chi(grid: Grid) -> VectorField:
     return VectorField(grid, vals)
 
 
-def _run_entropy_scan(cfg: ExperimentConfig) -> int:
+def _run_entropy_scan(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
     q = cfg.params
     _, grid = _model(cfg, q["l"])
     n = q["angles"]
@@ -264,11 +252,10 @@ def _run_entropy_scan(cfg: ExperimentConfig) -> int:
         rows.append({"angle": angle, "production": production})
     scan_path = os.path.join(cfg.out_dir, "entropy_scan.csv")
     _write_csv(scan_path, ("angle", "production"), rows)
-    _write_manifest(cfg, {"angles": n}, [scan_path])
-    return 0
+    return {"angles": n}, [scan_path]
 
 
-def _run_gamma_table(cfg: ExperimentConfig) -> int:
+def _run_gamma_table(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
     q = cfg.params
     schedule = ScalingSchedule.geometric(
         eps0=q["eps0"], levels=q["levels"],
@@ -294,21 +281,13 @@ def _run_gamma_table(cfg: ExperimentConfig) -> int:
     rows = gamma_limsup_experiment(wall, schedule, m)
     table_path = os.path.join(cfg.out_dir, "gamma_table.csv")
     _write_csv(table_path, GAMMA_TABLE_COLUMNS, rows)
-    _write_manifest(
-        cfg,
-        {
-            "schedule": [
-                {"n": i, "l": e.l, "delta": e.delta, "eps": e.eps}
-                for i, e in enumerate(schedule.entries)
-            ],
-            "kernel_radius": m.radius,
-        },
-        [table_path],
-    )
-    return 0
+    schedule_rows = [
+        {"n": i, "l": e.l, "delta": e.delta, "eps": e.eps} for i, e in enumerate(schedule.entries)
+    ]
+    return {"schedule": schedule_rows, "kernel_radius": m.radius}, [table_path]
 
 
-def _run_diagnose(cfg: ExperimentConfig) -> int:
+def _run_diagnose(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
     q = cfg.params
     p, grid = _model(cfg, q["l"], q["alpha"])
     if not (0 < q["t"] < math.pi):
@@ -336,9 +315,8 @@ def _run_diagnose(cfg: ExperimentConfig) -> int:
     }
     report_path = os.path.join(cfg.out_dir, "diagnose_report.json")
     _atomic_write_text(report_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _write_manifest(cfg, {"delta": p.delta, "eps": p.eps}, [report_path])
     print(report_path)
-    return 0
+    return {"delta": p.delta, "eps": p.eps}, [report_path]
 
 
 _RUNNERS = {
@@ -351,11 +329,32 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig) -> int:
-    """Execute a resolved experiment configuration."""
+    """Execute a resolved experiment configuration and write its manifest.
+
+    Every warning raised during the run is caught, and the manifest lists
+    each distinct one once, in the order they first fired, under
+    ``derived.warnings``; the key is there only when a warning fired.
+    """
     if cfg.command not in _RUNNERS:
         raise ConfigError(f"unknown command {cfg.command!r}")
     os.makedirs(cfg.out_dir, exist_ok=True)
-    return _RUNNERS[cfg.command](cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        derived, outputs = _RUNNERS[cfg.command](cfg)
+    fired = dict.fromkeys(f"{w.category.__name__}: {w.message}" for w in caught)
+    if fired:
+        derived["warnings"] = list(fired)
+    manifest = {
+        "command": cfg.command,
+        "version": __version__,
+        "threads": cfg.threads,
+        "parameters": cfg.params,
+        "derived": derived,
+        "outputs": [os.path.basename(p) for p in outputs],
+    }
+    path = os.path.join(cfg.out_dir, f"{cfg.command.replace('-', '_')}_manifest.json")
+    _atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return 0
 
 
 # --------------------------------------------------------------- arg parsing

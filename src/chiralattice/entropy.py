@@ -20,7 +20,7 @@ from numpy.polynomial.legendre import leggauss
 from numpy.typing import NDArray
 
 from .errors import DimensionError, DomainError
-from .lattice_core import Rect, ScalarField, VectorField, cell_sum, div_d
+from .lattice_core import Rect, ScalarField, VectorField, _unit, cell_sum, div_d
 
 __all__ = [
     "Entropy",
@@ -56,16 +56,6 @@ class Entropy:
 
     phi: Callable[[NDArray], NDArray]
     dphi: Callable[[NDArray], NDArray]
-    label: str = ""
-
-
-def _unit(v, name: str) -> NDArray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (2,):
-        raise DomainError(f"{name} must be a 2-vector")
-    if not abs(math.hypot(v[0], v[1]) - 1.0) <= 1e-12:  # rejects nan too
-        raise DomainError(f"{name} must be a unit vector")
-    return v
 
 
 def jin_kohn(nu) -> Entropy:
@@ -91,7 +81,7 @@ def jin_kohn(nu) -> Entropy:
             a[..., None, None] ** 2 * outer_a + b[..., None, None] ** 2 * outer_b
         )
 
-    return Entropy(phi, dphi, f"jin-kohn(nu=({nu[0]:g},{nu[1]:g}))")
+    return Entropy(phi, dphi)
 
 
 def psi_alpha(e: Entropy, xi) -> tuple[NDArray, NDArray]:

@@ -15,8 +15,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .lattice_core import Grid
-from .spin_energy import ModelParams, SpinField
+from .lattice_core import Grid, _unit
+from .spin_energy import ModelParams, SpinField, _spins
 
 __all__ = [
     "HelixSpec",
@@ -74,7 +74,22 @@ def helical_field(spec: HelixSpec, grid: Grid) -> SpinField:
     i = np.arange(grid.nx)[:, None]
     j = np.arange(grid.ny)[None, :]
     psi = spec.theta0 + i * spec.theta_h + j * spec.theta_v
-    return SpinField(grid, np.stack([np.cos(psi), np.sin(psi)], axis=-1))
+    return SpinField._adopt(grid, _spins(psi), grid.full_rect)
+
+
+def _helix_angles(chi_unit, p: ModelParams) -> tuple[float, float]:
+    """Per-step angles ``theta_k = 2 arcsin(sqrt(delta) chi_k / 2)`` of the
+    helix with unit chirality ``chi_unit``, the inverse of the chirality map."""
+    chi = _unit(chi_unit, "chirality")
+    half_sines = math.sqrt(p.delta) * chi / 2.0
+    if np.any(np.abs(half_sines) > 1.0):
+        raise DomainError("sqrt(delta) |chi_k| / 2 exceeds 1; no rotation angle exists")
+    if np.any(np.abs(half_sines) > 1.0 - 1e-8):
+        warnings.warn(
+            "chirality component is at the arcsin boundary; the inversion is ill-conditioned",
+            stacklevel=3,
+        )
+    return 2.0 * math.asin(half_sines[0]), 2.0 * math.asin(half_sines[1])
 
 
 def ground_state_from_chirality(
@@ -87,22 +102,7 @@ def ground_state_from_chirality(
     exactly, which makes every stencil residual of the bulk energy vanish.
     """
     p.require_transition_regime()
-    chi = np.asarray(chi_unit, dtype=np.float64)
-    if chi.shape != (2,):
-        raise DomainError("chirality must be a 2-vector")
-    if abs(math.hypot(chi[0], chi[1]) - 1.0) > 1e-12:
-        raise DomainError(f"chirality must be a unit vector, got |chi| = {np.linalg.norm(chi)}")
-    sqd = math.sqrt(p.delta)
-    half_sines = sqd * chi / 2.0
-    if np.any(np.abs(half_sines) > 1.0):
-        raise DomainError("sqrt(delta) |chi_k| / 2 exceeds 1; no rotation angle exists")
-    if np.any(np.abs(half_sines) > 1.0 - 1e-8):
-        warnings.warn(
-            "chirality component is at the arcsin boundary; the inversion is ill-conditioned",
-            stacklevel=2,
-        )
-    theta_h = 2.0 * math.asin(half_sines[0])
-    theta_v = 2.0 * math.asin(half_sines[1])
+    theta_h, theta_v = _helix_angles(chi_unit, p)
     return helical_field(HelixSpec(theta0, theta_h, theta_v), grid)
 
 

@@ -123,6 +123,16 @@ class Grid:
         return l * np.arange(self.nx), l * np.arange(self.ny)
 
 
+def _unit(v, name: str) -> NDArray:
+    """``v`` as a float64 2-vector of length 1 to within 1e-12, else ``DomainError``."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (2,):
+        raise DomainError(f"{name} must be a 2-vector")
+    if not abs(math.hypot(v[0], v[1]) - 1.0) <= 1e-12:  # rejects nan too
+        raise DomainError(f"{name} must be a unit vector")
+    return v
+
+
 def _zero_outside(values: NDArray, rect: Rect) -> None:
     """Zero ``values`` in place outside ``values[rect.slices]``, allocating nothing."""
     rows = range(values.shape[0])[rect.i0 : rect.i1]

@@ -25,9 +25,11 @@ from numpy.polynomial.legendre import leggauss
 from numpy.typing import NDArray
 
 from .errors import ConfigError, DomainError, ParameterError, ScalingError
-from .lattice_core import Boundary, Grid, Rect, ScalarField, grad_d, laplace_shifted
-from .spin_energy import EnergyRecord, ModelParams, SpinField, _record, energy_Hn, potential_W
-from .entropy import _unit, perp, sigma_surface_density
+from .lattice_core import Boundary, Grid, Rect, ScalarField, _unit, grad_d, laplace_shifted
+from .spin_energy import (
+    EnergyRecord, ModelParams, SpinField, _record, _spins, energy_Hn, potential_W,
+)
+from .entropy import perp, sigma_surface_density
 
 __all__ = [
     "Mollifier",
@@ -294,9 +296,7 @@ def spin_from_potential(phi_n: ScalarField, p: ModelParams) -> SpinField:
             f"sqrt(delta) * max|D_d phi| = {max_angle:.6g} >= pi; "
             "the potential oscillates too fast for this lattice scale",
         )
-    psi = (sqd / p.l) * phi_n.values
-    u = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
-    return SpinField(phi_n.grid, u, phi_n.valid)
+    return SpinField._adopt(phi_n.grid, _spins((sqd / p.l) * phi_n.values), phi_n.valid)
 
 
 def laplacian_AG_energy(phi_n: ScalarField, p: ModelParams, region: Rect | None = None) -> EnergyRecord:

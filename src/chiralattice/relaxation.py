@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .entropy import _unit
 from .errors import DomainError, OptimizationError
-from .lattice_core import Grid, ScalarField, _zero_outside, cell_sum
-from .spin_energy import ModelParams, SpinField, _f_residuals, _sq_norm
+from .ground_states import _helix_angles
+from .lattice_core import Grid, ScalarField, _unit, _zero_outside, cell_sum
+from .spin_energy import ModelParams, SpinField, _f_residuals, _spins, _sq_norm
 
 __all__ = [
     "FixedAngles",
@@ -68,10 +68,6 @@ class RelaxConfig:
             raise DomainError("boundary must be 'periodic' or FixedAngles(...)")
 
 
-def _spins(psi: NDArray) -> NDArray:
-    return np.stack([np.cos(psi), np.sin(psi)], axis=-1)
-
-
 def _f_energy(u: NDArray, p: ModelParams, grid: Grid) -> float:
     """``energy_F`` of the raw spin array ``u``, bit for bit at beta = 2."""
     rh, rv, rect = _f_residuals(u, p, grid, grid.full_rect)
@@ -102,7 +98,8 @@ def f_gradient(psi: ScalarField, p: ModelParams, frozen: NDArray | None = None) 
     lift rotates it by 90 degrees.
     """
     p.require_transition_regime()
-    return ScalarField(psi.grid, _lift_gradient(_spins(psi.values), p, psi.grid, frozen))
+    g = psi.grid
+    return ScalarField._adopt(g, _lift_gradient(_spins(psi.values), p, g, frozen), g.full_rect)
 
 
 def _dot(a: NDArray, b: NDArray) -> float:
@@ -128,14 +125,6 @@ def _lbfgs_direction(grad: NDArray, pairs: deque) -> NDArray:
     return q
 
 
-def _ground_state_angles(chi, p: ModelParams) -> tuple[float, float]:
-    sqd = math.sqrt(p.delta)
-    return (
-        2.0 * math.asin(sqd * chi[0] / 2.0),
-        2.0 * math.asin(sqd * chi[1] / 2.0),
-    )
-
-
 def _roof_lift(b: FixedAngles, p: ModelParams, grid: Grid) -> tuple[NDArray, NDArray]:
     """Frozen boundary lift and mask for the fixed-angle mode.
 
@@ -146,8 +135,8 @@ def _roof_lift(b: FixedAngles, p: ModelParams, grid: Grid) -> tuple[NDArray, NDA
     the centre: without this the minimizer slips out through the free rows in
     a fan-like sweep whose energy undercuts the wall.
     """
-    th_l, tv_l = _ground_state_angles(b.chi_left, p)
-    th_r, tv_r = _ground_state_angles(b.chi_right, p)
+    th_l, tv_l = _helix_angles(b.chi_left, p)
+    th_r, tv_r = _helix_angles(b.chi_right, p)
     i = np.arange(grid.nx)[:, None]
     j = np.arange(grid.ny)[None, :]
     ic = (grid.nx - 1) / 2.0
@@ -175,7 +164,7 @@ def wall_start(b: FixedAngles, p: ModelParams, grid: Grid) -> SpinField:
     if grid.periodic:
         raise DomainError("fixed-angle walls need an open grid")
     lift, _ = _roof_lift(b, p, grid)
-    return SpinField(grid, _spins(lift))
+    return SpinField._adopt(grid, _spins(lift), grid.full_rect)
 
 
 def relax(u0: SpinField, p: ModelParams, cfg: RelaxConfig) -> tuple[SpinField, NDArray, float]:
@@ -244,4 +233,4 @@ def relax(u0: SpinField, p: ModelParams, cfg: RelaxConfig) -> tuple[SpinField, N
             psi, u, f, grad = trial, u_t, f_t, grad_t
             trace.append(f)
 
-    return SpinField(g, u), np.asarray(trace), grad_max
+    return SpinField._adopt(g, u, g.full_rect), np.asarray(trace), grad_max

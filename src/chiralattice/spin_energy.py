@@ -95,6 +95,11 @@ class SpinField(VectorField):
             raise DomainError("spin field values must be unit vectors (1e-12)")
 
 
+def _spins(psi: NDArray) -> NDArray:
+    """The spins ``u = (cos psi, sin psi)`` of a lift, as a fresh array."""
+    return np.stack([np.cos(psi), np.sin(psi)], axis=-1)
+
+
 @dataclass(eq=False)
 class ChiralityFields:
     """Oriented angle fields and the three chirality variants of a spin field.
@@ -109,7 +114,6 @@ class ChiralityFields:
     chi: VectorField
     chi_tilde: VectorField
     chi_bar: VectorField
-    params: ModelParams
 
 
 def _oriented_angle(a: NDArray, b: NDArray) -> NDArray:
@@ -154,7 +158,7 @@ def chirality(u: SpinField, p: ModelParams) -> ChiralityFields:
     chi = pack(2.0 / sqd * np.sin(th.values / 2.0), 2.0 / sqd * np.sin(tv.values / 2.0))
     chi_tilde = pack(np.sin(th.values) / sqd, np.sin(tv.values) / sqd)
     chi_bar = pack(th.values / sqd, tv.values / sqd)
-    return ChiralityFields(th, tv, chi, chi_tilde, chi_bar, p)
+    return ChiralityFields(th, tv, chi, chi_tilde, chi_bar)
 
 
 def _pair_dots(u: SpinField, shifts) -> tuple[NDArray, Rect]:

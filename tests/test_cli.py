@@ -79,6 +79,18 @@ class TestGroundState:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "CONFIG_INVALID"
 
+    def test_a_warning_goes_to_the_manifest_not_to_stderr(self, tmp_path, capsys):
+        # delta = 4 - 5e-10: the chirality (1, 0) sits at the arcsin boundary
+        argv = ["ground-state", "--alpha", "1e-9", "--chi", "1,0", "--nx", "4", "--ny", "4"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--out-dir", str(tmp_path)] + argv) == 0
+        assert capsys.readouterr().err == ""
+        assert read_manifest(str(tmp_path), "ground-state")["derived"]["warnings"] == [
+            "UserWarning: chirality component is at the arcsin boundary; "
+            "the inversion is ill-conditioned"
+        ]
+
 
 class TestGammaTable:
     def test_header_and_row_count(self, tmp_path):
@@ -193,6 +205,17 @@ class TestRelax:
             assert len(lines) == 1
             assert json.loads(lines[0])["error"] == "CONFIG_INVALID"
 
+    def test_boundary_warning_is_named_once_in_the_manifest(self, tmp_path, capsys):
+        # delta = eps = 4 - 2e-10; both frozen helices sit at the arcsin boundary
+        argv = ["relax", "--eps", "3.9999999998", "--delta-exponent", "1", "--nx", "6",
+                "--ny", "6", "--chi-left=1,0", "--chi-right=-1,0", "--max-iters", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--out-dir", str(tmp_path)] + argv) == 0
+        assert capsys.readouterr().err == ""
+        fired = read_manifest(str(tmp_path), "relax")["derived"]["warnings"]
+        assert len(fired) == 1 and "arcsin boundary" in fired[0]
+
     def test_huge_first_step_is_capped(self, tmp_path):
         # uncapped, 60 halvings of 1e25 never reach a step that descends
         args = ["relax", "--nx", "6", "--ny", "6", "--max-iters", "5", "--step", "1e25"]
@@ -237,13 +260,22 @@ class TestRelax:
     ["diagnose", "--field", "x.csv", "--l", "0.05", "--alpha", "7.92", "--nx", "8", "--ny", "8",
      "--t", "0"],
     ["entropy-scan", "--field", "nope.csv", "--angles", "0"],
+    # grids over MAX_GRID_CELLS = 2**24 cells
+    ["ground-state", "--nx", "100000", "--ny", "100000"],
+    ["relax", "--nx", "4097", "--ny", "4096"],
+    ["entropy-scan", "--nx", "100000", "--ny", "100000"],
+    ["diagnose", "--field", "x.csv", "--l", "0.05", "--alpha", "7.92", "--nx", "8",
+     "--ny", str(1 << 40)],
+    # |chi| is subnormal, so chi / |chi| is (1, 1), not a unit vector
+    ["ground-state", "--chi", "5e-324,5e-324"],
 ])
 def test_bad_flags_are_config_errors_before_any_numerics(argv, tmp_path, capsys, monkeypatch):
     def numerics(*args, **kwargs):
         raise AssertionError("numerics ran on a bad configuration")
 
-    for name in ("relax", "ground_state_from_chirality", "total_variation_production",
-                 "gamma_limsup_experiment", "read_field_csv"):
+    for name in ("relax", "wall_start", "ground_state_from_chirality",
+                 "total_variation_production", "gamma_limsup_experiment", "read_field_csv",
+                 "_sharp_wall_chi"):
         monkeypatch.setattr(cli, name, numerics)
     assert main(["--out-dir", str(tmp_path)] + argv) == 2
     lines = capsys.readouterr().err.splitlines()
@@ -298,23 +330,34 @@ def test_overflowing_entropy_production_is_a_runtime_failure(magnitude, tmp_path
 def _draw_argv(data, command, flags):
     """``command`` with every flag set; up to two leave their valid range.
 
-    Values go as ``--flag=value``, so that negative ones reach the checks as
-    numbers.
+    Values go as ``--flag=value``, numbers by their repr and strings as they
+    are, so that negative numbers reach the checks as numbers.
     """
     wild = data.draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
-    return [command] + [
-        f"--{name}={data.draw(pair[name in wild])!r}" for name, pair in flags.items()
-    ]
+    argv = [command]
+    for name, pair in flags.items():
+        value = data.draw(pair[name in wild])
+        argv.append(f"--{name}={value if isinstance(value, str) else repr(value)}")
+    return argv
+
+
+# the one warning a valid run may raise: a chirality component whose helix
+# angle is within 1e-8 of the arcsin's end (delta within about 1e-7 of 4)
+_EXPECTED_WARNING = "arcsin boundary"
 
 
 def _exit_code(argv):
     """Exit status of one run: 0 with nothing on stderr, or 1/2 with exactly
-    one JSON error line.  Warnings are errors here, so none may escape."""
+    one JSON error line.  Warnings are errors here: none may escape, and the
+    manifest of a successful run may name none but the expected one."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["--out-dir", out] + argv)
+        if code == 0:
+            fired = read_manifest(out, argv[0])["derived"].get("warnings", [])
+            assert all(_EXPECTED_WARNING in w for w in fired), fired
     assert code in (0, 1, 2)
     lines = err.getvalue().splitlines()
     if code == 0:
@@ -363,6 +406,53 @@ GAMMA_TABLE_FLAGS = {
 @given(data=st.data())
 def test_gamma_table_numeric_flags_end_in_success_or_a_config_error(data):
     assert _exit_code(_draw_argv(data, "gamma-table", GAMMA_TABLE_FLAGS)) in (0, 2)
+
+
+# wild grid sizes: below every subcommand's minimum, or so large that any
+# valid other side takes the grid over MAX_GRID_CELLS = 2**24 cells
+_WILD_SIZES = st.one_of(st.integers(-5, 1), st.integers(1 << 23, 1 << 62))
+_VECTORS = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(lambda v: any(v))
+_WILD_VECTORS = st.one_of(
+    st.tuples(st.floats(), st.floats()).map(lambda v: f"{v[0]!r},{v[1]!r}"),
+    st.sampled_from(["0,0", "-0.0,0", "1", "1,2,3", "", "a,1", "5e-324,5e-324", "1e308,1e308"]),
+)
+GROUND_STATE_FLAGS = {
+    "chi": (_VECTORS.map(lambda v: f"{v[0]!r},{v[1]!r}"), _WILD_VECTORS),
+    "alpha": (st.floats(1e-3, 7.999), _WILD_FLOATS),
+    "l": (st.floats(1e-3, 1.0), _WILD_FLOATS),
+    "nx": (st.integers(3, 8), _WILD_SIZES),
+    "ny": (st.integers(3, 8), _WILD_SIZES),
+    "theta0": (st.floats(-10.0, 10.0), _WILD_FLOATS),
+    "boundary": (st.sampled_from(["open", "periodic"]), st.sampled_from(["", "closed"])),
+}
+# the built-in sharp wall; --angles has no upper bound, so its wild values are low
+ENTROPY_SCAN_FLAGS = {
+    "l": (st.floats(1e-3, 1.0), _WILD_FLOATS),
+    "nx": (st.integers(2, 8), _WILD_SIZES),
+    "ny": (st.integers(2, 8), _WILD_SIZES),
+    "angles": (st.integers(1, 8), st.integers(-3, 0)),
+}
+# read on the 8 x 8 spin field, which a valid run's grid matches
+DIAGNOSE_FLAGS = {
+    "l": (st.floats(1e-3, 1.0), _WILD_FLOATS),
+    "alpha": (st.floats(1e-3, 7.999), _WILD_FLOATS),
+    "nx": (st.just(8), _WILD_SIZES),
+    "ny": (st.just(8), _WILD_SIZES),
+    "boundary": (st.sampled_from(["open", "periodic"]), st.sampled_from(["", "closed"])),
+    "t": (st.floats(1e-3, 3.14), _WILD_FLOATS),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_ground_state_flags_end_in_success_or_a_config_error(data):
+    assert _exit_code(_draw_argv(data, "ground-state", GROUND_STATE_FLAGS)) in (0, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_entropy_scan_flags_end_in_success_or_a_config_error(data):
+    assert _exit_code(_draw_argv(data, "entropy-scan", ENTROPY_SCAN_FLAGS)) in (0, 2)
 
 
 def _field_csv(tmp_path_factory, n, values):
@@ -452,6 +542,17 @@ def test_diagnose_on_a_mutated_field_csv_succeeds_or_is_a_config_error(data, spi
             fh.write(text)
         argv = ["diagnose", "--field", path, "--l", "0.05", "--alpha", "7.92",
                 "--nx", "8", "--ny", "8"]
+        assert _exit_code(argv) in (0, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_diagnose_flags_end_in_success_or_a_config_error(data, spin_field_8x8):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "field.csv")
+        with open(path, "wb") as fh:
+            fh.write(spin_field_8x8)
+        argv = _draw_argv(data, "diagnose", DIAGNOSE_FLAGS) + ["--field", path]
         assert _exit_code(argv) in (0, 2)
 
 

@@ -1,15 +1,20 @@
 """The field invariant: values outside ``valid`` are +0.0, and every field
 owns its values, write-locked, sharing no memory with another field."""
 
+import math
+
 import numpy as np
 import pytest
 
 from chiralattice import (
     Ad,
     Boundary,
+    FixedAngles,
     Grid,
+    HelixSpec,
     ModelParams,
     Rect,
+    RelaxConfig,
     ScalarField,
     SpinField,
     VectorField,
@@ -19,8 +24,14 @@ from chiralattice import (
     curl_d,
     div_d,
     dpartial,
+    f_gradient,
     grad_d,
+    ground_state_from_chirality,
+    helical_field,
     laplace_shifted,
+    relax,
+    spin_from_potential,
+    wall_start,
 )
 
 P = ModelParams(l=0.25, alpha=7.5)
@@ -58,6 +69,29 @@ def outputs(scalar, vector, spin):
     ]
     for name in ("theta_hor", "theta_ver", "chi", "chi_tilde", "chi_bar"):
         found.append((f"chirality-{name}", getattr(ch, name), [spin]))
+    return found + spin_makers(scalar, spin)
+
+
+def spin_makers(scalar, spin):
+    """The same for the constructors that build spins from a lift."""
+    g = spin.grid
+    # one turn across each axis, so the helices fit a periodic grid too
+    th, tv = 2.0 * math.pi / g.nx, 2.0 * math.pi / g.ny
+    delta = 4.0 * (math.sin(th / 2.0) ** 2 + math.sin(tv / 2.0) ** 2)
+    chi = (2.0 * math.sin(th / 2.0) / math.sqrt(delta), 2.0 * math.sin(tv / 2.0) / math.sqrt(delta))
+    p = ModelParams(l=g.spacing, alpha=8.0 - 2.0 * delta)
+    u, _, _ = relax(spin, P, RelaxConfig(max_iters=2))
+    found = [
+        ("helical_field", helical_field(HelixSpec(0.1, th, tv), g), []),
+        ("ground_state_from_chirality", ground_state_from_chirality(chi, p, g, 0.1), []),
+        # a small delta keeps every neighbour angle of the potential below pi
+        ("spin_from_potential", spin_from_potential(scalar, ModelParams(l=g.spacing, alpha=7.98)),
+         [scalar]),
+        ("relax", u, [spin]),
+        ("f_gradient", f_gradient(scalar, P), [scalar]),
+    ]
+    if not g.periodic:
+        found.append(("wall_start", wall_start(FixedAngles(chi, chi[::-1]), P, g), []))
     return found
 
 

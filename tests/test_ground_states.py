@@ -101,6 +101,13 @@ class TestGroundStateFromChirality:
         with pytest.raises(DomainError):
             ground_state_from_chirality((0.5, 0.5), p, g)
 
+    def test_nan_chirality_is_not_a_unit_vector(self):
+        p = ModelParams(l=0.05, alpha=7.5)
+        g = Grid(0.05, 6, 6, Boundary.OPEN)
+        for chi in ((math.nan, 1.0), (0.6, math.nan)):
+            with pytest.raises(DomainError, match="unit vector"):
+                ground_state_from_chirality(chi, p, g)
+
     def test_arcsin_boundary_warns(self):
         # delta so close to 4 that sqrt(delta)/2 sits within 1e-8 of 1
         p = ModelParams(l=0.05, alpha=1e-7)
