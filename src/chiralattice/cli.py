@@ -41,7 +41,7 @@ from .recovery_limsup import (
     DEFAULT_KERNEL_RADIUS,
     MAX_GRID_CELLS,
     ScalingSchedule,
-    WallConfig,
+    canonical_wall,
     gamma_limsup_experiment,
     quartic_bump,
 )
@@ -223,12 +223,11 @@ def _run_relax(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
 
 
 def _sharp_wall_chi(grid: Grid) -> VectorField:
-    s = 1.0 / math.sqrt(2.0)
+    wall = canonical_wall()
     ny = grid.ny
     vals = np.empty((grid.nx, ny, 2))
-    vals[..., 0] = s
-    vals[:, : ny // 2, 1] = -s
-    vals[:, ny // 2 :, 1] = s
+    vals[:, : ny // 2] = wall.chi_minus
+    vals[:, ny // 2 :] = wall.chi_plus
     return VectorField(grid, vals)
 
 
@@ -263,15 +262,7 @@ def _run_gamma_table(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
     )
     if not math.isfinite(q["wall_angle"]):
         raise ConfigError(f"wall angle must be finite, got {q['wall_angle']!r}")
-    angle = math.radians(q["wall_angle"])
-    nu = (-math.sin(angle), math.cos(angle))
-    rot = np.array([[math.cos(angle), -math.sin(angle)],
-                    [math.sin(angle), math.cos(angle)]])
-    s = 1.0 / math.sqrt(2.0)
-    chi_plus = tuple(rot @ np.array([s, s]))
-    chi_minus = tuple(rot @ np.array([s, -s]))
-    center = np.array([0.5, 0.5])
-    wall = WallConfig(chi_plus, chi_minus, nu, float(center @ np.asarray(nu)))
+    wall = canonical_wall(q["wall_angle"])
     if q["kernel"] != "quartic":
         raise ConfigError(f"unknown kernel {q['kernel']!r}")
     try:

@@ -182,22 +182,9 @@ class Interface:
     length: float
 
     def __post_init__(self):
-        a = _unit(self.chi_plus, "chi_plus")
-        b = _unit(self.chi_minus, "chi_minus")
-        nu = _unit(self.nu, "nu")
+        _jump_size(self.chi_plus, self.chi_minus, self.nu)
         if not (self.length > 0):
             raise DomainError("interface length must be positive")
-        jump = a - b
-        if math.hypot(*jump) == 0.0:
-            raise DomainError("interface with zero jump")
-        if abs(jump[0] * nu[1] - jump[1] * nu[0]) > 1e-10:
-            raise DomainError("jump must be parallel to the interface normal")
-
-    @property
-    def jump_size(self) -> float:
-        a = np.asarray(self.chi_plus)
-        b = np.asarray(self.chi_minus)
-        return float(np.hypot(*(a - b)))
 
 
 @dataclass(frozen=True)
@@ -212,7 +199,10 @@ class PolygonalBVField:
 
 def limit_H_bv(f: PolygonalBVField) -> float:
     """Exact wall cost on a polygonal field: sum of |jump|^3 / 6 per length."""
-    return math.fsum(seg.jump_size**3 / 6.0 * seg.length for seg in f.interfaces)
+    return math.fsum(
+        sigma_surface_density(seg.chi_plus, seg.chi_minus, seg.nu) * seg.length
+        for seg in f.interfaces
+    )
 
 
 def limit_H0(f: PolygonalBVField) -> float:
@@ -227,18 +217,23 @@ def limit_H0(f: PolygonalBVField) -> float:
     return math.fsum(total)
 
 
-def sigma_surface_density(a, b, nu) -> float:
-    """Surface energy density of a unit-vector jump: |a - b|^3 / 6."""
-    a = _unit(a, "a")
-    b = _unit(b, "b")
+def _jump_size(a, b, nu) -> float:
+    """``|[chi]| = |a - b|`` of a chirality jump from ``b`` to ``a`` across a
+    wall with normal ``nu``: all three unit vectors, ``a != b``, and
+    ``a - b`` parallel to ``nu`` within 1e-10."""
+    jump = _unit(a, "chi_plus") - _unit(b, "chi_minus")
     nu = _unit(nu, "nu")
-    jump = a - b
     size = math.hypot(*jump)
     if size == 0.0:
-        raise DomainError("a and b must differ")
+        raise DomainError("a chirality jump needs chi_plus != chi_minus")
     if abs(jump[0] * nu[1] - jump[1] * nu[0]) > 1e-10:
-        raise DomainError("(a - b) must be parallel to nu")
-    return size**3 / 6.0
+        raise DomainError("the chirality jump must be parallel to the wall normal")
+    return size
+
+
+def sigma_surface_density(a, b, nu) -> float:
+    """Surface energy density of a unit-vector jump: |a - b|^3 / 6."""
+    return _jump_size(a, b, nu) ** 3 / 6.0
 
 
 def modica_mortola_profile_energy(d: float, n_quad: int = 4096, half_width: float = 12.0) -> float:

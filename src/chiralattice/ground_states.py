@@ -73,13 +73,16 @@ def helical_field(spec: HelixSpec, grid: Grid) -> SpinField:
         _check_commensurate(grid.ny, spec.theta_v, "y")
     i = np.arange(grid.nx)[:, None]
     j = np.arange(grid.ny)[None, :]
-    psi = spec.theta0 + i * spec.theta_h + j * spec.theta_v
+    # fmod is exact, so a phase in (-2 pi, 2 pi) keeps its bits and a huge
+    # one does not round the per-step angles away
+    psi = math.fmod(spec.theta0, 2.0 * math.pi) + i * spec.theta_h + j * spec.theta_v
     return SpinField._adopt(grid, _spins(psi), grid.full_rect)
 
 
 def _helix_angles(chi_unit, p: ModelParams) -> tuple[float, float]:
     """Per-step angles ``theta_k = 2 arcsin(sqrt(delta) chi_k / 2)`` of the
     helix with unit chirality ``chi_unit``, the inverse of the chirality map."""
+    p.require_transition_regime()
     chi = _unit(chi_unit, "chirality")
     half_sines = math.sqrt(p.delta) * chi / 2.0
     if np.any(np.abs(half_sines) > 1.0):
@@ -101,7 +104,6 @@ def ground_state_from_chirality(
     For unit chirality, ``cos(theta_h) + cos(theta_v) = alpha / 4`` holds
     exactly, which makes every stencil residual of the bulk energy vanish.
     """
-    p.require_transition_regime()
     theta_h, theta_v = _helix_angles(chi_unit, p)
     return helical_field(HelixSpec(theta0, theta_h, theta_v), grid)
 

@@ -25,11 +25,11 @@ from numpy.polynomial.legendre import leggauss
 from numpy.typing import NDArray
 
 from .errors import ConfigError, DomainError, ParameterError, ScalingError
-from .lattice_core import Boundary, Grid, Rect, ScalarField, _unit, grad_d, laplace_shifted
+from .lattice_core import Boundary, Grid, Rect, ScalarField, grad_d, laplace_shifted
 from .spin_energy import (
     EnergyRecord, ModelParams, SpinField, _record, _spins, energy_Hn, potential_W,
 )
-from .entropy import perp, sigma_surface_density
+from .entropy import _jump_size, perp, sigma_surface_density
 
 __all__ = [
     "Mollifier",
@@ -95,14 +95,7 @@ class WallConfig:
     domain: tuple[float, float, float, float] = (0.0, 0.0, 1.0, 1.0)
 
     def __post_init__(self):
-        a = _unit(self.chi_plus, "chi_plus")
-        b = _unit(self.chi_minus, "chi_minus")
-        nu = _unit(self.nu, "nu")
-        jump = a - b
-        if math.hypot(*jump) == 0.0:
-            raise DomainError("wall with equal one-sided chiralities is not a wall")
-        if abs(jump[0] * nu[1] - jump[1] * nu[0]) > 1e-10:
-            raise DomainError("chirality jump must be parallel to the wall normal")
+        _jump_size(self.chi_plus, self.chi_minus, self.nu)
         x0, y0, x1, y1 = self.domain
         if not (x1 > x0 and y1 > y0):
             raise DomainError("empty wall domain")
@@ -119,13 +112,21 @@ class WallConfig:
 
     @property
     def jump_size(self) -> float:
-        return abs(2.0 * self.half_jump)
+        return _jump_size(self.chi_plus, self.chi_minus, self.nu)
 
 
-def canonical_wall(domain=(0.0, 0.0, 1.0, 1.0), wall_offset: float = 0.5) -> WallConfig:
-    """Horizontal wall between the chiralities (1, +-1)/sqrt(2)."""
+def canonical_wall(angle: float = 0.0) -> WallConfig:
+    """The wall between the chiralities (1, +-1)/sqrt(2) through the centre of
+    the unit square, with both chiralities and the normal (0, 1) turned by
+    ``angle`` degrees."""
+    a = math.radians(angle)
+    rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
     s = 1.0 / math.sqrt(2.0)
-    return WallConfig((s, s), (s, -s), (0.0, 1.0), wall_offset, domain)
+    nu = (-math.sin(a), math.cos(a))
+    return WallConfig(
+        tuple(rot @ np.array([s, s])), tuple(rot @ np.array([s, -s])), nu,
+        float(np.array([0.5, 0.5]) @ np.asarray(nu)),
+    )
 
 
 def single_wall_potential(cfg: WallConfig) -> Callable[[NDArray], NDArray]:

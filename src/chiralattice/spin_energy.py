@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -106,14 +108,30 @@ class ChiralityFields:
 
     ``chi`` carries ``(2/sqrt(delta)) sin(theta/2)`` per direction, ``chi_tilde``
     the single-angle sine variant, and ``chi_bar`` the linearization
-    ``theta / sqrt(delta)``.
+    ``theta / sqrt(delta)``.  Each variant is built on its first read.
     """
 
     theta_hor: ScalarField
     theta_ver: ScalarField
-    chi: VectorField
-    chi_tilde: VectorField
-    chi_bar: VectorField
+    sqrt_delta: float
+
+    def _pack(self, f: Callable[[NDArray], NDArray]) -> VectorField:
+        """``f`` of each angle field, stacked over their common valid rect."""
+        th, tv = self.theta_hor, self.theta_ver
+        vals = np.stack([f(th.values), f(tv.values)], axis=-1)
+        return VectorField._adopt(th.grid, vals, th.valid.intersect(tv.valid))
+
+    @cached_property
+    def chi(self) -> VectorField:
+        return self._pack(lambda theta: 2.0 / self.sqrt_delta * np.sin(theta / 2.0))
+
+    @cached_property
+    def chi_tilde(self) -> VectorField:
+        return self._pack(lambda theta: np.sin(theta) / self.sqrt_delta)
+
+    @cached_property
+    def chi_bar(self) -> VectorField:
+        return self._pack(lambda theta: theta / self.sqrt_delta)
 
 
 def _oriented_angle(a: NDArray, b: NDArray) -> NDArray:
@@ -147,18 +165,7 @@ def chirality(u: SpinField, p: ModelParams) -> ChiralityFields:
     """All chirality variants of ``u`` at the scale ``delta`` of ``p``."""
     if not (p.delta > 0):
         raise ParameterError(f"chirality needs delta > 0, got {p.delta}")
-    g = u.grid
-    th, tv = angles(u)
-    sqd = math.sqrt(p.delta)
-    rect = th.valid.intersect(tv.valid)
-
-    def pack(f1: NDArray, f2: NDArray) -> VectorField:
-        return VectorField._adopt(g, np.stack([f1, f2], axis=-1), rect)
-
-    chi = pack(2.0 / sqd * np.sin(th.values / 2.0), 2.0 / sqd * np.sin(tv.values / 2.0))
-    chi_tilde = pack(np.sin(th.values) / sqd, np.sin(tv.values) / sqd)
-    chi_bar = pack(th.values / sqd, tv.values / sqd)
-    return ChiralityFields(th, tv, chi, chi_tilde, chi_bar)
+    return ChiralityFields(*angles(u), math.sqrt(p.delta))
 
 
 def _pair_dots(u: SpinField, shifts) -> tuple[NDArray, Rect]:

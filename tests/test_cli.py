@@ -48,6 +48,14 @@ class TestGroundState:
         assert abs(float(rows[0]["F"])) <= 1e-20 * (1.0 + abs(float(rows[0]["E"])))
         assert os.path.exists(os.path.join(out, "ground_state_field.csv"))
 
+    def test_huge_phase_still_gives_a_helix(self, tmp_path):
+        out = str(tmp_path)
+        args = ["ground-state", "--theta0", "1e17", "--chi", "0.6,0.8", "--alpha", "7.92",
+                "--l", "0.05", "--nx", "16", "--ny", "16"]
+        assert main(["--out-dir", out] + args) == 0
+        _, rows = read_csv_rows(os.path.join(out, "ground_state_energies.csv"))
+        assert float(rows[0]["Hn"]) <= 1e-20
+
     def test_manifest_normalizes_the_chirality(self, tmp_path):
         out = str(tmp_path)
         main(["--out-dir", out] + GROUND_STATE_ARGS)

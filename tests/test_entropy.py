@@ -14,6 +14,7 @@ from chiralattice import (
     ModelParams,
     PolygonalBVField,
     VectorField,
+    WallConfig,
     chirality,
     ent_norm_estimate,
     entropy_production,
@@ -266,6 +267,26 @@ class TestSurfaceDensity:
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(DomainError):
             sigma_surface_density((1.0, 0.0), (1.0, 0.0), (1.0, 0.0))
+
+
+_S = 1.0 / math.sqrt(2.0)
+BAD_JUMPS = {
+    "equal-values": ((_S, _S), (_S, _S), (0.0, 1.0)),
+    "not-parallel": ((_S, _S), (_S, -_S), (1.0, 0.0)),
+    "non-unit": ((0.5, 0.5), (_S, -_S), (0.0, 1.0)),
+    "nan": ((_S, _S), (_S, math.nan), (0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("a, b, nu", BAD_JUMPS.values(), ids=BAD_JUMPS.keys())
+def test_every_wall_rejects_a_bad_jump_with_one_message(a, b, nu):
+    messages = set()
+    for build in (lambda: Interface(a, b, nu, 1.0), lambda: WallConfig(a, b, nu),
+                  lambda: sigma_surface_density(a, b, nu)):
+        with pytest.raises(DomainError) as exc:
+            build()
+        messages.add(str(exc.value))
+    assert len(messages) == 1, messages
 
 
 class TestOptimalProfile:

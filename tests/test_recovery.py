@@ -131,14 +131,7 @@ class TestMollification:
         # split rule, each in chunks; neither may change a point's bits.  On
         # the 30 degree wall both components of nu enter each x . nu.
         m = quartic_bump(DEFAULT_KERNEL_RADIUS)
-        a = math.radians(30.0)
-        s = 1.0 / math.sqrt(2.0)
-        rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
-        nu = (-math.sin(a), math.cos(a))
-        rotated = WallConfig(
-            tuple(rot @ np.array([s, s])), tuple(rot @ np.array([s, -s])), nu,
-            float(np.array([0.5, 0.5]) @ np.asarray(nu)),
-        )
+        rotated = canonical_wall(30.0)
         pts = np.random.default_rng(5).uniform(0.0, 1.0, size=(12000, 2))
         for wall in (canonical_wall(), rotated):
             phi_eps = mollified_wall_potential(wall, 0.02, m)
@@ -310,24 +303,17 @@ class TestGammaTable(object):
         # not, since laplacian_AG_energy takes W of the one-sided forward
         # gradient, which a lattice reflection does not preserve
         schedule = ScalingSchedule.geometric(eps0=0.04, levels=1)
-        s = 1.0 / math.sqrt(2.0)
         rows = {}
         for degrees in (30.0, -30.0):
-            a = math.radians(degrees)
-            rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
-            nu = (-math.sin(a), math.cos(a))
-            wall = WallConfig(
-                tuple(rot @ np.array([s, s])), tuple(rot @ np.array([s, -s])), nu,
-                float(np.array([0.5, 0.5]) @ np.asarray(nu)),
-            )
-            rows[degrees] = gamma_limsup_experiment(wall, schedule)[0]
+            rows[degrees] = gamma_limsup_experiment(canonical_wall(degrees), schedule)[0]
         assert math.isclose(rows[30.0]["Hn"], rows[-30.0]["Hn"], rel_tol=1e-11)
         assert math.isclose(rows[30.0]["gap"], 0.139437670452, rel_tol=1e-9)
         assert math.isclose(rows[-30.0]["gap"], 0.0535382290808, rel_tol=1e-9)
 
     def test_layer_must_fit_in_the_domain(self):
         schedule = ScalingSchedule.geometric(eps0=0.08, levels=1)
-        wall = canonical_wall(wall_offset=0.05)
+        s = 1.0 / math.sqrt(2.0)
+        wall = WallConfig((s, s), (s, -s), (0.0, 1.0), 0.05)
         with pytest.raises(ConfigError):
             gamma_limsup_experiment(wall, schedule)
 

@@ -126,6 +126,15 @@ class TestChirality:
         # |chi - chi_bar| <= (delta / 24) |chi_bar|^3, the half-angle sine expansion
         assert np.all(np.abs(ch.chi.values - ch.chi_bar.values) <= p.delta / 24.0 * bar**3 + 1e-15)
 
+    def test_variants_are_built_on_first_read(self):
+        # Hn reads chi (in Wd) and chi_tilde (in Ad) but never chi_bar
+        g = Grid(0.05, 12, 12, Boundary.OPEN)
+        ch = chirality(random_spins(g, 3), ModelParams(l=0.05, alpha=7.5))
+        Wd(ch)
+        Ad(ch)
+        assert "chi_bar" not in vars(ch)
+        assert ch.chi_bar is ch.chi_bar
+
     def test_unit_chirality_of_matched_helix(self):
         p = ModelParams(l=0.1, alpha=7.92)
         theta = 2.0 * math.asin(math.sqrt(p.delta) / 2.0)
