@@ -21,7 +21,6 @@ from .lattice_core import (
     dpartial,
     format_float,
     grad_d,
-    interpolate_I,
     laplace_shifted,
     read_field_csv,
     write_field_csv,
@@ -42,25 +41,18 @@ from .spin_energy import (
     energy_Hn,
     energy_Hn_star,
     potential_W,
-    q_n,
 )
 from .ground_states import (
     HelixSpec,
-    Regime,
-    classify_regime,
     commensurate_unit_chirality,
     ground_state_from_chirality,
     helical_field,
 )
 from .entropy import (
     Entropy,
-    Interface,
-    PolygonalBVField,
     ent_norm_estimate,
     entropy_production,
     jin_kohn,
-    limit_H0,
-    limit_H_bv,
     modica_mortola_profile_energy,
     perp,
     psi_alpha,

@@ -328,6 +328,8 @@ def run(cfg: ExperimentConfig) -> int:
     """
     if cfg.command not in _RUNNERS:
         raise ConfigError(f"unknown command {cfg.command!r}")
+    if cfg.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {cfg.threads}")
     os.makedirs(cfg.out_dir, exist_ok=True)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

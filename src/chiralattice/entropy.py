@@ -24,16 +24,12 @@ from .lattice_core import Rect, ScalarField, VectorField, _unit, cell_sum, div_d
 
 __all__ = [
     "Entropy",
-    "Interface",
-    "PolygonalBVField",
     "perp",
     "jin_kohn",
     "psi_alpha",
     "ent_norm_estimate",
     "entropy_production",
     "total_variation_production",
-    "limit_H_bv",
-    "limit_H0",
     "sigma_surface_density",
     "modica_mortola_profile_energy",
 ]
@@ -170,51 +166,6 @@ def total_variation_production(
     if rect.empty:
         raise DimensionError("empty region for the total variation")
     return chi.grid.spacing**2 * cell_sum(np.abs(dv.values), rect)
-
-
-@dataclass(frozen=True)
-class Interface:
-    """One straight jump segment: one-sided values, normal, and length."""
-
-    chi_plus: tuple[float, float]
-    chi_minus: tuple[float, float]
-    nu: tuple[float, float]
-    length: float
-
-    def __post_init__(self):
-        _jump_size(self.chi_plus, self.chi_minus, self.nu)
-        if not (self.length > 0):
-            raise DomainError("interface length must be positive")
-
-
-@dataclass(frozen=True)
-class PolygonalBVField:
-    """Piecewise-constant unit field described by its jump segments."""
-
-    interfaces: tuple[Interface, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "interfaces", tuple(self.interfaces))
-
-
-def limit_H_bv(f: PolygonalBVField) -> float:
-    """Exact wall cost on a polygonal field: sum of |jump|^3 / 6 per length."""
-    return math.fsum(
-        sigma_surface_density(seg.chi_plus, seg.chi_minus, seg.nu) * seg.length
-        for seg in f.interfaces
-    )
-
-
-def limit_H0(f: PolygonalBVField) -> float:
-    """Same wall cost evaluated through the cubic entropy attached to each
-    segment normal: ``|(Phi(chi+_perp) - Phi(chi-_perp)) . nu|`` per length."""
-    total = []
-    for seg in f.interfaces:
-        e = jin_kohn(seg.nu)
-        a = e.phi(perp(np.asarray(seg.chi_plus, dtype=np.float64)))
-        b = e.phi(perp(np.asarray(seg.chi_minus, dtype=np.float64)))
-        total.append(abs(float((a - b) @ np.asarray(seg.nu))) * seg.length)
-    return math.fsum(total)
 
 
 def _jump_size(a, b, nu) -> float:

@@ -1,4 +1,4 @@
-"""Helical ground-state constructors and regime classification.
+"""Helical ground-state constructors.
 
 A helix rotates by a fixed angle per lattice step in each direction; at
 ``beta = 2`` the zero-energy states are exactly the helices whose chirality
@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -20,10 +19,8 @@ from .spin_energy import ModelParams, SpinField, _spins
 
 __all__ = [
     "HelixSpec",
-    "Regime",
     "helical_field",
     "ground_state_from_chirality",
-    "classify_regime",
     "commensurate_unit_chirality",
 ]
 
@@ -44,12 +41,6 @@ class HelixSpec:
                 raise DomainError(f"{name} must be finite")
         if abs(self.theta_h) >= math.pi or abs(self.theta_v) >= math.pi:
             raise DomainError("per-step rotation angles must lie in (-pi, pi)")
-
-
-class Regime(Enum):
-    FERROMAGNETIC = "ferromagnetic"
-    HELIMAGNETIC = "helimagnetic"
-    BOUNDARY = "boundary"
 
 
 def _check_commensurate(n: int, theta: float, axis: str) -> None:
@@ -106,14 +97,6 @@ def ground_state_from_chirality(
     """
     theta_h, theta_v = _helix_angles(chi_unit, p)
     return helical_field(HelixSpec(theta0, theta_h, theta_v), grid)
-
-
-def classify_regime(p: ModelParams) -> Regime:
-    """Ferromagnetic for alpha/(beta+2) > 2, helimagnetic below, boundary at 2."""
-    ratio = p.alpha / (p.beta + 2.0)
-    if abs(ratio - 2.0) <= 1e-12:
-        return Regime.BOUNDARY
-    return Regime.FERROMAGNETIC if ratio > 2.0 else Regime.HELIMAGNETIC
 
 
 def commensurate_unit_chirality(

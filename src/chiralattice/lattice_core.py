@@ -27,7 +27,6 @@ import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -46,7 +45,6 @@ __all__ = [
     "div_d",
     "curl_d",
     "laplace_shifted",
-    "interpolate_I",
     "write_field_csv",
     "read_field_csv",
     "format_float",
@@ -342,39 +340,6 @@ def laplace_shifted(phi: ScalarField) -> ScalarField:
     if not g.periodic and rect.empty:
         raise DimensionError("empty valid set for shifted Laplacian")
     return ScalarField._adopt(g, total / g.spacing**2, rect)
-
-
-def interpolate_I(v: VectorField, x: Iterable[float]) -> NDArray:
-    """Componentwise linear blend of a lattice vector field at a point.
-
-    Component 1 is blended along axis 1 only and component 2 along axis 2
-    only, so that the distributional divergence of the interpolant equals the
-    discrete divergence.  Cells are half-open: the point ``l*(i, j)`` belongs
-    to cell ``(i, j)``.
-    """
-    g = v.grid
-    l = g.spacing
-    x = np.asarray(x, dtype=np.float64)
-    s = x / l
-    if g.periodic:
-        s = np.mod(s, (g.nx, g.ny))
-    i, j = int(np.floor(s[0])), int(np.floor(s[1]))
-    y1, y2 = s[0] - i, s[1] - j
-    if not (0 <= i < g.nx and 0 <= j < g.ny):
-        raise DomainError(f"point {x} outside grid extent")
-
-    def at(ii, jj):
-        if g.periodic:
-            return v.values[ii % g.nx, jj % g.ny]
-        if not (0 <= ii < g.nx and 0 <= jj < g.ny):
-            raise DomainError(f"interpolation stencil for {x} leaves the grid")
-        return v.values[ii, jj]
-
-    base = at(i, j)
-    out = np.empty(2)
-    out[0] = (1 - y1) * base[0] + (y1 * at(i + 1, j)[0] if y1 > 0 else 0.0)
-    out[1] = (1 - y2) * base[1] + (y2 * at(i, j + 1)[1] if y2 > 0 else 0.0)
-    return out
 
 
 def format_float(x: float) -> str:

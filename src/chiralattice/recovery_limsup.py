@@ -96,6 +96,8 @@ class WallConfig:
 
     def __post_init__(self):
         _jump_size(self.chi_plus, self.chi_minus, self.nu)
+        if not math.isfinite(self.wall_offset):
+            raise DomainError(f"wall offset must be finite, got {self.wall_offset!r}")
         x0, y0, x1, y1 = self.domain
         if not (x1 > x0 and y1 > y0):
             raise DomainError("empty wall domain")
@@ -316,7 +318,7 @@ def laplacian_AG_energy(phi_n: ScalarField, p: ModelParams, region: Rect | None 
         rect = rect.intersect(region)
     if rect.empty:
         raise DomainError("empty region for the Laplacian energy")
-    return _record(p, p.l**2, potential_W(d.values), lap.values**2, rect)
+    return _record(p, potential_W(d.values), lap.values**2, rect)
 
 
 @dataclass(frozen=True)
@@ -458,7 +460,6 @@ def gamma_limsup_experiment(
                 "rel_err": (hn.total - limit) / limit if limit else math.nan,
                 "_params": p,
                 "_field": u,
-                "_potential": phi_n,
                 "_origin": origin,
             }
         )

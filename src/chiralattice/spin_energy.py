@@ -45,7 +45,6 @@ __all__ = [
     "energy_Hn",
     "energy_Hn_star",
     "energy_AGd",
-    "q_n",
     "potential_W",
 ]
 
@@ -300,9 +299,9 @@ class EnergyRecord:
     derivative_part: float
 
 
-def _record(p: ModelParams, l2: float, w_vals: NDArray, d_vals: NDArray, rect: Rect) -> EnergyRecord:
-    pot = 0.5 / p.eps * l2 * cell_sum(w_vals, rect)
-    der = 0.5 * p.eps * l2 * cell_sum(d_vals, rect)
+def _record(p: ModelParams, w_vals: NDArray, d_vals: NDArray, rect: Rect) -> EnergyRecord:
+    pot = 0.5 / p.eps * p.l**2 * cell_sum(w_vals, rect)
+    der = 0.5 * p.eps * p.l**2 * cell_sum(d_vals, rect)
     return EnergyRecord(pot + der, pot, der)
 
 
@@ -316,7 +315,7 @@ def energy_Hn(u: SpinField, p: ModelParams, region: Rect | None = None) -> Energ
     wd = Wd(ch)
     ad = Ad(ch)
     rect = _resolve_region(wd.valid.intersect(ad.valid), region)
-    return _record(p, p.l**2, wd.values, ad.values**2, rect)
+    return _record(p, wd.values, ad.values**2, rect)
 
 
 def potential_W(xi: NDArray) -> NDArray:
@@ -336,7 +335,7 @@ def _well_and_jacobian(
             d = dpartial(comp, axis)
             rect = rect.intersect(d.valid)
             dsq = dsq + d.values**2
-    return _record(p, p.l**2, w, dsq, _resolve_region(rect, region))
+    return _record(p, w, dsq, _resolve_region(rect, region))
 
 
 def energy_Hn_star(u: SpinField, p: ModelParams, region: Rect | None = None) -> EnergyRecord:
@@ -356,17 +355,3 @@ def energy_AGd(phi: ScalarField, p: ModelParams, region: Rect | None = None) -> 
     d2 = dpartial(phi, 2)
     w = (1.0 - d1.values**2 - d2.values**2) ** 2
     return _well_and_jacobian(p, w, (d1, d2), d1.valid.intersect(d2.valid), region)
-
-
-def q_n(xi, p: ModelParams):
-    """1 - (4/delta) sin^2(sqrt(delta) xi_1 / 2) - (4/delta) sin^2(sqrt(delta) xi_2 / 2).
-
-    Satisfies ``q_n(chi_bar)^2 = W(chi)`` pointwise.
-    """
-    if not (p.delta > 0):
-        raise ParameterError("q_n needs delta > 0")
-    xi = np.asarray(xi, dtype=np.float64)
-    sqd = math.sqrt(p.delta)
-    s1 = np.sin(sqd * xi[..., 0] / 2.0)
-    s2 = np.sin(sqd * xi[..., 1] / 2.0)
-    return 1.0 - (4.0 / p.delta) * (s1**2 + s2**2)

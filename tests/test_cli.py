@@ -276,6 +276,8 @@ class TestRelax:
      "--ny", str(1 << 40)],
     # |chi| is subnormal, so chi / |chi| is (1, 1), not a unit vector
     ["ground-state", "--chi", "5e-324,5e-324"],
+    ["--threads", "-3", "ground-state"],
+    ["--threads", "0", "relax"],
 ])
 def test_bad_flags_are_config_errors_before_any_numerics(argv, tmp_path, capsys, monkeypatch):
     def numerics(*args, **kwargs):

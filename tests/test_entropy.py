@@ -10,9 +10,7 @@ from chiralattice import (
     DomainError,
     Grid,
     HelixSpec,
-    Interface,
     ModelParams,
-    PolygonalBVField,
     VectorField,
     WallConfig,
     chirality,
@@ -20,8 +18,6 @@ from chiralattice import (
     entropy_production,
     helical_field,
     jin_kohn,
-    limit_H0,
-    limit_H_bv,
     modica_mortola_profile_energy,
     perp,
     psi_alpha,
@@ -218,38 +214,25 @@ class TestTotalVariation:
 
 
 class TestLimitFunctionals:
-    def canonical_interface(self, length=1.0):
-        s = 1.0 / math.sqrt(2.0)
-        return Interface((s, s), (s, -s), (0.0, 1.0), length)
-
-    def test_single_wall_cost(self):
-        f = PolygonalBVField((self.canonical_interface(),))
-        assert math.isclose(limit_H_bv(f), SQRT2_OVER_3, rel_tol=1e-15)
-
     def test_entropy_formulation_agrees(self):
-        f = PolygonalBVField((self.canonical_interface(0.7), self.canonical_interface(1.3)))
-        assert math.isclose(limit_H0(f), limit_H_bv(f), rel_tol=1e-12)
-
-    def test_empty_field_costs_nothing(self):
-        f = PolygonalBVField(())
-        assert limit_H_bv(f) == 0.0
-        assert limit_H0(f) == 0.0
+        # the cubic entropy attached to the wall normal pairs a jump to its
+        # cost: |(Phi(chi+_perp) - Phi(chi-_perp)) . nu| = |[chi]|^3 / 6; the
+        # relative tolerance keeps the small-angle cost (~1.7e-10) meaningful
+        s = 1.0 / math.sqrt(2.0)
+        t = math.asin(5e-4)
+        jumps = {
+            "canonical": ((s, s), (s, -s), (0.0, 1.0)),
+            "antipodal": ((1.0, 0.0), (-1.0, 0.0), (1.0, 0.0)),
+            "small-angle": ((math.cos(t), math.sin(t)), (math.cos(t), -math.sin(t)), (0.0, 1.0)),
+        }
+        for name, (a, b, nu) in jumps.items():
+            phi = jin_kohn(nu).phi
+            pair = abs(float((phi(perp(a)) - phi(perp(b))) @ np.asarray(nu)))
+            assert math.isclose(pair, sigma_surface_density(a, b, nu), rel_tol=1e-12), name
 
     def test_antipodal_jump(self):
-        seg = Interface((1.0, 0.0), (-1.0, 0.0), (1.0, 0.0), 2.0)
-        f = PolygonalBVField((seg,))
-        assert math.isclose(limit_H_bv(f), 8.0 / 6.0 * 2.0, rel_tol=1e-15)
-
-    def test_interface_validation(self):
-        s = 1.0 / math.sqrt(2.0)
-        with pytest.raises(DomainError):
-            Interface((s, s), (s, s), (0.0, 1.0), 1.0)  # zero jump
-        with pytest.raises(DomainError):
-            Interface((s, s), (s, -s), (1.0, 0.0), 1.0)  # jump not parallel to nu
-        with pytest.raises(DomainError):
-            Interface((s, s), (s, -s), (0.0, 1.0), 0.0)  # empty segment
-        with pytest.raises(DomainError):
-            Interface((0.5, 0.5), (s, -s), (0.0, 1.0), 1.0)  # non-unit value
+        v = sigma_surface_density((1.0, 0.0), (-1.0, 0.0), (1.0, 0.0))
+        assert math.isclose(v, 8.0 / 6.0, rel_tol=1e-15)
 
 
 class TestSurfaceDensity:
@@ -281,8 +264,7 @@ BAD_JUMPS = {
 @pytest.mark.parametrize("a, b, nu", BAD_JUMPS.values(), ids=BAD_JUMPS.keys())
 def test_every_wall_rejects_a_bad_jump_with_one_message(a, b, nu):
     messages = set()
-    for build in (lambda: Interface(a, b, nu, 1.0), lambda: WallConfig(a, b, nu),
-                  lambda: sigma_surface_density(a, b, nu)):
+    for build in (lambda: WallConfig(a, b, nu), lambda: sigma_surface_density(a, b, nu)):
         with pytest.raises(DomainError) as exc:
             build()
         messages.add(str(exc.value))

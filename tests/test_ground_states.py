@@ -1,4 +1,4 @@
-"""Helical ground states, regime classification, commensurate chiralities."""
+"""Helical ground states and commensurate chiralities."""
 
 import math
 
@@ -12,10 +12,8 @@ from chiralattice import (
     Grid,
     HelixSpec,
     ModelParams,
-    Regime,
     angles,
     chirality,
-    classify_regime,
     commensurate_unit_chirality,
     energy_F,
     ground_state_from_chirality,
@@ -114,16 +112,6 @@ class TestGroundStateFromChirality:
         g = Grid(0.05, 6, 6, Boundary.OPEN)
         with pytest.warns(UserWarning):
             ground_state_from_chirality((1.0, 0.0), p, g)
-
-
-class TestRegimeClassification:
-    def test_boundary_points(self):
-        assert classify_regime(ModelParams(l=0.1, alpha=8.0)) is Regime.BOUNDARY
-        assert classify_regime(ModelParams(l=0.1, alpha=4.0, beta=0.0)) is Regime.BOUNDARY
-
-    def test_sides(self):
-        assert classify_regime(ModelParams(l=0.1, alpha=9.0)) is Regime.FERROMAGNETIC
-        assert classify_regime(ModelParams(l=0.1, alpha=7.92)) is Regime.HELIMAGNETIC
 
 
 class TestCommensurateUnitChirality:

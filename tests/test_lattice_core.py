@@ -23,7 +23,6 @@ from chiralattice import (
     dpartial,
     format_float,
     grad_d,
-    interpolate_I,
     laplace_shifted,
     read_field_csv,
     write_field_csv,
@@ -275,46 +274,6 @@ class TestShiftedLaplacian:
         g = open_grid(2)
         with pytest.raises(DimensionError):
             laplace_shifted(ScalarField(g, np.zeros((2, 2))))
-
-
-class TestInterpolation:
-    def test_constant_field_everywhere(self):
-        g = open_grid(5)
-        vf = VectorField(g, np.full((5, 5, 2), 1.5))
-        for pt in ((0.0, 0.0), (0.3, 0.6), (0.61, 0.2)):
-            assert np.allclose(interpolate_I(vf, pt), (1.5, 1.5), rtol=0, atol=0)
-
-    def test_lattice_points_reproduce_cell_values(self):
-        rng = np.random.default_rng(3)
-        g = open_grid(5)
-        vf = VectorField(g, rng.normal(size=(5, 5, 2)))
-        l = g.spacing
-        assert np.allclose(interpolate_I(vf, (2 * l, 3 * l)), vf.values[2, 3], atol=0)
-
-    def test_linear_field_reproduced_exactly(self):
-        # component k is blended along axis k only, so (x, y) interpolates exactly
-        g = periodic_grid(8)
-        l = g.spacing
-        i, j = index_arrays(g)
-        vf = VectorField(g, np.stack([i * l, j * l], axis=-1))
-        for pt in ((0.31, 0.44), (1.2, 0.05)):
-            x = np.mod(pt, g.nx * l)
-            assert np.allclose(interpolate_I(vf, pt), x, rtol=0, atol=1e-14)
-
-    def test_half_cell_offset_averages_along_one_axis(self):
-        rng = np.random.default_rng(5)
-        g = open_grid(5)
-        vf = VectorField(g, rng.normal(size=(5, 5, 2)))
-        l = g.spacing
-        got = interpolate_I(vf, ((1 + 0.5) * l, 2 * l))
-        assert math.isclose(got[0], 0.5 * (vf.values[1, 2, 0] + vf.values[2, 2, 0]), rel_tol=1e-14)
-        assert got[1] == vf.values[1, 2, 1]
-
-    def test_out_of_range_point_rejected_on_open_grids(self):
-        g = open_grid(4)
-        vf = VectorField(g, np.zeros((4, 4, 2)))
-        with pytest.raises(DomainError):
-            interpolate_I(vf, (-0.1, 0.0))
 
 
 def reference_field_csv(f):

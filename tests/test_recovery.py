@@ -81,6 +81,12 @@ class TestMollifierAndWall:
             with pytest.raises(DomainError, match="unit vector"):
                 WallConfig(*args)
 
+    @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+    def test_wall_config_rejects_a_non_finite_offset(self, offset):
+        s = 1.0 / math.sqrt(2.0)
+        with pytest.raises(DomainError, match="wall offset"):
+            WallConfig((s, s), (s, -s), (0.0, 1.0), offset)
+
     def test_roof_potential_gradient_sides(self):
         w = canonical_wall()
         phi = single_wall_potential(w)

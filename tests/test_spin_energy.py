@@ -27,7 +27,6 @@ from chiralattice import (
     energy_Hn_star,
     helical_field,
     potential_W,
-    q_n,
 )
 from chiralattice.lattice_core import ScalarField, dpartial
 
@@ -325,27 +324,6 @@ class TestScalarPotentialEnergy:
 
 
 class TestWellAlgebra:
-    def test_q_of_zero_is_one(self):
-        assert q_n((0.0, 0.0), ModelParams(l=0.1, alpha=7.92)) == 1.0
-
-    def test_q_squared_equals_well_of_chirality(self):
-        g = Grid(0.05, 12, 12, Boundary.PERIODIC)
-        p = ModelParams(l=0.05, alpha=7.5)
-        u = random_spins(g, 8)
-        ch = chirality(u, p)
-        q = q_n(ch.chi_bar.values, p)
-        w = potential_W(ch.chi.values)
-        assert np.allclose(q * q, w, rtol=1e-12, atol=1e-12)
-
-    def test_q_approaches_the_smooth_well(self):
-        rng = np.random.default_rng(2)
-        p = ModelParams(l=0.01, alpha=7.92)
-        xi = rng.uniform(-1.0, 1.0, size=(200, 2))
-        q = q_n(xi, p)
-        smooth = 1.0 - np.sum(xi * xi, axis=-1)
-        norms4 = np.sum(xi * xi, axis=-1) ** 2
-        assert np.all(np.abs(q - smooth) <= p.delta * norms4 / 10.0 + 1e-15)
-
     def test_reverse_triangle_gap_bound(self):
         # |sqrt(Wd) - sqrt(W)| is bounded by the discrete-gradient cross terms
         g = Grid(0.05, 12, 12, Boundary.PERIODIC)
