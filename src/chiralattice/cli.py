@@ -291,7 +291,7 @@ def _run_diagnose(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
     except DomainError as exc:
         raise ConfigError(f"{q['field']}: {exc}") from None
     ch = chirality(u, p)
-    hn, hs, ratio = hn_vs_hnstar(u, p, ch.chi.valid.shrink(2))
+    hn, hs, ratio = hn_vs_hnstar(u, p)
     large = count_large_angle_cells(u, q["t"])
     report = {
         "large_angle_cells": large,
@@ -427,22 +427,29 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 
 def _apply_config_file(path: str, command: str, subparser: argparse.ArgumentParser) -> None:
-    ini = configparser.ConfigParser()
-    if not ini.read(path):
-        raise ConfigError(f"config file {path!r} not found or unreadable")
+    """The ``[command]`` section as subcommand defaults: each key names a flag
+    (``delta-exponent`` or ``delta_exponent``), whose type and choices check it."""
+    ini = configparser.ConfigParser(interpolation=None)
+    try:
+        if not ini.read(path):
+            raise ConfigError(f"config file {path!r} not found or unreadable")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path!r}: {exc}") from None
     if not ini.has_section(command):
         return
     defaults = {}
     for key, raw in ini.items(command):
-        key = key.replace("-", "_")
+        flag = "--" + key.replace("_", "-")
+        action = subparser._option_string_actions.get(flag)
+        if action is None or action.nargs == 0:
+            raise ConfigError(f"config file {path!r}: [{command}] has no flag {flag}")
         try:
-            value: object = int(raw)
+            value = raw if action.type is None else action.type(raw)
         except ValueError:
-            try:
-                value = float(raw)
-            except ValueError:
-                value = raw
-        defaults[key] = value
+            raise ConfigError(f"config file {path!r}: invalid {key} value {raw!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ConfigError(f"config file {path!r}: {key} must be one of {action.choices}")
+        defaults[action.dest] = value
     subparser.set_defaults(**defaults)
 
 

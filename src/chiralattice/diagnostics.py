@@ -42,45 +42,41 @@ def count_large_angle_cells(u: SpinField, t: float) -> int:
     return int(np.count_nonzero(big))
 
 
-def curl_l1(chi_bar: VectorField, region: Rect | None = None) -> float:
+def curl_l1(chi_bar: VectorField) -> float:
     """Lattice L1 norm of the discrete curl: ``l^2 sum |curl_d chi_bar|``."""
     c = curl_d(chi_bar)
-    rect = c.valid if region is None else c.valid.intersect(region)
-    if rect.empty:
-        raise DomainError("empty region for the curl norm")
-    return chi_bar.grid.spacing**2 * cell_sum(np.abs(c.values), rect)
+    if c.valid.empty:
+        raise DomainError("empty valid set for the curl norm")
+    return chi_bar.grid.spacing**2 * cell_sum(np.abs(c.values), c.valid)
 
 
-def lp_norm(chi: VectorField, p: int, region: Rect | None = None) -> float:
+def lp_norm(chi: VectorField, p: int) -> float:
     """Lattice Lp norm of |chi| for p in {2, 4, 6}."""
     if p not in (2, 4, 6):
         raise DomainError(f"p must be one of 2, 4, 6, got {p}")
-    rect = chi.valid if region is None else chi.valid.intersect(region)
-    if rect.empty:
-        raise DomainError("empty region for the Lp norm")
+    if chi.valid.empty:
+        raise DomainError("empty valid set for the Lp norm")
     mag_sq = np.sum(chi.values**2, axis=-1)
-    total = chi.grid.spacing**2 * cell_sum(mag_sq ** (p / 2.0), rect)
+    total = chi.grid.spacing**2 * cell_sum(mag_sq ** (p / 2.0), chi.valid)
     return total ** (1.0 / p)
 
 
-def hn_vs_hnstar(
-    u: SpinField, p: ModelParams, inner_region: Rect
-) -> tuple[EnergyRecord, EnergyRecord, float]:
-    """Both transition energies over an inner region, plus their ratio.
+def hn_vs_hnstar(u: SpinField, p: ModelParams) -> tuple[EnergyRecord, EnergyRecord, float]:
+    """Both transition energies over the chirality rect shrunk by two cells,
+    plus their ratio.
 
-    The region must keep a margin of at least two cells to the valid set so
-    both stencil families are defined on it; the ratio is reported as NaN when
-    the shifted-stencil energy vanishes.
+    The two-cell margin keeps both stencil families defined on every summed
+    cell; the ratio is reported as NaN when the shifted-stencil energy
+    vanishes.
     """
+    v = u.valid
     if not u.grid.periodic:
-        # the cells where both neighbour angles exist (energy_Hn raises if none)
-        v = u.valid
+        # the cells where both neighbour angles exist, without an angles pass
         ahead = Rect(v.i0 - 1, v.i1 - 1, v.j0 - 1, v.j1 - 1)
-        base = v.intersect(ahead).intersect(u.grid.full_rect)
-        if not base.empty and base.shrink(2).intersect(inner_region) != inner_region:
-            raise DomainError("inner region must keep a margin of >= 2 cells")
-    hn = energy_Hn(u, p, inner_region)
-    hs = energy_Hn_star(u, p, inner_region)
+        v = v.intersect(ahead).intersect(u.grid.full_rect)
+    inner = v.shrink(2)
+    hn = energy_Hn(u, p, inner)
+    hs = energy_Hn_star(u, p, inner)
     ratio = hs.total / hn.total if hn.total != 0.0 else math.nan
     return hn, hs, ratio
 

@@ -82,25 +82,22 @@ def quartic_bump(radius: float = 1.0) -> Mollifier:
 
 @dataclass(frozen=True)
 class WallConfig:
-    """A single straight wall: one-sided chiralities, normal, offset, box.
+    """A single straight wall in the unit square: one-sided chiralities,
+    normal, offset.
 
     ``chi_plus`` is the value on the side ``x . nu > wall_offset``; the jump
-    must be parallel to ``nu``.  ``domain`` is ``(x0, y0, x1, y1)``.
+    must be parallel to ``nu``.
     """
 
     chi_plus: tuple[float, float]
     chi_minus: tuple[float, float]
     nu: tuple[float, float] = (0.0, 1.0)
     wall_offset: float = 0.5
-    domain: tuple[float, float, float, float] = (0.0, 0.0, 1.0, 1.0)
 
     def __post_init__(self):
         _jump_size(self.chi_plus, self.chi_minus, self.nu)
         if not math.isfinite(self.wall_offset):
             raise DomainError(f"wall offset must be finite, got {self.wall_offset!r}")
-        x0, y0, x1, y1 = self.domain
-        if not (x1 > x0 and y1 > y0):
-            raise DomainError("empty wall domain")
 
     @property
     def tangential(self) -> float:
@@ -302,7 +299,7 @@ def spin_from_potential(phi_n: ScalarField, p: ModelParams) -> SpinField:
     return SpinField._adopt(phi_n.grid, _spins((sqd / p.l) * phi_n.values), phi_n.valid)
 
 
-def laplacian_AG_energy(phi_n: ScalarField, p: ModelParams, region: Rect | None = None) -> EnergyRecord:
+def laplacian_AG_energy(phi_n: ScalarField, p: ModelParams) -> EnergyRecord:
     """Discrete Aviles-Giga energy with the shifted 5-point Laplacian:
     ``(1/2) int (1/eps) W(D_d phi) + eps |Delta_s phi|^2``.
 
@@ -314,10 +311,8 @@ def laplacian_AG_energy(phi_n: ScalarField, p: ModelParams, region: Rect | None 
     d = grad_d(phi_n)
     lap = laplace_shifted(phi_n)
     rect = d.valid.intersect(lap.valid)
-    if region is not None:
-        rect = rect.intersect(region)
     if rect.empty:
-        raise DomainError("empty region for the Laplacian energy")
+        raise DomainError("empty valid set for the Laplacian energy")
     return _record(p, potential_W(d.values), lap.values**2, rect)
 
 
@@ -396,7 +391,7 @@ def gamma_limsup_experiment(
     """Wall-energy convergence table along a scaling schedule.
 
     For each level: build the mollified-roof spin field on an open grid over
-    ``cfg.domain``, and report the transition energy, the scalar-potential
+    the unit square, and report the transition energy, the scalar-potential
     Laplacian energy, their relative gap, and the sharp limit cost for the
     wall length actually covered by the summed cells.
 
@@ -405,9 +400,8 @@ def gamma_limsup_experiment(
     """
     if m is None:
         m = quartic_bump(DEFAULT_KERNEL_RADIUS)
-    x0, y0, x1, y1 = cfg.domain
-    # farthest reach of the domain on each side of the wall, over all corners
-    reach = np.array([[x0, y0], [x1, y0], [x0, y1], [x1, y1]]) @ np.asarray(cfg.nu)
+    # farthest reach of the unit square on each side of the wall, over all corners
+    reach = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]) @ np.asarray(cfg.nu)
     lo_gap = cfg.wall_offset - reach.min()
     hi_gap = reach.max() - cfg.wall_offset
     grids = []
@@ -416,20 +410,20 @@ def gamma_limsup_experiment(
         if min(lo_gap, hi_gap) <= layer:
             raise ConfigError(
                 f"mollified layer of width {layer:.4g} does not fit between the "
-                "wall and the domain boundary",
+                "wall and the edge of the unit square",
             )
-        sx, sy = (x1 - x0) / p.l, (y1 - y0) / p.l
-        if not sx * sy <= MAX_GRID_CELLS:
-            raise ConfigError(f"level {n} needs about {sx * sy:.3g} cells, over {MAX_GRID_CELLS}")
-        nx, ny = int(round(sx)) + 2, int(round(sy)) + 2
-        if min(nx, ny) < 3:
-            raise ConfigError(f"level {n} has a {nx}x{ny} grid; the energies need 3x3")
-        grids.append(Grid(p.l, nx, ny, Boundary.OPEN))
+        side = 1.0 / p.l
+        if not side * side <= MAX_GRID_CELLS:
+            raise ConfigError(f"level {n} needs about {side * side:.3g} cells, over {MAX_GRID_CELLS}")
+        size = int(round(side)) + 2
+        if size < 3:
+            raise ConfigError(f"level {n} has a {size}x{size} grid; the energies need 3x3")
+        grids.append(Grid(p.l, size, size, Boundary.OPEN))
     rows: list[dict] = []
     sigma = sigma_surface_density(cfg.chi_plus, cfg.chi_minus, cfg.nu)
     for n, (p, grid) in enumerate(zip(schedule.entries, grids)):
         l, nx, ny = p.l, grid.nx, grid.ny
-        origin = (x0 - l, y0 - l)
+        origin = (-l, -l)
         phi_eps = mollified_wall_potential(cfg, p.eps, m)
         phi_n = discretize_potential(phi_eps, grid, origin)
         u = spin_from_potential(phi_n, p)

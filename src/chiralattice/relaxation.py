@@ -90,7 +90,7 @@ def _lift_gradient(u: NDArray, p: ModelParams, grid: Grid, frozen: NDArray | Non
     return grad
 
 
-def f_gradient(psi: ScalarField, p: ModelParams, frozen: NDArray | None = None) -> ScalarField:
+def f_gradient(psi: ScalarField, p: ModelParams) -> ScalarField:
     """Analytic gradient of the beta = 2 energy with respect to the lift.
 
     Each site enters its own residual with weight ``-alpha/2`` and the four
@@ -99,7 +99,7 @@ def f_gradient(psi: ScalarField, p: ModelParams, frozen: NDArray | None = None) 
     """
     p.require_transition_regime()
     g = psi.grid
-    return ScalarField._adopt(g, _lift_gradient(_spins(psi.values), p, g, frozen), g.full_rect)
+    return ScalarField._adopt(g, _lift_gradient(_spins(psi.values), p, g, None), g.full_rect)
 
 
 def _dot(a: NDArray, b: NDArray) -> float:
@@ -135,6 +135,8 @@ def _roof_lift(b: FixedAngles, p: ModelParams, grid: Grid) -> tuple[NDArray, NDA
     the centre: without this the minimizer slips out through the free rows in
     a fan-like sweep whose energy undercuts the wall.
     """
+    if grid.periodic:  # the two frozen outer columns would be neighbours
+        raise DomainError("fixed-angle walls need an open grid")
     th_l, tv_l = _helix_angles(b.chi_left, p)
     th_r, tv_r = _helix_angles(b.chi_right, p)
     i = np.arange(grid.nx)[:, None]
@@ -161,8 +163,6 @@ def wall_start(b: FixedAngles, p: ModelParams, grid: Grid) -> SpinField:
     its lift differs from the frozen rows by more than a half turn, which
     seeds a row of vortices that descent cannot remove.
     """
-    if grid.periodic:
-        raise DomainError("fixed-angle walls need an open grid")
     lift, _ = _roof_lift(b, p, grid)
     return SpinField._adopt(grid, _spins(lift), grid.full_rect)
 
@@ -180,8 +180,8 @@ def relax(u0: SpinField, p: ModelParams, cfg: RelaxConfig) -> tuple[SpinField, N
     ``-grad``, and the stored pairs are dropped.  A line search that finds no
     decrease raises ``OptimizationError``.
 
-    With ``FixedAngles`` boundary the outer columns are reset to the
-    prescribed ground-state lifts and never move.
+    With ``FixedAngles`` boundary (open grids only) the outer columns are
+    reset to the prescribed ground-state lifts and never move.
     """
     p.require_transition_regime()
     g = u0.grid

@@ -186,13 +186,10 @@ def _resolve_region(rect: Rect, region: Rect | None) -> Rect:
     return rect
 
 
-def energy_E(u: SpinField, p: ModelParams, region: Rect | None = None) -> float:
+def energy_E(u: SpinField, p: ModelParams) -> float:
     """Three-coupling lattice energy: nearest (-alpha), diagonal (+beta),
     and third-neighbour (+1) pair terms, each weighted by l^2."""
     dots, rect = _pair_dots(u, ((1, 0), (0, 1), (1, 1), (-1, 1), (2, 0), (0, 2)))
-    if region is None and rect.empty:
-        return 0.0  # grid too small for any full stencil: nothing to sum
-    rect = _resolve_region(rect, region)
     per_cell = (
         -p.alpha * (dots[0] + dots[1])
         + p.beta * (dots[2] + dots[3])
@@ -231,7 +228,7 @@ def _sq_norm(r: NDArray) -> NDArray:
     return r1 * r1 + r2 * r2
 
 
-def energy_F(u: SpinField, p: ModelParams, region: Rect | None = None) -> float:
+def energy_F(u: SpinField, p: ModelParams) -> float:
     """Nonnegative bulk form of the lattice energy (squared stencil residuals).
 
     Both residual sums run over the common index set where the full 5-point
@@ -239,9 +236,6 @@ def energy_F(u: SpinField, p: ModelParams, region: Rect | None = None) -> float:
     cell by cell also on open grids.
     """
     rh, rv, rect = _f_residuals(u.values, p, u.grid, u.valid)
-    if region is None and rect.empty:
-        return 0.0
-    rect = _resolve_region(rect, region)
     combined = _sq_norm(rh + rv)
     split = _sq_norm(rh) + _sq_norm(rv)
     per_cell = (p.beta / 4.0) * combined + ((2.0 - p.beta) / 4.0) * split
@@ -325,7 +319,7 @@ def potential_W(xi: NDArray) -> NDArray:
 
 
 def _well_and_jacobian(
-    p: ModelParams, w: NDArray, comps, rect: Rect, region: Rect | None
+    p: ModelParams, w: NDArray, comps, rect: Rect, region: Rect | None = None
 ) -> EnergyRecord:
     """Energy of the well density ``w`` and the squared full forward-difference
     matrix of ``comps``, over the part of ``rect`` where all of it exists."""
@@ -347,11 +341,11 @@ def energy_Hn_star(u: SpinField, p: ModelParams, region: Rect | None = None) -> 
     return _well_and_jacobian(p, potential_W(ch.chi.values), comps, ch.chi.valid, region)
 
 
-def energy_AGd(phi: ScalarField, p: ModelParams, region: Rect | None = None) -> EnergyRecord:
+def energy_AGd(phi: ScalarField, p: ModelParams) -> EnergyRecord:
     """Discrete Aviles-Giga energy of a scalar potential: well of the discrete
     gradient plus the full second forward-difference matrix."""
     p.require_transition_regime()
     d1 = dpartial(phi, 1)
     d2 = dpartial(phi, 2)
     w = (1.0 - d1.values**2 - d2.values**2) ** 2
-    return _well_and_jacobian(p, w, (d1, d2), d1.valid.intersect(d2.valid), region)
+    return _well_and_jacobian(p, w, (d1, d2), d1.valid.intersect(d2.valid))

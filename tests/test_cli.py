@@ -293,6 +293,28 @@ def test_bad_flags_are_config_errors_before_any_numerics(argv, tmp_path, capsys,
     assert json.loads(lines[0])["error"] in ("CONFIG_INVALID", "SCALING_VIOLATION")
 
 
+@pytest.mark.parametrize("command, text", [
+    ("gamma-table", "[gamma-table]\nlevles = 3\n"),  # not a flag
+    ("ground-state", "[ground-state]\nboundary = sideways\n"),  # not a choice
+    ("ground-state", "[ground-state]\nnx = 8.5\n"),  # not an int
+    ("gamma-table", "[gamma-table]\nlevels = 1.0\n"),
+    ("relax", "nx = 8\n"),  # no section header
+    ("relax", "[relax]\nnx = 8\n[relax]\nny = 8\n"),  # repeated section
+    ("relax", "[relax]\nchi_left = 50%\n"),  # read as it is: not a vector
+    ("relax", b"[relax]\nnx = 8\xff\n"),  # not UTF-8
+], ids=["unknown-key", "bad-choice", "float-for-int", "float-for-levels", "no-section",
+        "repeated-section", "percent", "undecodable"])
+def test_bad_config_files_are_config_errors(command, text, tmp_path, capsys):
+    ini = tmp_path / "bad.ini"
+    ini.write_bytes(text if isinstance(text, bytes) else text.encode())
+    out = tmp_path / "out"
+    assert main(["--config", str(ini), "--out-dir", str(out), command]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "CONFIG_INVALID"
+    assert not (out / f"{command.replace('-', '_')}_manifest.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     # l is about 6e-6: the one level would need about 2.5e10 cells
     ["gamma-table", "--eps0", "1e-4", "--levels", "1"],
@@ -356,15 +378,16 @@ def _draw_argv(data, command, flags):
 _EXPECTED_WARNING = "arcsin boundary"
 
 
-def _exit_code(argv):
+def _exit_code(argv, pre=()):
     """Exit status of one run: 0 with nothing on stderr, or 1/2 with exactly
     one JSON error line.  Warnings are errors here: none may escape, and the
-    manifest of a successful run may name none but the expected one."""
+    manifest of a successful run may name none but the expected one.
+    ``argv`` starts with the subcommand; ``pre`` are options before it."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["--out-dir", out] + argv)
+            code = main(["--out-dir", out, *pre] + argv)
         if code == 0:
             fired = read_manifest(out, argv[0])["derived"].get("warnings", [])
             assert all(_EXPECTED_WARNING in w for w in fired), fired
@@ -416,6 +439,23 @@ GAMMA_TABLE_FLAGS = {
 @given(data=st.data())
 def test_gamma_table_numeric_flags_end_in_success_or_a_config_error(data):
     assert _exit_code(_draw_argv(data, "gamma-table", GAMMA_TABLE_FLAGS)) in (0, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_config_file_values_end_as_the_same_flags_do(data):
+    # the fuzzers' flag values, written as a config file section instead
+    command, flags = data.draw(st.sampled_from(
+        [("relax", RELAX_FLAGS), ("gamma-table", GAMMA_TABLE_FLAGS)]))
+    argv = _draw_argv(data, command, flags)
+    lines = [f"[{command}]"] + [arg[2:].replace("=", " = ", 1) for arg in argv[1:]]
+    with tempfile.TemporaryDirectory() as tmp:
+        ini = os.path.join(tmp, "fuzz.ini")
+        with open(ini, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        code = _exit_code([command], pre=["--config", ini])
+    assert code in ((0, 1, 2) if command == "relax" else (0, 2))
+    assert code == _exit_code(argv)
 
 
 # wild grid sizes: below every subcommand's minimum, or so large that any

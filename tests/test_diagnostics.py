@@ -19,6 +19,8 @@ from chiralattice import (
     count_large_angle_cells,
     curl_l1,
     curl_quantization_residual,
+    energy_Hn,
+    energy_Hn_star,
     grad_d,
     helical_field,
     hn_vs_hnstar,
@@ -82,14 +84,6 @@ class TestCurlNorms:
         expected = 2.0 * math.pi * l / math.sqrt(delta)
         assert abs(curl_l1(ch.chi_bar) - expected) <= 1e-9
 
-    def test_empty_region_rejected(self):
-        g = Grid(0.1, 6, 6, Boundary.OPEN)
-        v = VectorField(g, np.zeros((6, 6, 2)))
-        from chiralattice import Rect
-
-        with pytest.raises(DomainError):
-            curl_l1(v, region=Rect(0, 0, 0, 0))
-
 
 class TestLpNorms:
     def test_unit_area_constant_field(self):
@@ -123,17 +117,9 @@ class TestEnergyComparison:
         vals[..., 0] = 1.0
         u = SpinField(g, vals)
         p = ModelParams(l=0.05, alpha=7.84)
-        ch = chirality(u, p)
-        hn, hs, ratio = hn_vs_hnstar(u, p, ch.chi.valid.shrink(2))
+        hn, hs, ratio = hn_vs_hnstar(u, p)
         assert hn.total > 0.0
         assert ratio == 1.0
-
-    def test_margin_enforced_on_open_grids(self):
-        g = Grid(0.05, 16, 16, Boundary.OPEN)
-        u = random_spins(g, 2)
-        p = ModelParams(l=0.05, alpha=7.5)
-        with pytest.raises(DomainError):
-            hn_vs_hnstar(u, p, g.full_rect)
 
     def test_margin_follows_a_partial_valid_rect_without_an_angles_pass(self, monkeypatch):
         g = Grid(0.05, 16, 16, Boundary.OPEN)
@@ -145,15 +131,25 @@ class TestEnergyComparison:
         assert inner == Rect(3, 12, 4, 13)
 
         def no_angles(*args):
-            raise AssertionError("the margin check ran an angles pass")
+            raise AssertionError("hn_vs_hnstar ran an angles pass of its own")
 
         monkeypatch.setattr(diagnostics, "angles", no_angles)
-        hn, hs, _ = hn_vs_hnstar(u, p, inner)
+        hn, hs, _ = hn_vs_hnstar(u, p)
         assert hn.total > 0.0 and hs.total > 0.0
-        for grown in (Rect(2, 12, 4, 13), Rect(3, 13, 4, 13), Rect(3, 12, 3, 13),
-                      Rect(3, 12, 4, 14)):
-            with pytest.raises(DomainError, match="margin"):
-                hn_vs_hnstar(u, p, grown)
+
+    @pytest.mark.parametrize("grid, valid", [
+        (Grid(0.05, 16, 16, Boundary.OPEN), None),
+        (Grid(0.05, 16, 16, Boundary.OPEN), Rect(1, 15, 2, 16)),
+        (Grid(0.05, 12, 12, Boundary.PERIODIC), None),
+    ], ids=["open-full", "open-partial", "periodic"])
+    def test_sums_over_the_chirality_rect_shrunk_by_two(self, grid, valid):
+        u = SpinField(grid, random_spins(grid, 4).values, valid)
+        p = ModelParams(l=0.05, alpha=7.5)
+        inner = chirality(u, p).chi.valid.shrink(2)
+        hn, hs, ratio = hn_vs_hnstar(u, p)
+        assert hn == energy_Hn(u, p, inner)
+        assert hs == energy_Hn_star(u, p, inner)
+        assert ratio == hs.total / hn.total
 
 
 class TestCurlQuantization:

@@ -277,15 +277,6 @@ class TestOptimalProfile:
         v = modica_mortola_profile_energy(d)
         assert abs(v - d**3 / 6.0) <= 1e-6
 
-    def test_quadrature_is_converged(self):
-        a = modica_mortola_profile_energy(math.sqrt(2.0), n_quad=4096)
-        b = modica_mortola_profile_energy(math.sqrt(2.0), n_quad=8192)
-        assert abs(a - b) <= 1e-9
-
     def test_rejects_degenerate_arguments(self):
         with pytest.raises(DomainError):
             modica_mortola_profile_energy(0.0)
-        with pytest.raises(DomainError):
-            modica_mortola_profile_energy(1.0, n_quad=16)
-        with pytest.raises(DomainError):
-            modica_mortola_profile_energy(1.0, half_width=6.0)

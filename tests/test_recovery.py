@@ -71,8 +71,6 @@ class TestMollifierAndWall:
             WallConfig((s, s), (s, s))  # no jump
         with pytest.raises(DomainError):
             WallConfig((s, s), (-s, s), (0.0, 1.0))  # jump not parallel to nu
-        with pytest.raises(DomainError):
-            WallConfig((s, s), (s, -s), (0.0, 1.0), 0.5, (0.0, 0.0, 0.0, 1.0))
 
     def test_wall_config_rejects_a_nan_vector(self):
         s = 1.0 / math.sqrt(2.0)

@@ -89,17 +89,6 @@ class TestGradient:
         grad = f_gradient(ScalarField(g, theta * i), p).values
         assert np.max(np.abs(grad)) <= 1e-10
 
-    def test_frozen_mask_zeroes_entries(self):
-        rng = np.random.default_rng(15)
-        g = Grid(0.05, 6, 6, Boundary.PERIODIC)
-        p = ModelParams(l=0.05, alpha=7.5)
-        psi = ScalarField(g, rng.normal(size=(6, 6)))
-        frozen = np.zeros((6, 6), dtype=bool)
-        frozen[0, :] = True
-        grad = f_gradient(psi, p, frozen=frozen).values
-        assert np.all(grad[0, :] == 0.0)
-        assert np.any(grad[1:, :] != 0.0)
-
 
 class TestRelax:
     def test_ground_state_is_a_fixed_point(self):
@@ -153,7 +142,7 @@ class TestRelax:
             assert (grad_max <= cfg.tol_grad) is converged
             assert (len(trace) - 1 < max_iters) is converged
             psi = ScalarField(g, np.arctan2(u.values[..., 1], u.values[..., 0]))
-            grad = f_gradient(psi, p, frozen).values
+            grad = np.where(frozen, 0.0, f_gradient(psi, p).values)
             assert grad_max == pytest.approx(np.max(np.abs(grad)), rel=1e-6)
 
     def test_global_phase_gauge_invariance(self):
@@ -225,6 +214,36 @@ class TestWallBoundary:
         g = Grid(p.l, 12, 12, Boundary.PERIODIC)
         with pytest.raises(DomainError):
             wall_start(FixedAngles((-S, S), (S, S)), p, g)
+
+    def test_relax_refuses_fixed_angles_on_a_periodic_grid(self):
+        # across the wrap the two frozen outer columns would be neighbours
+        p = ModelParams(l=0.05, alpha=8.0 - 8.0 * math.sin(math.pi / 12.0) ** 2)
+        g = Grid(0.05, 12, 12, Boundary.PERIODIC)
+        u0 = helical_field(HelixSpec(0.0, 2.0 * math.pi / 12.0, 0.0), g)
+        cfg = RelaxConfig(max_iters=50, boundary=FixedAngles((-S, S), (S, S)))
+        with pytest.raises(DomainError, match="open grid"):
+            relax(u0, p, cfg)
+
+    # frozen rows too when the two chiralities share their vertical component
+    @pytest.mark.parametrize("chi_left, chi_right, rows", [
+        ((-S, S), (S, S), True),
+        ((0.6, 0.8), (0.8, -0.6), False),
+    ], ids=["rows-too", "columns-only"])
+    def test_frozen_cells_keep_the_wall_start_spins(self, chi_left, chi_right, rows):
+        # the two-loop direction is zero wherever the gradient is, so the
+        # frozen lift never moves and its spins keep their bits
+        p = wall_params()
+        g = Grid(p.l, 16, 16, Boundary.OPEN)
+        b = FixedAngles(chi_left, chi_right)
+        frozen = np.zeros((16, 16), dtype=bool)
+        frozen[[0, -1], :] = True
+        if rows:
+            frozen[:, [0, -1]] = True
+        u0 = wall_start(b, p, g)
+        u, trace, _ = relax(u0, p, RelaxConfig(max_iters=300, boundary=b))
+        assert len(trace) > 1
+        assert u.values[frozen].tobytes() == u0.values[frozen].tobytes()
+        assert not np.array_equal(u.values[~frozen], u0.values[~frozen])
 
     def test_wall_start_needs_the_transition_regime(self):
         # alpha = 9 gives delta < 0, whose square root the helix angles need

@@ -8,7 +8,6 @@ import pytest
 from chiralattice import (
     Ad,
     Boundary,
-    DimensionError,
     DomainError,
     Grid,
     HelixSpec,
@@ -166,12 +165,6 @@ class TestEnergyE:
         g = Grid(0.1, 2, 2, Boundary.OPEN)
         u = constant_spins(g)
         assert energy_E(u, ModelParams(l=0.1, alpha=3.0)) == 0.0
-
-    def test_explicit_empty_region_is_an_error(self):
-        g = Grid(0.1, 8, 8, Boundary.PERIODIC)
-        u = constant_spins(g)
-        with pytest.raises(DimensionError):
-            energy_E(u, ModelParams(l=0.1, alpha=3.0), region=Rect(2, 2, 0, 8))
 
 
 class TestEnergyF:
