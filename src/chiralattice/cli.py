@@ -428,7 +428,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 def _apply_config_file(path: str, command: str, subparser: argparse.ArgumentParser) -> None:
     """The ``[command]`` section as subcommand defaults: each key names a flag
-    (``delta-exponent`` or ``delta_exponent``), whose type and choices check it."""
+    (``delta-exponent`` or ``delta_exponent``), whose type and choices check
+    it, and a required flag the file gives is no longer required."""
     ini = configparser.ConfigParser(interpolation=None)
     try:
         if not ini.read(path):
@@ -450,6 +451,7 @@ def _apply_config_file(path: str, command: str, subparser: argparse.ArgumentPars
         if action.choices is not None and value not in action.choices:
             raise ConfigError(f"config file {path!r}: {key} must be one of {action.choices}")
         defaults[action.dest] = value
+        action.required = False
     subparser.set_defaults(**defaults)
 
 
@@ -457,8 +459,14 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = _build_parser()
     try:
-        # pre-scan for --config so file values become subcommand defaults
+        # pre-scan for --config so file values become subcommand defaults;
+        # no flag is required yet, since the file may give it
+        required = [a for sp in subparsers.values() for a in sp._actions if a.required]
+        for action in required:
+            action.required = False
         pre, _ = parser.parse_known_args(argv)
+        for action in required:
+            action.required = True
         if pre.config and pre.command:
             _apply_config_file(pre.config, pre.command, subparsers[pre.command])
         args = vars(parser.parse_args(argv))

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .lattice_core import Rect, VectorField, cell_sum, curl_d
+from .lattice_core import VectorField, _reach, cell_sum, curl_d
 from .spin_energy import (
     EnergyRecord,
     ModelParams,
@@ -45,8 +45,6 @@ def count_large_angle_cells(u: SpinField, t: float) -> int:
 def curl_l1(chi_bar: VectorField) -> float:
     """Lattice L1 norm of the discrete curl: ``l^2 sum |curl_d chi_bar|``."""
     c = curl_d(chi_bar)
-    if c.valid.empty:
-        raise DomainError("empty valid set for the curl norm")
     return chi_bar.grid.spacing**2 * cell_sum(np.abs(c.values), c.valid)
 
 
@@ -69,12 +67,8 @@ def hn_vs_hnstar(u: SpinField, p: ModelParams) -> tuple[EnergyRecord, EnergyReco
     cell; the ratio is reported as NaN when the shifted-stencil energy
     vanishes.
     """
-    v = u.valid
-    if not u.grid.periodic:
-        # the cells where both neighbour angles exist, without an angles pass
-        ahead = Rect(v.i0 - 1, v.i1 - 1, v.j0 - 1, v.j1 - 1)
-        v = v.intersect(ahead).intersect(u.grid.full_rect)
-    inner = v.shrink(2)
+    # the cells where both neighbour angles exist, without an angles pass
+    inner = _reach(u, ((1, 0), (0, 1))).shrink(2)
     hn = energy_Hn(u, p, inner)
     hs = energy_Hn_star(u, p, inner)
     ratio = hs.total / hn.total if hn.total != 0.0 else math.nan

@@ -5,14 +5,15 @@ lattice with spacing ``l``; the value at index ``(i, j)`` represents the cell
 ``[l*i, l*(i+1)) x [l*j, l*(j+1))`` (half-open convention).  All forward
 difference operators are of the form ``(v[(i,j)+e_k] - v[i,j]) / l``.
 
-Under the open boundary mode an operator needing out-of-range neighbours is
-undefined there; every field therefore carries the half-open index rectangle
-on which its values are meaningful.  Under the periodic boundary mode indices
-wrap and the valid rectangle is always the full grid.  The field constructor
-alone enforces the invariant: a field's values are finite, exact zeros outside
-its rectangle, and write-locked.  Public constructors copy the caller's array
-and check it; internal operators hand over the fresh array they computed,
-which is checked for finiteness all the same.
+Every field carries the half-open index rectangle on which its values are
+meaningful; on a periodic grid, where indices wrap, it is the whole grid.  A
+stencil reads the values at ``(i+di, j+dj)`` as views of one wrapped copy of
+the field and is valid where every lookup lands in the field's rectangle.
+The field constructor alone enforces the invariant: a field's values are
+finite, exact zeros outside its rectangle (the whole grid if periodic), and
+write-locked.  Public constructors copy the caller's array and check it;
+internal operators hand over the fresh array they computed, which is checked
+for finiteness all the same.
 
 All cell reductions go through :func:`cell_sum`.  It extracts the cells'
 values error-free into a few exact partials in numpy and rounds their sum
@@ -142,19 +143,6 @@ def _zero_outside(values: NDArray, rect: Rect) -> None:
     values[:, : cols.start] = values[:, cols.stop :] = 0.0
 
 
-def _shifted(values: NDArray, di: int, dj: int) -> NDArray:
-    """``values[(i + di) % nx, (j + dj) % ny]`` as an array indexed by
-    ``(i, j)``: one new array filled by four slice copies."""
-    nx, ny = values.shape[:2]
-    di %= nx
-    dj %= ny
-    out = np.empty_like(values)
-    for dst_i, src_i in ((slice(0, nx - di), slice(di, nx)), (slice(nx - di, nx), slice(0, di))):
-        for dst_j, src_j in ((slice(0, ny - dj), slice(dj, ny)), (slice(ny - dj, ny), slice(0, dj))):
-            out[dst_i, dst_j] = values[src_i, src_j]
-    return out
-
-
 @dataclass(eq=False)
 class ScalarField:
     grid: Grid
@@ -184,32 +172,17 @@ class ScalarField:
             raise DimensionError(
                 f"field values have shape {self.values.shape}, expected {shape}"
             )
+        if self.grid.periodic and self.valid != self.grid.full_rect:
+            raise DimensionError(f"a periodic field is valid on the whole grid, got {self.valid}")
         _zero_outside(self.values, self.valid)
         if not np.all(np.isfinite(self.values)):
             raise DomainError("field values must be finite")
         self.values.setflags(write=False)
 
-    def sample(self, di: int, dj: int) -> tuple[NDArray, Rect]:
-        """Values at ``(i+di, j+dj)`` as an array indexed by ``(i, j)``.
-
-        Returns the shifted array and the rectangle where the lookup is valid.
-        """
-        g = self.grid
-        shifted = _shifted(self.values, di, dj)
-        if g.periodic:
-            return shifted, self.valid
-        rect = Rect(self.valid.i0 - di, self.valid.i1 - di,
-                    self.valid.j0 - dj, self.valid.j1 - dj).intersect(g.full_rect)
-        return shifted, rect
-
 
 @dataclass(eq=False)
 class VectorField(ScalarField):
     _vdim = 2
-
-    def component(self, k: int) -> ScalarField:
-        """Component k in {1, 2} as a scalar field on the same grid."""
-        return ScalarField._adopt(self.grid, self.values[..., k - 1].copy(), self.valid)
 
 
 def cell_sum(values: NDArray, rect: Rect) -> float:
@@ -286,39 +259,63 @@ def _exact_parts(block: NDArray) -> list[float] | None:
     return parts
 
 
+def _reach(f: ScalarField, offsets) -> Rect:
+    """The part of ``f.valid`` where every lookup ``(i + di, j + dj)`` of
+    ``offsets`` lands in ``f.valid``; on a periodic grid, where indices wrap,
+    all of ``f.valid``."""
+    if f.grid.periodic:
+        return f.valid
+    v = f.valid.intersect(f.grid.full_rect)
+    rect = v
+    for di, dj in offsets:
+        rect = rect.intersect(Rect(v.i0 - di, v.i1 - di, v.j0 - dj, v.j1 - dj))
+    return rect
+
+
+def _neighbours(f: ScalarField, *offsets: tuple[int, int]) -> tuple[list[NDArray], Rect]:
+    """Per offset, a view indexed by ``(i, j)`` of the values at
+    ``(i + di, j + dj)`` with wrapped indices, and ``_reach(f, offsets)``.
+
+    The views share one copy of the values, wrapped around by the largest
+    offset.  An empty reach is a :class:`DimensionError`.
+    """
+    rect = _reach(f, offsets)
+    if rect.empty:
+        raise DimensionError(f"empty valid set for the stencil {offsets}")
+    h = max(max(abs(di), abs(dj)) for di, dj in offsets)
+    pad = ((h, h), (h, h)) + ((0, 0),) * (f.values.ndim - 2)
+    wrapped = np.pad(f.values, pad, mode="wrap")
+    nx, ny = f.grid.nx, f.grid.ny
+    return [wrapped[h + di : h + di + nx, h + dj : h + dj + ny] for di, dj in offsets], rect
+
+
 def dpartial(v: ScalarField, axis: int) -> ScalarField:
     """Forward difference quotient along ``axis`` in {1, 2}."""
     if axis not in (1, 2):
         raise DomainError(f"axis must be 1 or 2, got {axis}")
-    g = v.grid
-    di, dj = (1, 0) if axis == 1 else (0, 1)
-    ahead, rect = v.sample(di, dj)
-    rect = rect.intersect(v.valid)
-    if not g.periodic and rect.empty:
-        raise DimensionError("empty valid set after forward difference")
-    return type(v)._adopt(g, (ahead - v.values) / g.spacing, rect)
+    (ahead,), rect = _neighbours(v, (1, 0) if axis == 1 else (0, 1))
+    return type(v)._adopt(v.grid, (ahead - v.values) / v.grid.spacing, rect)
 
 
 def grad_d(v: ScalarField) -> VectorField:
     """Discrete gradient: the pair of forward differences of a scalar field."""
-    d1 = dpartial(v, 1)
-    d2 = dpartial(v, 2)
-    rect = d1.valid.intersect(d2.valid)
-    return VectorField._adopt(v.grid, np.stack([d1.values, d2.values], axis=-1), rect)
+    (e1, e2), rect = _neighbours(v, (1, 0), (0, 1))
+    x, l = v.values, v.grid.spacing
+    return VectorField._adopt(v.grid, np.stack([(e1 - x) / l, (e2 - x) / l], axis=-1), rect)
 
 
 def div_d(v: VectorField) -> ScalarField:
-    d1 = dpartial(v.component(1), 1)
-    d2 = dpartial(v.component(2), 2)
-    rect = d1.valid.intersect(d2.valid)
-    return ScalarField._adopt(v.grid, d1.values + d2.values, rect)
+    (e1, e2), rect = _neighbours(v, (1, 0), (0, 1))
+    x, l = v.values, v.grid.spacing
+    div = (e1[..., 0] - x[..., 0]) / l + (e2[..., 1] - x[..., 1]) / l
+    return ScalarField._adopt(v.grid, div, rect)
 
 
 def curl_d(v: VectorField) -> ScalarField:
-    d1 = dpartial(v.component(2), 1)
-    d2 = dpartial(v.component(1), 2)
-    rect = d1.valid.intersect(d2.valid)
-    return ScalarField._adopt(v.grid, d1.values - d2.values, rect)
+    (e1, e2), rect = _neighbours(v, (1, 0), (0, 1))
+    x, l = v.values, v.grid.spacing
+    curl = (e1[..., 1] - x[..., 1]) / l - (e2[..., 0] - x[..., 0]) / l
+    return ScalarField._adopt(v.grid, curl, rect)
 
 
 def laplace_shifted(phi: ScalarField) -> ScalarField:
@@ -331,14 +328,10 @@ def laplace_shifted(phi: ScalarField) -> ScalarField:
     g = phi.grid
     if g.nx < 3 or g.ny < 3:
         raise DimensionError("shifted Laplacian needs at least a 3x3 grid")
+    views, rect = _neighbours(phi, (1, 0), (-1, 0), (0, 1), (0, -1))
     total = -4.0 * phi.values
-    rect = phi.valid
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        arr, r = phi.sample(di, dj)
-        total = total + arr
-        rect = rect.intersect(r)
-    if not g.periodic and rect.empty:
-        raise DimensionError("empty valid set for shifted Laplacian")
+    for nb in views:
+        total += nb
     return ScalarField._adopt(g, total / g.spacing**2, rect)
 
 

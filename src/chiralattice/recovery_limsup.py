@@ -310,10 +310,7 @@ def laplacian_AG_energy(phi_n: ScalarField, p: ModelParams) -> EnergyRecord:
     p.require_transition_regime()
     d = grad_d(phi_n)
     lap = laplace_shifted(phi_n)
-    rect = d.valid.intersect(lap.valid)
-    if rect.empty:
-        raise DomainError("empty valid set for the Laplacian energy")
-    return _record(p, potential_W(d.values), lap.values**2, rect)
+    return _record(p, potential_W(d.values), lap.values**2, d.valid.intersect(lap.valid))
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,10 @@ from .lattice_core import (
     Rect,
     ScalarField,
     VectorField,
+    _neighbours,
+    _reach,
     cell_sum,
-    dpartial,
+    grad_d,
 )
 
 __all__ = [
@@ -150,14 +152,9 @@ def _oriented_angle(a: NDArray, b: NDArray) -> NDArray:
 def angles(u: SpinField) -> tuple[ScalarField, ScalarField]:
     """Oriented angles to the right and upper neighbour, in [-pi, pi)."""
     g = u.grid
-    out = []
-    for di, dj in ((1, 0), (0, 1)):
-        nb, rect = u.sample(di, dj)
-        rect = rect.intersect(u.valid)
-        if rect.empty:
-            raise DimensionError("empty valid set for neighbour angles")
-        out.append(ScalarField._adopt(g, _oriented_angle(u.values, nb), rect))
-    return out[0], out[1]
+    (right, up), _ = _neighbours(u, (1, 0), (0, 1))
+    return (ScalarField._adopt(g, _oriented_angle(u.values, right), _reach(u, ((1, 0),))),
+            ScalarField._adopt(g, _oriented_angle(u.values, up), _reach(u, ((0, 1),))))
 
 
 def chirality(u: SpinField, p: ModelParams) -> ChiralityFields:
@@ -165,17 +162,6 @@ def chirality(u: SpinField, p: ModelParams) -> ChiralityFields:
     if not (p.delta > 0):
         raise ParameterError(f"chirality needs delta > 0, got {p.delta}")
     return ChiralityFields(*angles(u), math.sqrt(p.delta))
-
-
-def _pair_dots(u: SpinField, shifts) -> tuple[NDArray, Rect]:
-    """Per-cell dot products of u with each shifted copy, and the common rect."""
-    rect = u.valid
-    dots = []
-    for di, dj in shifts:
-        nb, r = u.sample(di, dj)
-        rect = rect.intersect(r)
-        dots.append(np.sum(u.values * nb, axis=-1))
-    return np.stack(dots), rect
 
 
 def _resolve_region(rect: Rect, region: Rect | None) -> Rect:
@@ -189,7 +175,11 @@ def _resolve_region(rect: Rect, region: Rect | None) -> Rect:
 def energy_E(u: SpinField, p: ModelParams) -> float:
     """Three-coupling lattice energy: nearest (-alpha), diagonal (+beta),
     and third-neighbour (+1) pair terms, each weighted by l^2."""
-    dots, rect = _pair_dots(u, ((1, 0), (0, 1), (1, 1), (-1, 1), (2, 0), (0, 2)))
+    pairs = ((1, 0), (0, 1), (1, 1), (-1, 1), (2, 0), (0, 2))
+    if _reach(u, pairs).empty:
+        return 0.0
+    views, rect = _neighbours(u, *pairs)
+    dots = [np.sum(u.values * nb, axis=-1) for nb in views]
     per_cell = (
         -p.alpha * (dots[0] + dots[1])
         + p.beta * (dots[2] + dots[3])
@@ -260,28 +250,21 @@ def bulk_identity_check(u: SpinField, p: ModelParams) -> float:
 def Wd(ch: ChiralityFields) -> ScalarField:
     """Discrete double-well density ``w^2 / 4`` from four shifted chirality squares,
     ``w = 2 - |chi1|^2(i,j) - |chi1|^2(i-1,j) - |chi2|^2(i,j) - |chi2|^2(i,j-1)``."""
-    g = ch.chi.grid
-    c1 = ScalarField._adopt(g, ch.chi.values[..., 0] ** 2, ch.chi.valid)
-    c2 = ScalarField._adopt(g, ch.chi.values[..., 1] ** 2, ch.chi.valid)
-    c1m, r1 = c1.sample(-1, 0)
-    c2m, r2 = c2.sample(0, -1)
-    rect = c1.valid.intersect(r1).intersect(r2)
-    if rect.empty:
-        raise DimensionError("empty valid set for the shifted well density")
-    w = 2.0 - c1.values - c1m - c2.values - c2m
-    return ScalarField._adopt(g, w * w / 4.0, rect)
+    chi = ch.chi
+    (left, down), rect = _neighbours(chi, (-1, 0), (0, -1))
+    x = chi.values
+    w = 2.0 - x[..., 0] ** 2 - left[..., 0] ** 2 - x[..., 1] ** 2 - down[..., 1] ** 2
+    return ScalarField._adopt(chi.grid, w * w / 4.0, rect)
 
 
 def Ad(ch: ChiralityFields) -> ScalarField:
-    """Shifted discrete divergence of the sine-variant chirality."""
-    d1 = dpartial(ch.chi_tilde.component(1), 1)
-    d2 = dpartial(ch.chi_tilde.component(2), 2)
-    d1s, r1 = d1.sample(-1, 0)
-    d2s, r2 = d2.sample(0, -1)
-    rect = r1.intersect(r2)
-    if rect.empty:
-        raise DimensionError("empty valid set for the shifted divergence")
-    return ScalarField._adopt(ch.chi.grid, d1s + d2s, rect)
+    """Shifted discrete divergence of the sine-variant chirality:
+    ``(x1 - x1(i-1,j)) / l + (x2 - x2(i,j-1)) / l``."""
+    ct = ch.chi_tilde
+    (left, down), rect = _neighbours(ct, (-1, 0), (0, -1))
+    x, l = ct.values, ct.grid.spacing
+    div = (x[..., 0] - left[..., 0]) / l + (x[..., 1] - down[..., 1]) / l
+    return ScalarField._adopt(ct.grid, div, rect)
 
 
 @dataclass(frozen=True)
@@ -319,16 +302,16 @@ def potential_W(xi: NDArray) -> NDArray:
 
 
 def _well_and_jacobian(
-    p: ModelParams, w: NDArray, comps, rect: Rect, region: Rect | None = None
+    p: ModelParams, w: NDArray, v: VectorField, region: Rect | None = None
 ) -> EnergyRecord:
     """Energy of the well density ``w`` and the squared full forward-difference
-    matrix of ``comps``, over the part of ``rect`` where all of it exists."""
+    matrix of ``v``, over the part of ``v.valid`` where all of it exists."""
+    (e1, e2), rect = _neighbours(v, (1, 0), (0, 1))
+    x, l = v.values, v.grid.spacing
     dsq = 0.0
-    for comp in comps:
-        for axis in (1, 2):
-            d = dpartial(comp, axis)
-            rect = rect.intersect(d.valid)
-            dsq = dsq + d.values**2
+    for k in (0, 1):
+        for ahead in (e1, e2):
+            dsq = dsq + ((ahead[..., k] - x[..., k]) / l) ** 2
     return _record(p, w, dsq, _resolve_region(rect, region))
 
 
@@ -336,16 +319,14 @@ def energy_Hn_star(u: SpinField, p: ModelParams, region: Rect | None = None) -> 
     """Auxiliary energy with the pointwise well W(chi) and the full forward
     difference matrix of chi in place of the shifted stencils."""
     p.require_transition_regime()
-    ch = chirality(u, p)
-    comps = (ch.chi.component(1), ch.chi.component(2))
-    return _well_and_jacobian(p, potential_W(ch.chi.values), comps, ch.chi.valid, region)
+    chi = chirality(u, p).chi
+    return _well_and_jacobian(p, potential_W(chi.values), chi, region)
 
 
 def energy_AGd(phi: ScalarField, p: ModelParams) -> EnergyRecord:
     """Discrete Aviles-Giga energy of a scalar potential: well of the discrete
     gradient plus the full second forward-difference matrix."""
     p.require_transition_regime()
-    d1 = dpartial(phi, 1)
-    d2 = dpartial(phi, 2)
-    w = (1.0 - d1.values**2 - d2.values**2) ** 2
-    return _well_and_jacobian(p, w, (d1, d2), d1.valid.intersect(d2.valid))
+    d = grad_d(phi)
+    w = (1.0 - d.values[..., 0] ** 2 - d.values[..., 1] ** 2) ** 2
+    return _well_and_jacobian(p, w, d)

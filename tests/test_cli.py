@@ -628,6 +628,26 @@ class TestDiagnose:
         assert main(args) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "RUNTIME_FAILURE"
 
+    def test_config_file_gives_the_required_flags(self, tmp_path, capsys):
+        out = str(tmp_path)
+        assert main(["--out-dir", out] + GROUND_STATE_ARGS) == 0
+        field = os.path.join(out, "ground_state_field.csv")
+        section = f"[diagnose]\nfield = {field}\nl = 0.05\nalpha = 7.92\nny = 16\n"
+        ini = tmp_path / "d.ini"
+        ini.write_text(section + "nx = 16\n")
+        assert main(["--config", str(ini), "--out-dir", out, "diagnose"]) == 0
+        assert read_manifest(out, "diagnose")["parameters"]["alpha"] == 7.92
+        assert main(["--config", str(ini), "--out-dir", out, "diagnose", "--alpha", "7.5"]) == 0
+        assert read_manifest(out, "diagnose")["parameters"]["alpha"] == 7.5
+        capsys.readouterr()
+        ini.write_text(section)
+        assert main(["--config", str(ini), "--out-dir", out, "diagnose"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "CONFIG_INVALID"
+        assert error["message"] == "the following arguments are required: --nx"
+
 
 # sha256 of every output of three fixed configs, recorded with numpy 2.4.6
 # (Python 3.11, x86_64).  Refactors must reproduce these files byte for byte.

@@ -60,8 +60,6 @@ def outputs(scalar, vector, spin):
         ("div_d", div_d(vector), [vector]),
         ("curl_d", curl_d(vector), [vector]),
         ("laplace_shifted", laplace_shifted(scalar), [scalar]),
-        ("component-1", vector.component(1), [vector]),
-        ("component-2", vector.component(2), [vector]),
         ("angles-hor", th, [spin]),
         ("angles-ver", tv, [spin]),
         ("Wd", Wd(ch), [spin, ch.chi, ch.chi_tilde]),

@@ -72,14 +72,29 @@ class TestRectAndGrid:
         with pytest.raises(DomainError):
             ScalarField(g, np.full((4, 4), np.nan))
 
-    def test_sample_wraps_like_np_roll(self):
+    def test_neighbours_wrap_like_np_roll(self):
         rng = np.random.default_rng(3)
+        offsets = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, 1), (2, 0), (0, 2))
         for g, values in ((periodic_grid(5), rng.random((5, 5))),
-                          (Grid(0.25, 4, 6), rng.random((4, 6, 2)))):
+                          (Grid(0.25, 4, 6), rng.random((4, 6, 2))),
+                          (Grid(0.25, 2, 3), rng.random((2, 3)))):
             f = (ScalarField if values.ndim == 2 else VectorField)(g, values)
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, 1), (2, 0), (0, 2)):
-                shifted, _ = f.sample(di, dj)
-                assert np.array_equal(shifted, np.roll(values, (-di, -dj), axis=(0, 1)))
+            views, rect = lattice_core._neighbours(f, *offsets)
+            assert rect == g.full_rect
+            for (di, dj), view in zip(offsets, views):
+                assert np.array_equal(view, np.roll(values, (-di, -dj), axis=(0, 1)))
+                assert view.base is views[0].base
+                assert not np.shares_memory(view, f.values)
+
+    def test_periodic_fields_are_valid_on_the_whole_grid(self):
+        g = Grid(0.1, 8, 8, Boundary.PERIODIC)
+        ramp, _ = index_arrays(g)
+        for valid in (Rect(0, 5, 0, 8), Rect(0, 0, 0, 0), Rect(0, 8, 0, 9)):
+            with pytest.raises(DimensionError):
+                ScalarField(g, ramp, valid)
+            with pytest.raises(DimensionError):
+                VectorField(g, np.stack([ramp, ramp], axis=-1), valid)
+        assert ScalarField(g, ramp, g.full_rect).valid == g.full_rect
 
     def test_field_values_are_write_locked(self):
         f = ScalarField(open_grid(4), np.zeros((4, 4)))
