@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .lattice_core import VectorField, _reach, cell_sum, curl_d
+from .lattice_core import VectorField, _reach, _sq_norm, cell_sum, curl_d
 from .spin_energy import (
     EnergyRecord,
     ModelParams,
@@ -54,8 +54,7 @@ def lp_norm(chi: VectorField, p: int) -> float:
         raise DomainError(f"p must be one of 2, 4, 6, got {p}")
     if chi.valid.empty:
         raise DomainError("empty valid set for the Lp norm")
-    mag_sq = np.sum(chi.values**2, axis=-1)
-    total = chi.grid.spacing**2 * cell_sum(mag_sq ** (p / 2.0), chi.valid)
+    total = chi.grid.spacing**2 * cell_sum(_sq_norm(chi.values) ** (p / 2.0), chi.valid)
     return total ** (1.0 / p)
 
 
@@ -81,6 +80,7 @@ def curl_quantization_residual(chi_bar: VectorField, p: ModelParams) -> float:
     Each plaquette value is a cyclic sum of four neighbour angles and can only
     be a full turn up to rounding; recovery fields give identically zero.
     """
+    p.require_spacing(chi_bar.grid)
     # outside the curl's valid set the values are zeros, whose distance is 0
     vals = p.l * math.sqrt(p.delta) * curl_d(chi_bar).values
     dist = np.minimum(np.abs(vals), np.abs(np.abs(vals) - 2.0 * math.pi))

@@ -20,7 +20,7 @@ from numpy.polynomial.legendre import leggauss
 from numpy.typing import NDArray
 
 from .errors import DomainError
-from .lattice_core import ScalarField, VectorField, _unit, cell_sum, div_d
+from .lattice_core import ScalarField, VectorField, _sq_norm, _unit, cell_sum, div_d
 
 __all__ = [
     "Entropy",
@@ -88,7 +88,7 @@ def psi_alpha(e: Entropy, xi) -> tuple[NDArray, NDArray]:
     leading axes of ``xi``; the origin is a singular point and rejected.
     """
     xi = np.asarray(xi, dtype=np.float64)
-    norm_sq = np.sum(xi * xi, axis=-1)
+    norm_sq = _sq_norm(xi)
     if np.any(norm_sq == 0.0):
         raise DomainError("(Psi, alpha) is undefined at xi = 0")
     d = e.dphi(xi)

@@ -95,6 +95,7 @@ def ground_state_from_chirality(
     For unit chirality, ``cos(theta_h) + cos(theta_v) = alpha / 4`` holds
     exactly, which makes every stencil residual of the bulk energy vanish.
     """
+    p.require_spacing(grid)
     theta_h, theta_v = _helix_angles(chi_unit, p)
     return helical_field(HelixSpec(theta0, theta_h, theta_v), grid)
 

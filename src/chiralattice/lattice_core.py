@@ -5,10 +5,11 @@ lattice with spacing ``l``; the value at index ``(i, j)`` represents the cell
 ``[l*i, l*(i+1)) x [l*j, l*(j+1))`` (half-open convention).  All forward
 difference operators are of the form ``(v[(i,j)+e_k] - v[i,j]) / l``.
 
-Every field carries the half-open index rectangle on which its values are
-meaningful; on a periodic grid, where indices wrap, it is the whole grid.  A
-stencil reads the values at ``(i+di, j+dj)`` as views of one wrapped copy of
-the field and is valid where every lookup lands in the field's rectangle.
+Every field carries the half-open index rectangle, inside the grid, on which
+its values are meaningful; on a periodic grid, where indices wrap, it is the
+whole grid.  A stencil reads the values at ``(i+di, j+dj)`` as views of one
+wrapped copy of the field and is valid where every lookup lands in the
+field's rectangle.
 The field constructor alone enforces the invariant: a field's values are
 finite, exact zeros outside its rectangle (the whole grid if periodic), and
 write-locked.  Public constructors copy the caller's array and check it;
@@ -94,8 +95,8 @@ class Rect:
 class Grid:
     """Lattice geometry: spacing, cell counts per axis, boundary mode.
 
-    Grids compare by identity; fields constructed on different grid objects
-    cannot be combined even if the geometry matches.
+    Grids compare by identity, but no code compares the grids of two fields:
+    every operator reads one field and puts its result on that field's grid.
     """
 
     spacing: float
@@ -133,14 +134,20 @@ def _unit(v, name: str) -> NDArray:
 
 
 def _zero_outside(values: NDArray, rect: Rect) -> None:
-    """Zero ``values`` in place outside ``values[rect.slices]``, allocating nothing."""
-    rows = range(values.shape[0])[rect.i0 : rect.i1]
-    cols = range(values.shape[1])[rect.j0 : rect.j1]
-    if not (rows and cols):
-        values[...] = 0.0
-        return
-    values[: rows.start] = values[rows.stop :] = 0.0
-    values[:, : cols.start] = values[:, cols.stop :] = 0.0
+    """Zero ``values`` in place outside ``values[rect.slices]``, allocating
+    nothing; ``rect`` lies in the grid, and an empty one zeroes every cell."""
+    values[: rect.i0] = values[rect.i1 :] = 0.0
+    values[:, : rect.j0] = values[:, rect.j1 :] = 0.0
+
+
+def _cell_dot(a: NDArray, b: NDArray) -> NDArray:
+    """``a . b`` per cell over a last axis of length 2 (or with one 2-vector ``b``)."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+
+def _sq_norm(x: NDArray) -> NDArray:
+    """``|x|^2`` per cell over a last axis of length 2."""
+    return _cell_dot(x, x)
 
 
 @dataclass(eq=False)
@@ -172,9 +179,12 @@ class ScalarField:
             raise DimensionError(
                 f"field values have shape {self.values.shape}, expected {shape}"
             )
-        if self.grid.periodic and self.valid != self.grid.full_rect:
-            raise DimensionError(f"a periodic field is valid on the whole grid, got {self.valid}")
-        _zero_outside(self.values, self.valid)
+        v, g = self.valid, self.grid
+        if not (0 <= v.i0 <= v.i1 <= g.nx and 0 <= v.j0 <= v.j1 <= g.ny):
+            raise DimensionError(f"valid rect {v} does not lie in the {g.nx}x{g.ny} grid")
+        if g.periodic and v != g.full_rect:
+            raise DimensionError(f"a periodic field is valid on the whole grid, got {v}")
+        _zero_outside(self.values, v)
         if not np.all(np.isfinite(self.values)):
             raise DomainError("field values must be finite")
         self.values.setflags(write=False)
@@ -263,10 +273,9 @@ def _reach(f: ScalarField, offsets) -> Rect:
     """The part of ``f.valid`` where every lookup ``(i + di, j + dj)`` of
     ``offsets`` lands in ``f.valid``; on a periodic grid, where indices wrap,
     all of ``f.valid``."""
+    v = rect = f.valid
     if f.grid.periodic:
-        return f.valid
-    v = f.valid.intersect(f.grid.full_rect)
-    rect = v
+        return v
     for di, dj in offsets:
         rect = rect.intersect(Rect(v.i0 - di, v.i1 - di, v.j0 - dj, v.j1 - dj))
     return rect

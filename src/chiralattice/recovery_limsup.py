@@ -25,7 +25,9 @@ from numpy.polynomial.legendre import leggauss
 from numpy.typing import NDArray
 
 from .errors import ConfigError, DomainError, ParameterError, ScalingError
-from .lattice_core import Boundary, Grid, Rect, ScalarField, grad_d, laplace_shifted
+from .lattice_core import (
+    Boundary, Grid, Rect, ScalarField, _cell_dot, _sq_norm, grad_d, laplace_shifted,
+)
 from .spin_energy import (
     EnergyRecord, ModelParams, SpinField, _record, _spins, energy_Hn, potential_W,
 )
@@ -70,8 +72,7 @@ class Mollifier:
             raise DomainError(f"kernel radius must be positive and finite, got {self.radius!r}")
 
     def kernel(self, z: NDArray) -> NDArray:
-        zr = np.asarray(z, dtype=np.float64) / self.radius
-        r2 = zr[..., 0] ** 2 + zr[..., 1] ** 2
+        r2 = _sq_norm(np.asarray(z, dtype=np.float64) / self.radius)
         return 5.0 / (math.pi * self.radius**2) * np.maximum(1.0 - r2, 0.0) ** 4
 
 
@@ -108,10 +109,6 @@ class WallConfig:
     def half_jump(self) -> float:
         """Signed normal component d/2 = chi_plus . nu."""
         return float(np.asarray(self.chi_plus) @ np.asarray(self.nu))
-
-    @property
-    def jump_size(self) -> float:
-        return _jump_size(self.chi_plus, self.chi_minus, self.nu)
 
 
 def canonical_wall(angle: float = 0.0) -> WallConfig:
@@ -205,11 +202,6 @@ def mollify(
     return current
 
 
-def _project(x: NDArray, v: NDArray) -> NDArray:
-    """``x . v`` over the last axis, with the same bits for every batch."""
-    return x[..., 0] * v[0] + x[..., 1] * v[1]
-
-
 # normalized marginal of the quartic bump: C (1 - v^2)^{9/2} on |v| <= 1
 _C = 256.0 / (63.0 * math.pi)
 
@@ -265,8 +257,8 @@ def mollified_wall_potential(
 
     def phi_eps(x: NDArray) -> NDArray:
         x = np.asarray(x, dtype=np.float64)
-        s = _project(x, nu) - cfg.wall_offset
-        return t * _project(x, nup) + dh * _kink_profile(s, width)
+        s = _cell_dot(x, nu) - cfg.wall_offset
+        return t * _cell_dot(x, nup) + dh * _kink_profile(s, width)
 
     return phi_eps
 
@@ -288,6 +280,7 @@ def spin_from_potential(phi_n: ScalarField, p: ModelParams) -> SpinField:
     gradient of the potential exactly.
     """
     p.require_transition_regime()
+    p.require_spacing(phi_n.grid)
     sqd = math.sqrt(p.delta)
     d = grad_d(phi_n)
     max_angle = sqd * float(np.max(np.abs(d.values)))  # d.values are zeros outside d.valid
@@ -308,6 +301,7 @@ def laplacian_AG_energy(phi_n: ScalarField, p: ModelParams) -> EnergyRecord:
     different values.
     """
     p.require_transition_regime()
+    p.require_spacing(phi_n.grid)
     d = grad_d(phi_n)
     lap = laplace_shifted(phi_n)
     return _record(p, potential_W(d.values), lap.values**2, d.valid.intersect(lap.valid))

@@ -22,7 +22,7 @@ from numpy.typing import NDArray
 from .errors import DomainError, OptimizationError
 from .ground_states import _helix_angles
 from .lattice_core import Grid, ScalarField, _unit, _zero_outside, cell_sum
-from .spin_energy import ModelParams, SpinField, _f_residuals, _spins, _sq_norm
+from .spin_energy import ModelParams, SpinField, _f_density, _f_residuals, _spins
 
 __all__ = [
     "FixedAngles",
@@ -69,10 +69,8 @@ class RelaxConfig:
 
 
 def _f_energy(u: NDArray, p: ModelParams, grid: Grid) -> float:
-    """``energy_F`` of the raw spin array ``u``, bit for bit at beta = 2."""
-    rh, rv, rect = _f_residuals(u, p, grid, grid.full_rect)
-    r = rh + rv
-    return 0.5 * grid.spacing**2 * cell_sum(_sq_norm(r), rect)
+    """``energy_F`` of a raw spin array; perfbench counts energy evaluations by this name."""
+    return p.l**2 * cell_sum(*_f_density(u, p, grid, grid.full_rect))
 
 
 def _lift_gradient(u: NDArray, p: ModelParams, grid: Grid, frozen: NDArray | None) -> NDArray:
@@ -99,6 +97,7 @@ def f_gradient(psi: ScalarField, p: ModelParams) -> ScalarField:
     """
     p.require_transition_regime()
     g = psi.grid
+    p.require_spacing(g)
     return ScalarField._adopt(g, _lift_gradient(_spins(psi.values), p, g, None), g.full_rect)
 
 
@@ -163,6 +162,7 @@ def wall_start(b: FixedAngles, p: ModelParams, grid: Grid) -> SpinField:
     its lift differs from the frozen rows by more than a half turn, which
     seeds a row of vortices that descent cannot remove.
     """
+    p.require_spacing(grid)
     lift, _ = _roof_lift(b, p, grid)
     return SpinField._adopt(grid, _spins(lift), grid.full_rect)
 
@@ -185,6 +185,7 @@ def relax(u0: SpinField, p: ModelParams, cfg: RelaxConfig) -> tuple[SpinField, N
     """
     p.require_transition_regime()
     g = u0.grid
+    p.require_spacing(g)
     psi = np.arctan2(u0.values[..., 1], u0.values[..., 0])
     frozen = None
     if isinstance(cfg.boundary, FixedAngles):

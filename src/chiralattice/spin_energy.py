@@ -26,8 +26,10 @@ from .lattice_core import (
     Rect,
     ScalarField,
     VectorField,
+    _cell_dot,
     _neighbours,
     _reach,
+    _sq_norm,
     cell_sum,
     grad_d,
 )
@@ -69,6 +71,11 @@ class ModelParams:
             raise ParameterError(f"lattice spacing must be positive, got {self.l}")
         if not (0 <= self.beta <= 2):
             raise ParameterError(f"beta must lie in [0, 2], got {self.beta}")
+
+    def require_spacing(self, grid: Grid) -> None:
+        """The lattice spacing has one owner: ``l`` must be ``grid.spacing``."""
+        if self.l != grid.spacing:
+            raise ParameterError(f"l = {self.l!r} is not the grid spacing {grid.spacing!r}")
 
     @property
     def delta(self) -> float:
@@ -143,8 +150,7 @@ def _oriented_angle(a: NDArray, b: NDArray) -> NDArray:
     the sign(0) = -1 convention demands -pi.
     """
     cross = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-    dot = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
-    theta = np.arctan2(cross, dot)
+    theta = np.arctan2(cross, _cell_dot(a, b))
     theta[theta == np.pi] = -np.pi
     return theta
 
@@ -175,11 +181,12 @@ def _resolve_region(rect: Rect, region: Rect | None) -> Rect:
 def energy_E(u: SpinField, p: ModelParams) -> float:
     """Three-coupling lattice energy: nearest (-alpha), diagonal (+beta),
     and third-neighbour (+1) pair terms, each weighted by l^2."""
+    p.require_spacing(u.grid)
     pairs = ((1, 0), (0, 1), (1, 1), (-1, 1), (2, 0), (0, 2))
     if _reach(u, pairs).empty:
         return 0.0
     views, rect = _neighbours(u, *pairs)
-    dots = [np.sum(u.values * nb, axis=-1) for nb in views]
+    dots = [_cell_dot(u.values, nb) for nb in views]
     per_cell = (
         -p.alpha * (dots[0] + dots[1])
         + p.beta * (dots[2] + dots[3])
@@ -210,12 +217,14 @@ def _f_residuals(
     return rh, rv, valid if grid.periodic else valid.shrink(1)
 
 
-def _sq_norm(r: NDArray) -> NDArray:
-    """``|r|^2`` per cell of a ``(nx, ny, 2)`` array: the same bits as
-    ``np.sum(r * r, axis=-1)`` (squares are never -0.0), without a
-    reduction over the length-2 axis."""
-    r1, r2 = r[..., 0], r[..., 1]
-    return r1 * r1 + r2 * r2
+def _f_density(values: NDArray, p: ModelParams, grid: Grid, valid: Rect) -> tuple[NDArray, Rect]:
+    """Per-cell density of ``energy_F`` on a raw ``(nx, ny, 2)`` spin array, and the
+    rect it sums over; no field is built, so a non-finite trial is no error."""
+    rh, rv, rect = _f_residuals(values, p, grid, valid)
+    per_cell = (p.beta / 4.0) * _sq_norm(rh + rv)
+    if p.beta != 2.0:  # at beta = 2 the split term is exactly +0.0
+        per_cell += ((2.0 - p.beta) / 4.0) * (_sq_norm(rh) + _sq_norm(rv))
+    return per_cell, rect
 
 
 def energy_F(u: SpinField, p: ModelParams) -> float:
@@ -225,11 +234,8 @@ def energy_F(u: SpinField, p: ModelParams) -> float:
     stencil exists, so that the rescaling identity with ``energy_Hn`` holds
     cell by cell also on open grids.
     """
-    rh, rv, rect = _f_residuals(u.values, p, u.grid, u.valid)
-    combined = _sq_norm(rh + rv)
-    split = _sq_norm(rh) + _sq_norm(rv)
-    per_cell = (p.beta / 4.0) * combined + ((2.0 - p.beta) / 4.0) * split
-    return p.l**2 * cell_sum(per_cell, rect)
+    p.require_spacing(u.grid)
+    return p.l**2 * cell_sum(*_f_density(u.values, p, u.grid, u.valid))
 
 
 def bulk_identity_check(u: SpinField, p: ModelParams) -> float:
@@ -288,6 +294,7 @@ def energy_Hn(u: SpinField, p: ModelParams, region: Rect | None = None) -> Energ
     Satisfies ``F = delta^{3/2} * l * Hn`` exactly over matching cell sets.
     """
     p.require_transition_regime()
+    p.require_spacing(u.grid)
     ch = chirality(u, p)
     wd = Wd(ch)
     ad = Ad(ch)
@@ -298,7 +305,7 @@ def energy_Hn(u: SpinField, p: ModelParams, region: Rect | None = None) -> Energ
 def potential_W(xi: NDArray) -> NDArray:
     """Double-well potential (1 - |xi|^2)^2 for (...,2)-shaped arguments."""
     xi = np.asarray(xi, dtype=np.float64)
-    return (1.0 - np.sum(xi * xi, axis=-1)) ** 2
+    return (1.0 - _sq_norm(xi)) ** 2
 
 
 def _well_and_jacobian(
@@ -319,6 +326,7 @@ def energy_Hn_star(u: SpinField, p: ModelParams, region: Rect | None = None) -> 
     """Auxiliary energy with the pointwise well W(chi) and the full forward
     difference matrix of chi in place of the shifted stencils."""
     p.require_transition_regime()
+    p.require_spacing(u.grid)
     chi = chirality(u, p).chi
     return _well_and_jacobian(p, potential_W(chi.values), chi, region)
 
@@ -327,6 +335,7 @@ def energy_AGd(phi: ScalarField, p: ModelParams) -> EnergyRecord:
     """Discrete Aviles-Giga energy of a scalar potential: well of the discrete
     gradient plus the full second forward-difference matrix."""
     p.require_transition_regime()
+    p.require_spacing(phi.grid)
     d = grad_d(phi)
     w = (1.0 - d.values[..., 0] ** 2 - d.values[..., 1] ** 2) ** 2
     return _well_and_jacobian(p, w, d)

@@ -9,6 +9,7 @@ import pytest
 from chiralattice import (
     Ad,
     Boundary,
+    DimensionError,
     FixedAngles,
     Grid,
     HelixSpec,
@@ -132,8 +133,10 @@ def test_public_constructors_copy_the_callers_array(cls, shape):
 
 # the block of cells kept (i0, i1, j0, j1), or None for none, for a valid
 # rect that is empty or reaches past a 4 x 5 grid, recorded before the
-# masking moved into the field constructor: the kept block follows numpy's
-# slice rules, so a negative bound counts from the end of the axis
+# masking moved into the field constructor: the kept block followed numpy's
+# slice rules, so a negative bound counted from the end of the axis.  A rect
+# must now lie in the grid with i0 <= i1 and j0 <= j1; one that does not
+# raises, and an empty one inside the grid still zeroes every cell.
 ODD_RECTS = [
     (Rect(2, 2, 0, 5), None),
     (Rect(3, 1, 1, 4), None),
@@ -144,6 +147,11 @@ ODD_RECTS = [
     (Rect(1, 3, 2, 7), (1, 3, 2, 5)),
     (Rect(-1, 9, -1, 9), (3, 4, 4, 5)),
     (Rect(5, 7, 0, 5), None),
+    (Rect(0, 0, 0, 5), None),
+    (Rect(4, 4, 0, 5), None),
+    (Rect(0, 4, 5, 5), None),
+    (Rect(1, 3, 2, 2), None),
+    (Rect(0, 0, 0, 0), None),
 ]
 
 
@@ -151,12 +159,14 @@ ODD_RECTS = [
 def test_odd_valid_rects_zero_the_same_cells_as_before(rect, kept):
     grid = Grid(0.25, 4, 5, Boundary.OPEN)
     values = np.arange(1.0, 21.0).reshape(4, 5)
-    expected = np.zeros_like(values)
-    if kept is not None:
-        i0, i1, j0, j1 = kept
-        expected[i0:i1, j0:j1] = values[i0:i1, j0:j1]
-    for f in (ScalarField(grid, values, rect),
-              VectorField(grid, np.stack([values, -values], axis=-1), rect)):
-        got = f.values if f.values.ndim == 2 else f.values[..., 0]
-        assert np.array_equal(got, expected)
-        assert not np.any(np.signbit(f.values[f.values == 0.0]))
+    makers = (lambda: ScalarField(grid, values, rect),
+              lambda: VectorField(grid, np.stack([values, -values], axis=-1), rect))
+    if not (0 <= rect.i0 <= rect.i1 <= 4 and 0 <= rect.j0 <= rect.j1 <= 5):
+        for make in makers:
+            with pytest.raises(DimensionError, match="does not lie in the 4x5 grid"):
+                make()
+        return
+    assert rect.empty and kept is None  # so it keeps no cell, as before
+    for make in makers:
+        f = make()
+        assert not np.any(f.values) and not np.any(np.signbit(f.values))

@@ -29,6 +29,7 @@ from chiralattice import (
     mollify,
     potential_W,
     quartic_bump,
+    sigma_surface_density,
     single_wall_potential,
     spin_from_potential,
 )
@@ -65,7 +66,8 @@ class TestMollifierAndWall:
         s = 1.0 / math.sqrt(2.0)
         w = canonical_wall()
         assert math.isclose(w.half_jump, s, rel_tol=1e-15)
-        assert math.isclose(w.jump_size, math.sqrt(2.0), rel_tol=1e-15)
+        assert math.isclose(sigma_surface_density(w.chi_plus, w.chi_minus, w.nu),
+                            math.sqrt(2.0) ** 3 / 6.0, rel_tol=1e-15)
         assert math.isclose(w.tangential, -s, rel_tol=1e-15)
         with pytest.raises(DomainError):
             WallConfig((s, s), (s, s))  # no jump

@@ -9,23 +9,32 @@ from chiralattice import (
     Ad,
     Boundary,
     DomainError,
+    FixedAngles,
     Grid,
     HelixSpec,
     ModelParams,
     ParameterError,
     Rect,
+    RelaxConfig,
     SpinField,
     Wd,
     angles,
     bulk_identity_check,
     chirality,
+    curl_quantization_residual,
     energy_AGd,
     energy_E,
     energy_F,
     energy_Hn,
     energy_Hn_star,
+    f_gradient,
+    ground_state_from_chirality,
     helical_field,
+    laplacian_AG_energy,
     potential_W,
+    relax,
+    spin_from_potential,
+    wall_start,
 )
 from chiralattice.lattice_core import ScalarField
 
@@ -65,6 +74,42 @@ class TestModelParams:
             ModelParams(l=0.1, alpha=8.0).require_transition_regime()
         with pytest.raises(ParameterError):
             ModelParams(l=0.1, alpha=0.0).require_transition_regime()
+
+    def test_the_lattice_spacing_has_one_owner(self):
+        # F and Hn scale with l differently: l = 0.05 would read 1.098 on this field
+        g = Grid(0.1, 16, 16, Boundary.OPEN)
+        u = random_spins(g, 3)
+        p = ModelParams(l=0.1, alpha=7.5)
+        ratio = energy_F(u, p) / (p.delta**1.5 * p.l * energy_Hn(u, p).total)
+        assert math.isclose(ratio, 1.0, rel_tol=1e-12)
+        with pytest.raises(ParameterError, match="is not the grid spacing"):
+            energy_F(u, ModelParams(l=0.05, alpha=7.5))
+
+    @pytest.mark.parametrize("call", [
+        lambda u, phi, p: energy_E(u, p),
+        lambda u, phi, p: energy_F(u, p),
+        lambda u, phi, p: energy_Hn(u, p),
+        lambda u, phi, p: energy_Hn_star(u, p),
+        lambda u, phi, p: energy_AGd(phi, p),
+        lambda u, phi, p: bulk_identity_check(random_spins(Grid(0.1, 16, 16), 4), p),
+        lambda u, phi, p: spin_from_potential(phi, p),
+        lambda u, phi, p: laplacian_AG_energy(phi, p),
+        lambda u, phi, p: relax(u, p, RelaxConfig(max_iters=1)),
+        lambda u, phi, p: f_gradient(phi, p),
+        lambda u, phi, p: curl_quantization_residual(chirality(u, p).chi_bar, p),
+        lambda u, phi, p: ground_state_from_chirality((0.6, 0.8), p, u.grid),
+        lambda u, phi, p: wall_start(FixedAngles((-0.6, 0.8), (0.6, 0.8)), p, u.grid),
+    ], ids=["energy_E", "energy_F", "energy_Hn", "energy_Hn_star", "energy_AGd",
+            "bulk_identity_check", "spin_from_potential", "laplacian_AG_energy", "relax",
+            "f_gradient", "curl_quantization_residual", "ground_state_from_chirality",
+            "wall_start"])
+    def test_model_spacing_must_be_the_grid_spacing(self, call):
+        g = Grid(0.1, 16, 16, Boundary.OPEN)
+        u = random_spins(g, 4)
+        phi = ScalarField(g, np.random.default_rng(5).normal(scale=0.01, size=(16, 16)))
+        call(u, phi, ModelParams(l=0.1, alpha=7.5))
+        with pytest.raises(ParameterError, match="is not the grid spacing"):
+            call(u, phi, ModelParams(l=0.05, alpha=7.5))
 
     def test_spin_field_rejects_non_unit_vectors(self):
         g = Grid(0.1, 4, 4)

@@ -33,8 +33,10 @@ from chiralattice import (
     dpartial,
     energy_AGd,
     energy_E,
+    energy_F,
     energy_Hn,
     energy_Hn_star,
+    f_gradient,
     grad_d,
     laplace_shifted,
 )
@@ -66,6 +68,16 @@ def lookup_mask(mask, offsets, periodic):
         inside = (0 <= i) & (i < nx) & (0 <= j) & (j < ny)
         out &= inside & mask[np.clip(i, 0, nx - 1), np.clip(j, 0, ny - 1)]
     return out
+
+
+CROSS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def f_residuals(v, p):
+    """The horizontal and vertical 5-point residuals of ``F``: ahead plus
+    behind, less ``alpha / (beta + 2)`` times the cell."""
+    cv = (p.alpha / (p.beta + 2.0)) * v
+    return (ahead(v, 1, 0) + ahead(v, -1, 0)) - cv, (ahead(v, 0, 1) + ahead(v, 0, -1)) - cv
 
 
 def oriented_angle(a, b):
@@ -156,8 +168,21 @@ def test_every_stencil_matches_its_np_roll_formula(fs, beta):
     per_cell = -pe.alpha * (d[0] + d[1]) + pe.beta * (d[2] + d[3]) + (d[4] + d[5])
     mask = lookup_mask(valid, pairs, per)
     assert energy_E(spin, pe) == pe.l**2 * math.fsum(per_cell[mask].tolist())
+    rh, rv = f_residuals(u, pe)
+    per_cell = (pe.beta / 4.0) * np.sum((rh + rv) * (rh + rv), axis=-1) + (
+        (2.0 - pe.beta) / 4.0) * (np.sum(rh * rh, axis=-1) + np.sum(rv * rv, axis=-1))
+    mask = lookup_mask(valid, CROSS, per)
+    assert energy_F(spin, pe) == pe.l**2 * math.fsum(per_cell[mask].tolist())
 
     p = ModelParams(l=l, alpha=7.5)
+    # the lift gradient reads every cell of the lift, valid or not
+    full = np.ones((g.nx, g.ny), dtype=bool)
+    s = np.stack([np.cos(x), np.sin(x)], axis=-1)
+    rh, rv = f_residuals(s, p)
+    th, tv = f_residuals(np.where(lookup_mask(full, CROSS, per)[..., None], rh + rv, 0.0), p)
+    t = th + tv
+    grad = l**2 * (t[..., 0] * -s[..., 1] + t[..., 1] * s[..., 0])
+    check_field(lambda: f_gradient(scalar, p), grad, full)
     # the jacobian reads the gradient only where both of its cells are valid
     d1, d2 = (ahead(x, 1, 0) - x) / l, (ahead(x, 0, 1) - x) / l
     jac = lookup_mask(both, ((1, 0), (0, 1)), per)
