@@ -47,10 +47,10 @@ from .recovery_limsup import (
 )
 from .relaxation import FixedAngles, RelaxConfig, relax, wall_start
 from .diagnostics import (
-    count_large_angle_cells,
+    _count_large_angles,
+    _hn_vs_hnstar,
     curl_l1,
     curl_quantization_residual,
-    hn_vs_hnstar,
     lp_norm,
 )
 
@@ -290,9 +290,9 @@ def _run_diagnose(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
         u = SpinField(grid, raw.values)
     except DomainError as exc:
         raise ConfigError(f"{q['field']}: {exc}") from None
-    ch = chirality(u, p)
-    hn, hs, ratio = hn_vs_hnstar(u, p)
-    large = count_large_angle_cells(u, q["t"])
+    ch = chirality(u, p)  # the one angles pass; every check below reads it
+    hn, hs, ratio = _hn_vs_hnstar(u, ch, p)
+    large = _count_large_angles(ch.theta_hor, ch.theta_ver, q["t"])
     report = {
         "large_angle_cells": large,
         "angle_threshold": q["t"],

@@ -12,14 +12,16 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .lattice_core import VectorField, _reach, _sq_norm, cell_sum, curl_d
+from .lattice_core import ScalarField, VectorField, _reach, _sq_norm, cell_sum, curl_d
 from .spin_energy import (
+    ChiralityFields,
     EnergyRecord,
     ModelParams,
     SpinField,
+    _hn_star,
     angles,
+    chirality,
     energy_Hn,
-    energy_Hn_star,
 )
 
 __all__ = [
@@ -35,7 +37,11 @@ def count_large_angle_cells(u: SpinField, t: float) -> int:
     """Number of valid cells where either neighbour angle exceeds ``t``."""
     if not (0 < t < math.pi):
         raise DomainError(f"threshold must lie in (0, pi), got {t}")
-    th, tv = angles(u)
+    return _count_large_angles(*angles(u), t)
+
+
+def _count_large_angles(th: ScalarField, tv: ScalarField, t: float) -> int:
+    """``count_large_angle_cells`` from angle fields the caller already holds."""
     rect = th.valid.intersect(tv.valid)
     si, sj = rect.slices
     big = (np.abs(th.values[si, sj]) > t) | (np.abs(tv.values[si, sj]) > t)
@@ -66,10 +72,19 @@ def hn_vs_hnstar(u: SpinField, p: ModelParams) -> tuple[EnergyRecord, EnergyReco
     cell; the ratio is reported as NaN when the shifted-stencil energy
     vanishes.
     """
+    p.require_transition_regime()  # before chirality, as energy_Hn checks first
+    p.require_spacing(u.grid)
+    return _hn_vs_hnstar(u, chirality(u, p), p)
+
+
+def _hn_vs_hnstar(
+    u: SpinField, ch: ChiralityFields, p: ModelParams
+) -> tuple[EnergyRecord, EnergyRecord, float]:
+    """``hn_vs_hnstar`` from the chirality fields of ``u`` the caller already holds."""
     # the cells where both neighbour angles exist, without an angles pass
     inner = _reach(u, ((1, 0), (0, 1))).shrink(2)
     hn = energy_Hn(u, p, inner)
-    hs = energy_Hn_star(u, p, inner)
+    hs = _hn_star(ch, p, inner)
     ratio = hs.total / hn.total if hn.total != 0.0 else math.nan
     return hn, hs, ratio
 

@@ -16,14 +16,18 @@ write-locked.  Public constructors copy the caller's array and check it;
 internal operators hand over the fresh array they computed, which is checked
 for finiteness all the same.
 
-All cell reductions go through :func:`cell_sum`.  It extracts the cells'
-values error-free into a few exact partials in numpy and rounds their sum
-once with ``math.fsum``, so every sum is the correctly rounded real sum: bit
-for bit the same whatever the block size, the thread count or the run order.
+All cell reductions go through one exact accumulator, ``_ExactSum``.  It
+extracts the values of each block of cells error-free into a few exact
+partials in numpy and rounds their sum once with ``math.fsum``, so every sum
+is the correctly rounded real sum: bit for bit the same whatever the blocks,
+the thread count or the run order.  :func:`cell_sum` is the accumulator over
+one block; the energies that stream over row tiles (``_row_tiles``) add one
+block per tile, so no tile height changes a bit of their sums.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import warnings
@@ -133,6 +137,12 @@ def _unit(v, name: str) -> NDArray:
     return v
 
 
+def _require_finite(values: NDArray) -> None:
+    """The finiteness half of the field seal, on the cells it is given."""
+    if not np.all(np.isfinite(values)):
+        raise DomainError("field values must be finite")
+
+
 def _zero_outside(values: NDArray, rect: Rect) -> None:
     """Zero ``values`` in place outside ``values[rect.slices]``, allocating
     nothing; ``rect`` lies in the grid, and an empty one zeroes every cell."""
@@ -185,8 +195,7 @@ class ScalarField:
         if g.periodic and v != g.full_rect:
             raise DimensionError(f"a periodic field is valid on the whole grid, got {v}")
         _zero_outside(self.values, v)
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("field values must be finite")
+        _require_finite(self.values)
         self.values.setflags(write=False)
 
 
@@ -196,7 +205,7 @@ class VectorField(ScalarField):
 
 
 def cell_sum(values: NDArray, rect: Rect) -> float:
-    """Exactly rounded sum of ``values`` over ``rect``.
+    """Exactly rounded sum of ``values`` over ``rect``: ``_ExactSum`` of one block.
 
     The cells are split into blocks of at most about 64k.  Each block goes
     through rounds of error-free extraction (Rump, Ogita and Oishi, "Accurate
@@ -216,15 +225,35 @@ def cell_sum(values: NDArray, rect: Rect) -> float:
     Leftovers below the normal range go to ``math.fsum`` as they are.  A sum
     beyond the float range (or ``inf - inf``) raises :class:`DomainError`.
     """
-    if rect.empty:
-        return 0.0
-    si, sj = rect.slices
-    block = values[si, sj]
-    parts = _exact_parts(block)
-    try:
-        return math.fsum(block.ravel(order="C") if parts is None else parts)
-    except (OverflowError, ValueError) as exc:
-        raise DomainError(f"cell sum is not a finite float: {exc}") from None
+    total = _ExactSum()
+    total.add(values[rect.slices])
+    return total.value()
+
+
+class _ExactSum:
+    """Exact running sum of blocks of cells, rounded once by :meth:`value`.
+
+    Each block adds its exact partials (``_exact_parts``) or, when it has
+    none, its cells in row-major order.  The partials of a block sum exactly
+    to its cells, so the value is the correctly rounded sum of all cells
+    added, the same float however they are cut into blocks; only a sum that
+    leaves the float range part way depends, as under ``math.fsum``, on the
+    order.
+    """
+
+    def __init__(self):
+        self._chunks: list = []
+
+    def add(self, block: NDArray) -> None:
+        if block.size:
+            parts = _exact_parts(block)
+            self._chunks.append(block.ravel(order="C") if parts is None else parts)
+
+    def value(self) -> float:
+        try:
+            return math.fsum(itertools.chain.from_iterable(self._chunks))
+        except (OverflowError, ValueError) as exc:
+            raise DomainError(f"cell sum is not a finite float: {exc}") from None
 
 
 _BLOCK_CELLS = 1 << 16
@@ -269,16 +298,32 @@ def _exact_parts(block: NDArray) -> list[float] | None:
     return parts
 
 
+# the lookups of the 5-point stencil
+_CROSS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
 def _reach(f: ScalarField, offsets) -> Rect:
     """The part of ``f.valid`` where every lookup ``(i + di, j + dj)`` of
     ``offsets`` lands in ``f.valid``; on a periodic grid, where indices wrap,
     all of ``f.valid``."""
-    v = rect = f.valid
-    if f.grid.periodic:
+    return _reach_rect(f.valid, f.grid.periodic, offsets)
+
+
+def _reach_rect(v: Rect, periodic: bool, offsets) -> Rect:
+    """``_reach`` of a field valid on ``v``, for callers that hold no field."""
+    if periodic:
         return v
+    rect = v
     for di, dj in offsets:
         rect = rect.intersect(Rect(v.i0 - di, v.i1 - di, v.j0 - dj, v.j1 - dj))
     return rect
+
+
+def _views(wrapped: NDArray, h: int, offsets) -> list[NDArray]:
+    """Per offset, the view indexed by ``(i, j)`` of the value at
+    ``(i + di, j + dj)`` in ``wrapped``, values with a margin of ``h`` cells."""
+    n, m = wrapped.shape[0] - 2 * h, wrapped.shape[1] - 2 * h
+    return [wrapped[h + di : h + di + n, h + dj : h + dj + m] for di, dj in offsets]
 
 
 def _neighbours(f: ScalarField, *offsets: tuple[int, int]) -> tuple[list[NDArray], Rect]:
@@ -293,9 +338,47 @@ def _neighbours(f: ScalarField, *offsets: tuple[int, int]) -> tuple[list[NDArray
         raise DimensionError(f"empty valid set for the stencil {offsets}")
     h = max(max(abs(di), abs(dj)) for di, dj in offsets)
     pad = ((h, h), (h, h)) + ((0, 0),) * (f.values.ndim - 2)
-    wrapped = np.pad(f.values, pad, mode="wrap")
-    nx, ny = f.grid.nx, f.grid.ny
-    return [wrapped[h + di : h + di + nx, h + dj : h + dj + ny] for di, dj in offsets], rect
+    return _views(np.pad(f.values, pad, mode="wrap"), h, offsets), rect
+
+
+# cells per row tile of the streamed energies; like _BLOCK_CELLS it sets
+# memory and speed only, never a bit of a result
+_TILE_CELLS = 1 << 15
+
+
+def _row_tiles(grid: Grid):
+    """Tiles of whole rows, about ``_TILE_CELLS`` cells each, that cover
+    ``grid``.  Per tile: its rows ``i0 .. i1 - 1`` and the index, for
+    ``values[index]``, of the cells it reads with a one-cell margin: rows
+    ``i0 - 1 .. i1`` and columns ``-1 .. ny``, wrapped as in ``_neighbours``."""
+    nx, ny = grid.nx, grid.ny
+    cols = np.arange(-1, ny + 1) % ny
+    step = max(1, _TILE_CELLS // ny)
+    for i0 in range(0, nx, step):
+        i1 = min(i0 + step, nx)
+        yield i0, i1, np.ix_(np.arange(i0 - 1, i1 + 1) % nx, cols)
+
+
+def _tile_cells(rect: Rect, i0: int, i1: int, origin: tuple[int, int]) -> tuple[slice, slice]:
+    """The cells of ``rect`` on the rows ``i0 .. i1 - 1``, as slices into a
+    tile array whose ``[0, 0]`` is the cell ``origin``."""
+    a, b = max(rect.i0, i0), min(rect.i1, i1)
+    r, c = origin
+    return slice(a - r, max(a, b) - r), slice(rect.j0 - c, max(rect.j0, rect.j1) - c)
+
+
+def _forward_grad(x: NDArray, right: NDArray, up: NDArray, l: float) -> NDArray:
+    """The pair of forward differences of ``x`` against its views ahead."""
+    return np.stack([(right - x) / l, (up - x) / l], axis=-1)
+
+
+def _laplace(x: NDArray, cross: list[NDArray], l: float) -> NDArray:
+    """The 5-point Laplacian of ``x`` against its views at ``(1, 0), (-1, 0),
+    (0, 1), (0, -1)``."""
+    total = -4.0 * x
+    for nb in cross:
+        total += nb
+    return total / l**2
 
 
 def dpartial(v: ScalarField, axis: int) -> ScalarField:
@@ -309,8 +392,7 @@ def dpartial(v: ScalarField, axis: int) -> ScalarField:
 def grad_d(v: ScalarField) -> VectorField:
     """Discrete gradient: the pair of forward differences of a scalar field."""
     (e1, e2), rect = _neighbours(v, (1, 0), (0, 1))
-    x, l = v.values, v.grid.spacing
-    return VectorField._adopt(v.grid, np.stack([(e1 - x) / l, (e2 - x) / l], axis=-1), rect)
+    return VectorField._adopt(v.grid, _forward_grad(v.values, e1, e2, v.grid.spacing), rect)
 
 
 def div_d(v: VectorField) -> ScalarField:
@@ -337,11 +419,8 @@ def laplace_shifted(phi: ScalarField) -> ScalarField:
     g = phi.grid
     if g.nx < 3 or g.ny < 3:
         raise DimensionError("shifted Laplacian needs at least a 3x3 grid")
-    views, rect = _neighbours(phi, (1, 0), (-1, 0), (0, 1), (0, -1))
-    total = -4.0 * phi.values
-    for nb in views:
-        total += nb
-    return ScalarField._adopt(g, total / g.spacing**2, rect)
+    views, rect = _neighbours(phi, *_CROSS)
+    return ScalarField._adopt(g, _laplace(phi.values, views, g.spacing), rect)
 
 
 def format_float(x: float) -> str:

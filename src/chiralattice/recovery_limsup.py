@@ -26,10 +26,13 @@ from numpy.typing import NDArray
 
 from .errors import ConfigError, DomainError, ParameterError, ScalingError
 from .lattice_core import (
-    Boundary, Grid, Rect, ScalarField, _cell_dot, _sq_norm, grad_d, laplace_shifted,
+    _CROSS, Boundary, Grid, Rect, ScalarField, _cell_dot, _ExactSum, _forward_grad, _laplace,
+    _reach, _reach_rect, _require_finite, _row_tiles, _sq_norm, _tile_cells, _views, grad_d,
+    laplace_shifted,
 )
 from .spin_energy import (
-    EnergyRecord, ModelParams, SpinField, _record, _spins, energy_Hn, potential_W,
+    EnergyRecord, ModelParams, SpinField, _hn_rects, _hn_tile, _record, _require_unit, _spins,
+    potential_W,
 )
 from .entropy import _jump_size, perp, sigma_surface_density
 
@@ -272,6 +275,15 @@ def discretize_potential(
     return ScalarField(grid, np.asarray(phi_eps(pts)))
 
 
+def _require_small_angles(max_angle: float) -> None:
+    """The neighbour-angle bound ``sqrt(delta) max |D_d phi| < pi``."""
+    if max_angle >= math.pi:
+        raise ScalingError(
+            f"sqrt(delta) * max|D_d phi| = {max_angle:.6g} >= pi; "
+            "the potential oscillates too fast for this lattice scale",
+        )
+
+
 def spin_from_potential(phi_n: ScalarField, p: ModelParams) -> SpinField:
     """Wrap a lattice potential into spins: ``u = (cos, sin)(sqrt(delta)/l phi)``.
 
@@ -283,13 +295,30 @@ def spin_from_potential(phi_n: ScalarField, p: ModelParams) -> SpinField:
     p.require_spacing(phi_n.grid)
     sqd = math.sqrt(p.delta)
     d = grad_d(phi_n)
-    max_angle = sqd * float(np.max(np.abs(d.values)))  # d.values are zeros outside d.valid
-    if max_angle >= math.pi:
-        raise ScalingError(
-            f"sqrt(delta) * max|D_d phi| = {max_angle:.6g} >= pi; "
-            "the potential oscillates too fast for this lattice scale",
-        )
+    _require_small_angles(sqd * float(np.max(np.abs(d.values))))  # zeros outside d.valid
     return SpinField._adopt(phi_n.grid, _spins((sqd / p.l) * phi_n.values), phi_n.valid)
+
+
+def _ag_tile(phi: NDArray, i0: int, i1: int, d_rect: Rect, lap_rect: Rect, l: float,
+             sums: tuple[_ExactSum, _ExactSum]) -> float:
+    """One row tile of ``laplacian_AG_energy``.
+
+    From the potential on the rows ``i0 - 1 .. i1`` and columns ``-1 .. ny``
+    (wrapped, as ``_row_tiles`` reads them), it forms ``D_d phi`` and
+    ``Delta_s phi`` on the rows ``i0 .. i1 - 1``, seals each on its rect, and
+    adds ``W(D_d phi)`` and ``|Delta_s phi|^2`` on both rects to ``sums``.
+    Returns ``max |D_d phi|`` over the tile's cells of ``d_rect``, or 0.
+    """
+    here, right, left, up, down = _views(phi, 1, ((0, 0),) + _CROSS)
+    d = _forward_grad(here, right, up, l)
+    lap = _laplace(here, [right, left, up, down], l)
+    own_d = d[_tile_cells(d_rect, i0, i1, (i0, 0))]
+    _require_finite(own_d)
+    _require_finite(lap[_tile_cells(lap_rect, i0, i1, (i0, 0))])
+    cells = _tile_cells(d_rect.intersect(lap_rect), i0, i1, (i0, 0))
+    sums[0].add(potential_W(d[cells]))
+    sums[1].add(lap[cells] ** 2)
+    return float(np.max(np.abs(own_d))) if own_d.size else 0.0
 
 
 def laplacian_AG_energy(phi_n: ScalarField, p: ModelParams) -> EnergyRecord:
@@ -298,13 +327,56 @@ def laplacian_AG_energy(phi_n: ScalarField, p: ModelParams) -> EnergyRecord:
 
     ``W`` is taken of the one-sided forward gradient, so, unlike ``Hn``, the
     energy is not invariant under a lattice reflection: mirrored walls give
-    different values.
+    different values.  It streams over row tiles like ``energy_Hn``.
     """
     p.require_transition_regime()
-    p.require_spacing(phi_n.grid)
-    d = grad_d(phi_n)
-    lap = laplace_shifted(phi_n)
-    return _record(p, potential_W(d.values), lap.values**2, d.valid.intersect(lap.valid))
+    g = phi_n.grid
+    p.require_spacing(g)
+    d_rect, lap_rect = _reach(phi_n, ((1, 0), (0, 1))), _reach(phi_n, _CROSS)
+    if d_rect.empty or lap_rect.empty or g.nx < 3 or g.ny < 3:
+        grad_d(phi_n)  # the whole-field operators raise as they always have
+        laplace_shifted(phi_n)
+    sums = _ExactSum(), _ExactSum()
+    for i0, i1, index in _row_tiles(g):
+        _ag_tile(phi_n.values[index], i0, i1, d_rect, lap_rect, p.l, sums)
+    return _record(p, sums[0].value(), sums[1].value())
+
+
+def _level_energies(
+    phi_eps: Callable[[NDArray], NDArray], grid: Grid, origin: tuple[float, float],
+    p: ModelParams,
+) -> tuple[EnergyRecord, EnergyRecord]:
+    """``energy_Hn`` and ``laplacian_AG_energy`` of one gamma-table level.
+
+    The same floats as ``discretize_potential``, ``spin_from_potential`` and
+    the two energies, but row tile by row tile: each tile samples the
+    potential on its rows and a one-cell margin, forms ``D_d phi`` once,
+    wraps the spins and adds both energies' densities, so no whole-grid
+    array is built.  The angle bound is checked over all tiles at the end,
+    after seals the whole-field path runs later; none of those can fail once
+    the potential is finite, so the same error comes first.
+    """
+    sqd = math.sqrt(p.delta)
+    xs, ys = grid.lattice_points()
+    full = grid.full_rect
+    hn_rects = _hn_rects(grid, full)
+    d_rect = _reach_rect(full, grid.periodic, ((1, 0), (0, 1)))
+    lap_rect = _reach_rect(full, grid.periodic, _CROSS)
+    hn_sums, ag_sums = (_ExactSum(), _ExactSum()), (_ExactSum(), _ExactSum())
+    max_d = 0.0
+    own = (slice(1, -1), slice(1, -1))  # a tile's own cells, without the margin
+    for i0, i1, (rows, cols) in _row_tiles(grid):
+        x, y = np.broadcast_arrays(xs[rows] + origin[0], ys[cols] + origin[1])
+        phi = np.asarray(phi_eps(np.stack([x, y], axis=-1)), dtype=np.float64)
+        _require_finite(phi[own])
+        max_d = max(max_d, _ag_tile(phi, i0, i1, d_rect, lap_rect, p.l, ag_sums))
+        spins = _spins((sqd / p.l) * phi)
+        _require_finite(spins[own])
+        _require_unit(spins[own])
+        _hn_tile(spins, i0, i1, hn_rects, hn_rects[-1], sqd, p.l, hn_sums)
+    _require_small_angles(sqd * max_d)
+    return (_record(p, hn_sums[0].value(), hn_sums[1].value()),
+            _record(p, ag_sums[0].value(), ag_sums[1].value()))
 
 
 @dataclass(frozen=True)
@@ -415,11 +487,7 @@ def gamma_limsup_experiment(
     for n, (p, grid) in enumerate(zip(schedule.entries, grids)):
         l, nx, ny = p.l, grid.nx, grid.ny
         origin = (-l, -l)
-        phi_eps = mollified_wall_potential(cfg, p.eps, m)
-        phi_n = discretize_potential(phi_eps, grid, origin)
-        u = spin_from_potential(phi_n, p)
-        hn = energy_Hn(u, p)
-        ags = laplacian_AG_energy(phi_n, p)
+        hn, ags = _level_energies(mollified_wall_potential(cfg, p.eps, m), grid, origin, p)
         rect = Rect(1, nx - 1, 1, ny - 1)
         box = (
             origin[0] + l * rect.i0,
@@ -444,7 +512,6 @@ def gamma_limsup_experiment(
                 "limit": limit,
                 "rel_err": (hn.total - limit) / limit if limit else math.nan,
                 "_params": p,
-                "_field": u,
                 "_origin": origin,
             }
         )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DomainError, OptimizationError
+from .errors import DimensionError, DomainError, OptimizationError
 from .ground_states import _helix_angles
 from .lattice_core import Grid, ScalarField, _unit, _zero_outside, cell_sum
 from .spin_energy import ModelParams, SpinField, _f_density, _f_residuals, _spins
@@ -93,11 +93,15 @@ def f_gradient(psi: ScalarField, p: ModelParams) -> ScalarField:
 
     Each site enters its own residual with weight ``-alpha/2`` and the four
     neighbouring residuals with weight 1; differentiating the spin against the
-    lift rotates it by 90 degrees.
+    lift rotates it by 90 degrees.  The energy reads every cell, so the lift
+    must be valid on the whole grid.
     """
     p.require_transition_regime()
     g = psi.grid
     p.require_spacing(g)
+    if psi.valid != g.full_rect:
+        raise DimensionError(f"the lift gradient needs a lift valid on the whole grid, "
+                             f"got {psi.valid}")
     return ScalarField._adopt(g, _lift_gradient(_spins(psi.values), p, g, None), g.full_rect)
 
 

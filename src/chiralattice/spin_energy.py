@@ -22,14 +22,20 @@ from numpy.typing import NDArray
 
 from .errors import DimensionError, DomainError, ParameterError
 from .lattice_core import (
+    _CROSS,
     Grid,
     Rect,
     ScalarField,
     VectorField,
     _cell_dot,
+    _ExactSum,
     _neighbours,
     _reach,
+    _reach_rect,
+    _require_finite,
+    _row_tiles,
     _sq_norm,
+    _tile_cells,
     cell_sum,
     grad_d,
 )
@@ -99,10 +105,14 @@ class SpinField(VectorField):
 
     def _seal(self) -> None:
         super()._seal()
-        si, sj = self.valid.slices
-        norms = np.hypot(self.values[si, sj, 0], self.values[si, sj, 1])
-        if norms.size and np.max(np.abs(norms - 1.0)) > 1e-12:
-            raise DomainError("spin field values must be unit vectors (1e-12)")
+        _require_unit(self.values[self.valid.slices])
+
+
+def _require_unit(spins: NDArray) -> None:
+    """The unit-norm half of the spin field seal, on the cells it is given."""
+    norms = np.hypot(spins[..., 0], spins[..., 1])
+    if norms.size and np.max(np.abs(norms - 1.0)) > 1e-12:
+        raise DomainError("spin field values must be unit vectors (1e-12)")
 
 
 def _spins(psi: NDArray) -> NDArray:
@@ -131,15 +141,25 @@ class ChiralityFields:
 
     @cached_property
     def chi(self) -> VectorField:
-        return self._pack(lambda theta: 2.0 / self.sqrt_delta * np.sin(theta / 2.0))
+        return self._pack(lambda theta: _chi(theta, self.sqrt_delta))
 
     @cached_property
     def chi_tilde(self) -> VectorField:
-        return self._pack(lambda theta: np.sin(theta) / self.sqrt_delta)
+        return self._pack(lambda theta: _chi_tilde(theta, self.sqrt_delta))
 
     @cached_property
     def chi_bar(self) -> VectorField:
         return self._pack(lambda theta: theta / self.sqrt_delta)
+
+
+def _chi(theta: NDArray, sqrt_delta: float) -> NDArray:
+    """Per-cell chirality ``(2/sqrt(delta)) sin(theta/2)`` of a neighbour angle."""
+    return 2.0 / sqrt_delta * np.sin(theta / 2.0)
+
+
+def _chi_tilde(theta: NDArray, sqrt_delta: float) -> NDArray:
+    """Per-cell sine-variant chirality ``sin(theta)/sqrt(delta)``."""
+    return np.sin(theta) / sqrt_delta
 
 
 def _oriented_angle(a: NDArray, b: NDArray) -> NDArray:
@@ -253,14 +273,25 @@ def bulk_identity_check(u: SpinField, p: ModelParams) -> float:
     return abs(e + shift - f) / (1.0 + abs(f))
 
 
+def _wd(c1: NDArray, c1_left: NDArray, c2: NDArray, c2_down: NDArray) -> NDArray:
+    """Per-cell Wd from the chirality components and their left and lower neighbours."""
+    w = 2.0 - c1**2 - c1_left**2 - c2**2 - c2_down**2
+    return w * w / 4.0
+
+
+def _ad(t1: NDArray, t1_left: NDArray, t2: NDArray, t2_down: NDArray, l: float) -> NDArray:
+    """Per-cell Ad from the sine-variant components and their left and lower neighbours."""
+    return (t1 - t1_left) / l + (t2 - t2_down) / l
+
+
 def Wd(ch: ChiralityFields) -> ScalarField:
     """Discrete double-well density ``w^2 / 4`` from four shifted chirality squares,
     ``w = 2 - |chi1|^2(i,j) - |chi1|^2(i-1,j) - |chi2|^2(i,j) - |chi2|^2(i,j-1)``."""
     chi = ch.chi
     (left, down), rect = _neighbours(chi, (-1, 0), (0, -1))
     x = chi.values
-    w = 2.0 - x[..., 0] ** 2 - left[..., 0] ** 2 - x[..., 1] ** 2 - down[..., 1] ** 2
-    return ScalarField._adopt(chi.grid, w * w / 4.0, rect)
+    wd = _wd(x[..., 0], left[..., 0], x[..., 1], down[..., 1])
+    return ScalarField._adopt(chi.grid, wd, rect)
 
 
 def Ad(ch: ChiralityFields) -> ScalarField:
@@ -268,9 +299,9 @@ def Ad(ch: ChiralityFields) -> ScalarField:
     ``(x1 - x1(i-1,j)) / l + (x2 - x2(i,j-1)) / l``."""
     ct = ch.chi_tilde
     (left, down), rect = _neighbours(ct, (-1, 0), (0, -1))
-    x, l = ct.values, ct.grid.spacing
-    div = (x[..., 0] - left[..., 0]) / l + (x[..., 1] - down[..., 1]) / l
-    return ScalarField._adopt(ct.grid, div, rect)
+    x = ct.values
+    ad = _ad(x[..., 0], left[..., 0], x[..., 1], down[..., 1], ct.grid.spacing)
+    return ScalarField._adopt(ct.grid, ad, rect)
 
 
 @dataclass(frozen=True)
@@ -282,24 +313,70 @@ class EnergyRecord:
     derivative_part: float
 
 
-def _record(p: ModelParams, w_vals: NDArray, d_vals: NDArray, rect: Rect) -> EnergyRecord:
-    pot = 0.5 / p.eps * p.l**2 * cell_sum(w_vals, rect)
-    der = 0.5 * p.eps * p.l**2 * cell_sum(d_vals, rect)
+def _record(p: ModelParams, well_sum: float, derivative_sum: float) -> EnergyRecord:
+    pot = 0.5 / p.eps * p.l**2 * well_sum
+    der = 0.5 * p.eps * p.l**2 * derivative_sum
     return EnergyRecord(pot + der, pot, der)
+
+
+def _hn_rects(grid: Grid, valid: Rect) -> tuple[Rect, Rect, Rect, Rect]:
+    """Where spins valid on ``valid`` give the fields of ``energy_Hn``: the
+    right and upper angles, the chiralities, and Wd with Ad, which read the
+    spins one step away in each direction."""
+    def reach(*offsets):
+        return _reach_rect(valid, grid.periodic, offsets)
+
+    return reach((1, 0)), reach((0, 1)), reach((1, 0), (0, 1)), reach(*_CROSS)
+
+
+def _hn_tile(spins: NDArray, i0: int, i1: int, rects: tuple[Rect, ...], summed: Rect,
+             sqrt_delta: float, l: float, sums: tuple[_ExactSum, _ExactSum]) -> None:
+    """One row tile of ``energy_Hn``.
+
+    From the spins on the rows ``i0 - 1 .. i1`` and columns ``-1 .. ny``
+    (wrapped, as ``_row_tiles`` reads them), it forms the angles and both
+    chiralities on the rows ``i0 - 1 .. i1 - 1`` and Wd and Ad on the rows
+    ``i0 .. i1 - 1``, seals each on those of its cells that lie on the rows
+    ``i0 .. i1 - 1`` of its ``_hn_rects`` rect, and adds Wd and ``|Ad|^2`` on
+    ``summed`` to ``sums``.
+    """
+    here = spins[:-1, :-1]
+    th, tv = _oriented_angle(here, spins[1:, :-1]), _oriented_angle(here, spins[:-1, 1:])
+    c1, c2 = _chi(th, sqrt_delta), _chi(tv, sqrt_delta)
+    t1, t2 = _chi_tilde(th, sqrt_delta), _chi_tilde(tv, sqrt_delta)
+    wd = _wd(c1[1:, 1:], c1[:-1, 1:], c2[1:, 1:], c2[1:, :-1])
+    ad = _ad(t1[1:, 1:], t1[:-1, 1:], t2[1:, 1:], t2[1:, :-1], l)
+    th_rect, tv_rect, chi_rect, w_rect = rects
+    margin, inner = (i0 - 1, -1), (i0, 0)
+    for values, rect, origin in ((th, th_rect, margin), (tv, tv_rect, margin),
+                                 (c1, chi_rect, margin), (c2, chi_rect, margin),
+                                 (t1, chi_rect, margin), (t2, chi_rect, margin),
+                                 (wd, w_rect, inner), (ad, w_rect, inner)):
+        _require_finite(values[_tile_cells(rect, i0, i1, origin)])
+    cells = _tile_cells(summed, i0, i1, inner)
+    sums[0].add(wd[cells])
+    sums[1].add(ad[cells] ** 2)
 
 
 def energy_Hn(u: SpinField, p: ModelParams, region: Rect | None = None) -> EnergyRecord:
     """Rescaled transition energy (1/2) int (1/eps) Wd + eps |Ad|^2.
 
     Satisfies ``F = delta^{3/2} * l * Hn`` exactly over matching cell sets.
+    It streams over row tiles (``_hn_tile``): no whole-grid intermediate is
+    built, and the sums, exact per tile, give the same floats for any tile
+    height.
     """
     p.require_transition_regime()
     p.require_spacing(u.grid)
-    ch = chirality(u, p)
-    wd = Wd(ch)
-    ad = Ad(ch)
-    rect = _resolve_region(wd.valid.intersect(ad.valid), region)
-    return _record(p, wd.values, ad.values**2, rect)
+    rects = _hn_rects(u.grid, u.valid)
+    if rects[-1].empty:  # the whole-field operators name the stencil without a cell
+        Wd(chirality(u, p))
+    summed = rects[-1] if region is None else rects[-1].intersect(region)
+    sums = _ExactSum(), _ExactSum()
+    for i0, i1, index in _row_tiles(u.grid):
+        _hn_tile(u.values[index], i0, i1, rects, summed, math.sqrt(p.delta), p.l, sums)
+    _resolve_region(rects[-1], region)  # after the seals, as with whole fields
+    return _record(p, sums[0].value(), sums[1].value())
 
 
 def potential_W(xi: NDArray) -> NDArray:
@@ -319,7 +396,8 @@ def _well_and_jacobian(
     for k in (0, 1):
         for ahead in (e1, e2):
             dsq = dsq + ((ahead[..., k] - x[..., k]) / l) ** 2
-    return _record(p, w, dsq, _resolve_region(rect, region))
+    rect = _resolve_region(rect, region)
+    return _record(p, cell_sum(w, rect), cell_sum(dsq, rect))
 
 
 def energy_Hn_star(u: SpinField, p: ModelParams, region: Rect | None = None) -> EnergyRecord:
@@ -327,7 +405,12 @@ def energy_Hn_star(u: SpinField, p: ModelParams, region: Rect | None = None) -> 
     difference matrix of chi in place of the shifted stencils."""
     p.require_transition_regime()
     p.require_spacing(u.grid)
-    chi = chirality(u, p).chi
+    return _hn_star(chirality(u, p), p, region)
+
+
+def _hn_star(ch: ChiralityFields, p: ModelParams, region: Rect | None) -> EnergyRecord:
+    """``energy_Hn_star`` from chirality fields the caller already holds."""
+    chi = ch.chi
     return _well_and_jacobian(p, potential_W(chi.values), chi, region)
 
 

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiralattice import (
-    Boundary, ConfigError, Grid, ScalarField, VectorField, cli, read_field_csv, recovery_limsup,
-    relaxation, write_field_csv,
+    Boundary, ConfigError, Grid, ScalarField, VectorField, cli, diagnostics, read_field_csv,
+    recovery_limsup, relaxation, spin_energy, write_field_csv,
 )
 from chiralattice.cli import main
 
@@ -622,6 +622,23 @@ class TestDiagnose:
         assert report["large_angle_cells"] == 0
         assert report["curl_quantization_residual"] <= 1e-10
 
+    def test_one_angles_pass_serves_every_check(self, tmp_path, monkeypatch):
+        out = str(tmp_path)
+        main(["--out-dir", out] + GROUND_STATE_ARGS)
+        passes = []
+        original = spin_energy.angles
+
+        def counted(u):
+            passes.append(u.grid.nx * u.grid.ny)
+            return original(u)
+
+        for module in (spin_energy, diagnostics):
+            monkeypatch.setattr(module, "angles", counted)
+        field = os.path.join(out, "ground_state_field.csv")
+        assert main(["--out-dir", out, "diagnose", "--field", field, "--l", "0.05",
+                     "--alpha", "7.92", "--nx", "16", "--ny", "16"]) == 0
+        assert passes == [16 * 16]
+
     def test_missing_field_file_is_a_runtime_failure(self, tmp_path, capsys):
         args = ["--out-dir", str(tmp_path), "diagnose", "--field", "nope.csv",
                 "--l", "0.05", "--alpha", "7.92", "--nx", "8", "--ny", "8"]
@@ -668,6 +685,20 @@ FIXED_CONFIG_SHA256 = {
 ROTATED_WALL_SHA256 = {
     "gamma_table.csv": "718f1f14c82365bd4df8868c106d9c4fd6a194d049260a6e0ef8eee1e859d122",
     "gamma_table_manifest.json": "5063b50f979dac3770f47d7922e9d4325bd936d73e56637c6b9a5e7993a762fa",
+}
+
+# the same at more levels, whose 400 x 400 finest grids span many row tiles
+MULTI_TILE_SHA256 = {
+    ("--levels", "4"): {
+        "gamma_table.csv": "4bcfa8e8fc588531da0f6931721f303b049f68d924c4c9bb37f2867c3aa5ded9",
+        "gamma_table_manifest.json":
+            "5edc86a25c2b9c9226d6ba5c2f93d166eda085929cc75e14de21284e0a8fba27",
+    },
+    ("--wall-angle", "30", "--eps0", "0.04", "--levels", "3"): {
+        "gamma_table.csv": "69a12a3efe55745a8abf8f161dccf2751f725fc5340a5d1c8392bb0a6028b580",
+        "gamma_table_manifest.json":
+            "43b1272c4a9b41eff3e35d4832d84b7479b3db2f479587eb26e04dc220151094",
+    },
 }
 
 # the same for a short relaxation; relax_manifest.json is left out, since its
@@ -724,6 +755,16 @@ class TestFixedConfigOutputs:
             with open(os.path.join(out, name), "rb") as fh:
                 found[name] = hashlib.sha256(fh.read()).hexdigest()
         assert found == ROTATED_WALL_SHA256
+
+    @pytest.mark.parametrize("args", list(MULTI_TILE_SHA256), ids=["aligned-4", "rotated-3"])
+    def test_multi_tile_gamma_outputs_match_recorded_hashes(self, args, tmp_path):
+        out = str(tmp_path)
+        assert main(["--out-dir", out, "gamma-table", *args]) == 0
+        found = {}
+        for name in MULTI_TILE_SHA256[args]:
+            with open(os.path.join(out, name), "rb") as fh:
+                found[name] = hashlib.sha256(fh.read()).hexdigest()
+        assert found == MULTI_TILE_SHA256[args]
 
     def test_relax_outputs_match_recorded_hashes(self, tmp_path):
         out = str(tmp_path)

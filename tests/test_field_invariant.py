@@ -80,6 +80,7 @@ def spin_makers(scalar, spin):
     chi = (2.0 * math.sin(th / 2.0) / math.sqrt(delta), 2.0 * math.sin(tv / 2.0) / math.sqrt(delta))
     p = ModelParams(l=g.spacing, alpha=8.0 - 2.0 * delta)
     u, _, _ = relax(spin, P, RelaxConfig(max_iters=2))
+    lift = ScalarField(g, scalar.values)  # the lift gradient needs the whole grid valid
     found = [
         ("helical_field", helical_field(HelixSpec(0.1, th, tv), g), []),
         ("ground_state_from_chirality", ground_state_from_chirality(chi, p, g, 0.1), []),
@@ -87,7 +88,7 @@ def spin_makers(scalar, spin):
         ("spin_from_potential", spin_from_potential(scalar, ModelParams(l=g.spacing, alpha=7.98)),
          [scalar]),
         ("relax", u, [spin]),
-        ("f_gradient", f_gradient(scalar, P), [scalar]),
+        ("f_gradient", f_gradient(lift, P), [scalar, lift]),
     ]
     if not g.periodic:
         found.append(("wall_start", wall_start(FixedAngles(chi, chi[::-1]), P, g), []))

@@ -1,0 +1,177 @@
+"""The row-tiled energies: the tile height never changes a bit.
+
+``energy_Hn``, ``laplacian_AG_energy`` and each gamma-table level stream over
+row tiles of about ``lattice_core._TILE_CELLS`` cells.  Here the constant is
+patched down to tiles of a few rows, so every case crosses tile seams, and
+the results are compared bit for bit with one tile over the whole grid, and
+under the lattice's own symmetries.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chiralattice import (
+    Boundary,
+    Grid,
+    ModelParams,
+    Rect,
+    ScalarField,
+    ScalingSchedule,
+    SpinField,
+    canonical_wall,
+    discretize_potential,
+    energy_F,
+    energy_Hn,
+    gamma_limsup_experiment,
+    laplacian_AG_energy,
+    lattice_core,
+    recovery_limsup,
+    spin_from_potential,
+)
+
+HEIGHTS = (1, 2, 7)
+P = ModelParams(l=0.1, alpha=7.5)
+
+
+def outcome(run):
+    """``run()``'s floats as hex strings, or its exception's type and message."""
+    try:
+        result = run()
+    except Exception as exc:  # the error is the outcome compared
+        return type(exc).__name__, str(exc)
+    if isinstance(result, list):  # gamma-table rows
+        return [{k: v.hex() if isinstance(v, float) else v for k, v in row.items()}
+                for row in result]
+    return tuple(x.hex() for x in (result.total, result.potential_part, result.derivative_part))
+
+
+def at_height(rows, run, grid):
+    """``outcome(run)`` with tiles of ``rows`` rows of ``grid``, or one tile if None."""
+    cells = grid.nx * grid.ny if rows is None else rows * grid.ny
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice_core, "_TILE_CELLS", cells)
+        return outcome(run)
+
+
+def smooth_lift(rng, nx, ny):
+    """A smooth wave plus noise, so neighbour angles are neither all tiny nor random."""
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    k1, k2, phase = rng.uniform(0.05, 0.6), rng.uniform(0.05, 0.6), rng.uniform(0, 2 * math.pi)
+    return np.sin(k1 * i + phase) * 2.0 + k2 * j + rng.normal(scale=0.2, size=(nx, ny))
+
+
+def spins(grid, psi, valid=None):
+    return SpinField(grid, np.stack([np.cos(psi), np.sin(psi)], axis=-1), valid)
+
+
+@st.composite
+def cases(draw):
+    """A lift on a grid with sides 3 to 30, valid on a drawn rect of an open
+    grid, and an energy region that may miss it."""
+    boundary = draw(st.sampled_from([Boundary.OPEN, Boundary.PERIODIC]))
+    nx, ny = draw(st.integers(3, 30)), draw(st.integers(3, 30))
+    grid = Grid(0.1, nx, ny, boundary)
+    valid = None
+    if boundary is Boundary.OPEN and draw(st.booleans()):
+        i0, j0 = draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1))
+        valid = Rect(i0, draw(st.integers(i0 + 1, nx)), j0, draw(st.integers(j0 + 1, ny)))
+    region = None
+    if draw(st.booleans()):
+        i0, j0 = draw(st.integers(0, nx)), draw(st.integers(0, ny))
+        region = Rect(i0, draw(st.integers(i0, nx)), j0, draw(st.integers(j0, ny)))
+    psi = smooth_lift(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), nx, ny)
+    return grid, psi, valid, region
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases())
+def test_tile_height_changes_no_bit_of_the_energies(case):
+    grid, psi, valid, region = case
+    u, phi = spins(grid, psi, valid), ScalarField(grid, psi, valid)
+    for run in (lambda: energy_Hn(u, P), lambda: energy_Hn(u, P, region),
+                lambda: laplacian_AG_energy(phi, P)):
+        whole = at_height(None, run, grid)
+        assert [at_height(h, run, grid) for h in HEIGHTS] == [whole] * len(HEIGHTS)
+
+
+@pytest.mark.parametrize("angle, eps0, levels", [(0.0, 0.08, 2), (30.0, 0.04, 1)])
+def test_tile_height_changes_no_bit_of_a_gamma_level(angle, eps0, levels):
+    schedule = ScalingSchedule.geometric(eps0=eps0, levels=levels)
+    finest = int(round(1.0 / schedule.entries[-1].l)) + 2
+
+    def run():
+        return gamma_limsup_experiment(canonical_wall(angle), schedule)
+
+    grid = Grid(1.0, finest, finest)  # the tile height is counted on the finest level
+    whole = at_height(None, run, grid)
+    assert [at_height(h, run, grid) for h in HEIGHTS] == [whole] * len(HEIGHTS)
+
+
+def test_a_steep_level_raises_the_whole_grid_angle_error(monkeypatch):
+    def steep(cfg, eps, m):  # steep only near x = 1, so a late tile holds the largest angle
+        return lambda x: np.where(x[..., 0] > 0.9, 40.0 * x[..., 0] ** 2, x[..., 1])
+
+    monkeypatch.setattr(recovery_limsup, "mollified_wall_potential", steep)
+    schedule = ScalingSchedule.geometric(levels=1)
+    p = schedule.entries[0]
+    side = int(round(1.0 / p.l)) + 2
+    grid = Grid(p.l, side, side, Boundary.OPEN)
+    whole = outcome(
+        lambda: spin_from_potential(discretize_potential(steep(0, 0, 0), grid, (-p.l, -p.l)), p))
+    assert whole[0] == "ScalingError"
+    for h in HEIGHTS + (None,):
+        assert at_height(h, lambda: gamma_limsup_experiment(canonical_wall(), schedule),
+                         grid) == whole
+
+
+SYMMETRIES = {
+    "transpose": np.transpose,
+    "flip-rows": lambda a: a[::-1],
+    "flip-columns": lambda a: a[:, ::-1],
+    "quarter-turn": np.rot90,
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([Boundary.OPEN, Boundary.PERIODIC]), st.integers(8, 47),
+       st.integers(8, 47), st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_hn_and_f_are_invariant_under_the_lattice_symmetries(boundary, nx, ny, rows, seed):
+    """F and the derivative part of Hn are bitwise invariant.  The potential
+    part is invariant up to rounding only: Wd forms ``2 - a - b - c - d`` from
+    four chirality squares in a fixed order, which a flip or a transposition
+    permutes (about one map in sixteen moves its sum by an ulp)."""
+    psi = smooth_lift(np.random.default_rng(seed), nx, ny)
+
+    def energies(lift):
+        grid = Grid(0.1, *lift.shape, boundary)
+        u = spins(grid, np.ascontiguousarray(lift))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice_core, "_TILE_CELLS", rows * grid.ny)
+            hn = energy_Hn(u, P)
+        return hn.potential_part, hn.derivative_part.hex(), energy_F(u, P).hex()
+
+    pot, *exact = energies(psi)
+    for f in SYMMETRIES.values():
+        mapped_pot, *mapped_exact = energies(f(psi))
+        assert mapped_exact == exact
+        assert math.isclose(mapped_pot, pot, rel_tol=1e-14)
+
+
+def test_a_level_peak_memory_grows_less_than_twice_from_400_to_982_cells_per_side():
+    entries = ScalingSchedule.geometric(levels=5).entries
+    peaks = []
+    for p in entries[3:]:
+        tracemalloc.start()
+        try:
+            gamma_limsup_experiment(canonical_wall(), ScalingSchedule((p,)))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    sides = [int(round(1.0 / p.l)) + 2 for p in entries[3:]]
+    assert sides == [400, 982]
+    assert peaks[1] < 2 * peaks[0]

@@ -39,6 +39,7 @@ from chiralattice import (
     f_gradient,
     grad_d,
     laplace_shifted,
+    laplacian_AG_energy,
 )
 from chiralattice.lattice_core import _reach
 
@@ -175,14 +176,18 @@ def test_every_stencil_matches_its_np_roll_formula(fs, beta):
     assert energy_F(spin, pe) == pe.l**2 * math.fsum(per_cell[mask].tolist())
 
     p = ModelParams(l=l, alpha=7.5)
-    # the lift gradient reads every cell of the lift, valid or not
+    # the lift gradient reads every cell of the lift, so it needs all of them valid
     full = np.ones((g.nx, g.ny), dtype=bool)
-    s = np.stack([np.cos(x), np.sin(x)], axis=-1)
-    rh, rv = f_residuals(s, p)
-    th, tv = f_residuals(np.where(lookup_mask(full, CROSS, per)[..., None], rh + rv, 0.0), p)
-    t = th + tv
-    grad = l**2 * (t[..., 0] * -s[..., 1] + t[..., 1] * s[..., 0])
-    check_field(lambda: f_gradient(scalar, p), grad, full)
+    if valid.all():
+        s = np.stack([np.cos(x), np.sin(x)], axis=-1)
+        rh, rv = f_residuals(s, p)
+        th, tv = f_residuals(np.where(lookup_mask(full, CROSS, per)[..., None], rh + rv, 0.0), p)
+        t = th + tv
+        grad = l**2 * (t[..., 0] * -s[..., 1] + t[..., 1] * s[..., 0])
+        check_field(lambda: f_gradient(scalar, p), grad, full)
+    else:
+        with pytest.raises(DimensionError):
+            f_gradient(scalar, p)
     # the jacobian reads the gradient only where both of its cells are valid
     d1, d2 = (ahead(x, 1, 0) - x) / l, (ahead(x, 0, 1) - x) / l
     jac = lookup_mask(both, ((1, 0), (0, 1)), per)
@@ -191,6 +196,9 @@ def test_every_stencil_matches_its_np_roll_formula(fs, beta):
         for di, dj in ((1, 0), (0, 1)):
             dsq = dsq + ((ahead(c, di, dj) - c) / l) ** 2
     check_record(lambda: energy_AGd(scalar, p), p, (1.0 - d1**2 - d2**2) ** 2, dsq, jac)
+    # the Aviles-Giga energy of the Laplacian, over the cells where both stencils exist
+    check_record(lambda: laplacian_AG_energy(scalar, p), p, (1.0 - (d1 * d1 + d2 * d2)) ** 2,
+                 (lap / l**2) ** 2, lookup_mask(valid, CROSS, per))
 
     if not both.any():
         # one axis without a neighbour pair leaves no chirality cell at all
