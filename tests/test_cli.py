@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -189,8 +191,9 @@ class TestRelax:
         assert manifest["derived"]["final_F"] == values[-1]
 
     def test_manifest_says_whether_the_descent_converged(self, tmp_path):
+        # the run converges in 4 iterations, so a cap of 2 cuts it off
         args = ["relax", "--eps", "0.08", "--nx", "8", "--ny", "8", "--tol-grad", "1e-5"]
-        for max_iters, converged in (("5", False), ("5000", True)):
+        for max_iters, converged in (("2", False), ("5000", True)):
             out = str(tmp_path / max_iters)
             assert main(["--out-dir", out] + args + ["--max-iters", max_iters]) == 0
             derived = read_manifest(out, "relax")["derived"]
@@ -704,8 +707,8 @@ MULTI_TILE_SHA256 = {
 # the same for a short relaxation; relax_manifest.json is left out, since its
 # derived facts may grow while the trace and the field stay put
 RELAX_SHA256 = {
-    "relax_trace.csv": "f8cc798a627c23e9933cab11fdee4586e244adb08faa4892b62f6dd2bc8e7779",
-    "relax_field.csv": "86bb2b7c453137f632fb6c93a22a4916ff28014eaa814afa2623b3588b5d53b6",
+    "relax_trace.csv": "adabfb5804e85d603721fd3add551b04aff7221473865466f72635c538cb2754",
+    "relax_field.csv": "615a407a7417649cbb8b223ae21e6f12e063d2344a1e892f6baae50b9abdad8f",
 }
 
 
@@ -775,6 +778,26 @@ class TestFixedConfigOutputs:
             with open(os.path.join(out, name), "rb") as fh:
                 found[name] = hashlib.sha256(fh.read()).hexdigest()
         assert found == RELAX_SHA256
+
+    def test_relax_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the model Hessian and every inner product avoid BLAS, so the thread
+        # count the BLAS and OpenMP libraries are given moves no byte
+        args = ["relax", "--eps", "0.08", "--nx", "12", "--ny", "12", "--max-iters", "300"]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        run = "from chiralattice.cli import main; raise SystemExit(main())"
+        found = []
+        for threads in ("1", "2"):
+            out = str(tmp_path / threads)
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=path)
+            subprocess.run([sys.executable, "-c", run, "--out-dir", out] + args,
+                           env=env, check=True, capture_output=True)
+            found.append({})
+            for name in RELAX_SHA256:
+                with open(os.path.join(out, name), "rb") as fh:
+                    found[-1][name] = hashlib.sha256(fh.read()).hexdigest()
+        assert found == [RELAX_SHA256, RELAX_SHA256]
 
     def test_field_read_outputs_match_recorded_hashes(self, tmp_path):
         out = str(tmp_path)
