@@ -6,7 +6,9 @@ flags override.  Every run writes a JSON manifest with all resolved
 parameters and derived scales next to its outputs.  Output files are written
 atomically (temp-then-rename), floats carry 17 significant digits, and
 identical configurations reproduce every output byte for byte regardless of
-the thread-count flag.
+the thread-count flag, on one numpy build at one SIMD dispatch level: numpy's
+``arctan2``, ``arcsin`` and ``**`` can round differently in their AVX2 and
+AVX-512 loops.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 """

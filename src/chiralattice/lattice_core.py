@@ -21,8 +21,10 @@ extracts the values of each block of cells error-free into a few exact
 partials in numpy and rounds their sum once with ``math.fsum``, so every sum
 is the correctly rounded real sum: bit for bit the same whatever the blocks,
 the thread count or the run order.  :func:`cell_sum` is the accumulator over
-one block; the energies that stream over row tiles (``_row_tiles``) add one
-block per tile, so no tile height changes a bit of their sums.
+one block.  The energies that stream over row tiles (``_RowTile``) run one
+loop, ``_tile_sums``, whose kernels add one block per tile, so no tile height
+changes a bit of their sums; each tiled quantity is sealed on the reach of
+its stencil, the cells where a whole field of it would be valid.
 """
 
 from __future__ import annotations
@@ -346,25 +348,48 @@ def _neighbours(f: ScalarField, *offsets: tuple[int, int]) -> tuple[list[NDArray
 _TILE_CELLS = 1 << 15
 
 
-def _row_tiles(grid: Grid):
-    """Tiles of whole rows, about ``_TILE_CELLS`` cells each, that cover
-    ``grid``.  Per tile: its rows ``i0 .. i1 - 1`` and the index, for
-    ``values[index]``, of the cells it reads with a one-cell margin: rows
-    ``i0 - 1 .. i1`` and columns ``-1 .. ny``, wrapped as in ``_neighbours``."""
+@dataclass(frozen=True)
+class _RowTile:
+    """The rows ``i0 .. i1 - 1`` of a field valid on ``valid``, read as
+    ``values[index]`` with a one-cell margin: rows ``i0 - 1 .. i1`` and
+    columns ``-1 .. ny``, wrapped as in ``_neighbours``."""
+
+    i0: int
+    i1: int
+    index: tuple[NDArray, NDArray]
+    valid: Rect
+    periodic: bool
+
+    def cells(self, offsets, margin: int, region: Rect | None = None) -> tuple[slice, slice]:
+        """Where the stencil ``offsets`` reaches, as on a whole field, cut to
+        ``region`` and to the tile's rows: slices into a tile array whose
+        ``[0, 0]`` is the cell ``(i0 - margin, -margin)``."""
+        rect = _reach_rect(self.valid, self.periodic, offsets)
+        if region is not None:
+            rect = rect.intersect(region)
+        a, b, r = max(rect.i0, self.i0), min(rect.i1, self.i1), self.i0 - margin
+        return slice(a - r, max(a, b) - r), slice(rect.j0 + margin, max(rect.j0, rect.j1) + margin)
+
+    def seal(self, offsets, margin: int, *arrays: NDArray) -> None:
+        """The finiteness seal of each array on its ``cells(offsets, margin)``."""
+        cells = self.cells(offsets, margin)
+        for values in arrays:
+            _require_finite(values[cells])
+
+
+def _tile_sums(grid: Grid, valid: Rect, n: int, kernel) -> list[float]:
+    """The values of ``n`` exact accumulators once ``kernel(tile, sums)`` has
+    added its blocks for each row tile, of about ``_TILE_CELLS`` cells, of a
+    field on ``grid`` valid on ``valid``, in order."""
     nx, ny = grid.nx, grid.ny
     cols = np.arange(-1, ny + 1) % ny
     step = max(1, _TILE_CELLS // ny)
+    sums = [_ExactSum() for _ in range(n)]
     for i0 in range(0, nx, step):
         i1 = min(i0 + step, nx)
-        yield i0, i1, np.ix_(np.arange(i0 - 1, i1 + 1) % nx, cols)
-
-
-def _tile_cells(rect: Rect, i0: int, i1: int, origin: tuple[int, int]) -> tuple[slice, slice]:
-    """The cells of ``rect`` on the rows ``i0 .. i1 - 1``, as slices into a
-    tile array whose ``[0, 0]`` is the cell ``origin``."""
-    a, b = max(rect.i0, i0), min(rect.i1, i1)
-    r, c = origin
-    return slice(a - r, max(a, b) - r), slice(rect.j0 - c, max(rect.j0, rect.j1) - c)
+        index = np.ix_(np.arange(i0 - 1, i1 + 1) % nx, cols)
+        kernel(_RowTile(i0, i1, index, valid, grid.periodic), sums)
+    return [s.value() for s in sums]
 
 
 def _forward_grad(x: NDArray, right: NDArray, up: NDArray, l: float) -> NDArray:

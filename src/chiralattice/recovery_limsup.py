@@ -26,13 +26,11 @@ from numpy.typing import NDArray
 
 from .errors import ConfigError, DomainError, ParameterError, ScalingError
 from .lattice_core import (
-    _CROSS, Boundary, Grid, Rect, ScalarField, _cell_dot, _ExactSum, _forward_grad, _laplace,
-    _reach, _reach_rect, _require_finite, _row_tiles, _sq_norm, _tile_cells, _views, grad_d,
-    laplace_shifted,
+    _CROSS, Boundary, Grid, Rect, ScalarField, _cell_dot, _forward_grad, _laplace, _reach,
+    _RowTile, _sq_norm, _tile_sums, _views, grad_d, laplace_shifted,
 )
 from .spin_energy import (
-    EnergyRecord, ModelParams, SpinField, _hn_rects, _hn_tile, _record, _require_unit, _spins,
-    potential_W,
+    EnergyRecord, ModelParams, SpinField, _hn_tile, _record, _require_unit, _spins, potential_W,
 )
 from .entropy import _jump_size, perp, sigma_surface_density
 
@@ -299,25 +297,20 @@ def spin_from_potential(phi_n: ScalarField, p: ModelParams) -> SpinField:
     return SpinField._adopt(phi_n.grid, _spins((sqd / p.l) * phi_n.values), phi_n.valid)
 
 
-def _ag_tile(phi: NDArray, i0: int, i1: int, d_rect: Rect, lap_rect: Rect, l: float,
-             sums: tuple[_ExactSum, _ExactSum]) -> float:
-    """One row tile of ``laplacian_AG_energy``.
-
-    From the potential on the rows ``i0 - 1 .. i1`` and columns ``-1 .. ny``
-    (wrapped, as ``_row_tiles`` reads them), it forms ``D_d phi`` and
-    ``Delta_s phi`` on the rows ``i0 .. i1 - 1``, seals each on its rect, and
-    adds ``W(D_d phi)`` and ``|Delta_s phi|^2`` on both rects to ``sums``.
-    Returns ``max |D_d phi|`` over the tile's cells of ``d_rect``, or 0.
-    """
+def _ag_tile(tile: _RowTile, phi: NDArray, l: float, sums: list) -> float:
+    """One row tile of ``laplacian_AG_energy``: it forms ``D_d phi`` and
+    ``Delta_s phi`` on the tile's own cells, seals each on the reach of its
+    stencil, and adds ``W(D_d phi)`` and ``|Delta_s phi|^2`` on the reach of
+    both to ``sums``.  Returns ``max |D_d phi|`` over its cells, or 0."""
     here, right, left, up, down = _views(phi, 1, ((0, 0),) + _CROSS)
     d = _forward_grad(here, right, up, l)
     lap = _laplace(here, [right, left, up, down], l)
-    own_d = d[_tile_cells(d_rect, i0, i1, (i0, 0))]
-    _require_finite(own_d)
-    _require_finite(lap[_tile_cells(lap_rect, i0, i1, (i0, 0))])
-    cells = _tile_cells(d_rect.intersect(lap_rect), i0, i1, (i0, 0))
+    tile.seal(((1, 0), (0, 1)), 0, d)
+    tile.seal(_CROSS, 0, lap)
+    cells = tile.cells(_CROSS, 0)
     sums[0].add(potential_W(d[cells]))
     sums[1].add(lap[cells] ** 2)
+    own_d = d[tile.cells(((1, 0), (0, 1)), 0)]
     return float(np.max(np.abs(own_d))) if own_d.size else 0.0
 
 
@@ -332,14 +325,12 @@ def laplacian_AG_energy(phi_n: ScalarField, p: ModelParams) -> EnergyRecord:
     p.require_transition_regime()
     g = phi_n.grid
     p.require_spacing(g)
-    d_rect, lap_rect = _reach(phi_n, ((1, 0), (0, 1))), _reach(phi_n, _CROSS)
-    if d_rect.empty or lap_rect.empty or g.nx < 3 or g.ny < 3:
+    if _reach(phi_n, _CROSS).empty or g.nx < 3 or g.ny < 3:
         grad_d(phi_n)  # the whole-field operators raise as they always have
         laplace_shifted(phi_n)
-    sums = _ExactSum(), _ExactSum()
-    for i0, i1, index in _row_tiles(g):
-        _ag_tile(phi_n.values[index], i0, i1, d_rect, lap_rect, p.l, sums)
-    return _record(p, sums[0].value(), sums[1].value())
+    well, derivative = _tile_sums(g, phi_n.valid, 2, lambda tile, sums: _ag_tile(
+        tile, phi_n.values[tile.index], p.l, sums))
+    return _record(p, well, derivative)
 
 
 def _level_energies(
@@ -352,31 +343,30 @@ def _level_energies(
     the two energies, but row tile by row tile: each tile samples the
     potential on its rows and a one-cell margin, forms ``D_d phi`` once,
     wraps the spins and adds both energies' densities, so no whole-grid
-    array is built.  The angle bound is checked over all tiles at the end,
-    after seals the whole-field path runs later; none of those can fail once
-    the potential is finite, so the same error comes first.
+    array is built.  The angle bound is checked over all tiles after the
+    last, before any sum is rounded.  The seals it follows cannot fail once
+    the potential is finite, so the whole-field path's error comes first.
     """
     sqd = math.sqrt(p.delta)
     xs, ys = grid.lattice_points()
-    full = grid.full_rect
-    hn_rects = _hn_rects(grid, full)
-    d_rect = _reach_rect(full, grid.periodic, ((1, 0), (0, 1)))
-    lap_rect = _reach_rect(full, grid.periodic, _CROSS)
-    hn_sums, ag_sums = (_ExactSum(), _ExactSum()), (_ExactSum(), _ExactSum())
     max_d = 0.0
-    own = (slice(1, -1), slice(1, -1))  # a tile's own cells, without the margin
-    for i0, i1, (rows, cols) in _row_tiles(grid):
+
+    def level_tile(tile: _RowTile, sums: list) -> None:
+        nonlocal max_d
+        rows, cols = tile.index
         x, y = np.broadcast_arrays(xs[rows] + origin[0], ys[cols] + origin[1])
         phi = np.asarray(phi_eps(np.stack([x, y], axis=-1)), dtype=np.float64)
-        _require_finite(phi[own])
-        max_d = max(max_d, _ag_tile(phi, i0, i1, d_rect, lap_rect, p.l, ag_sums))
+        tile.seal((), 1, phi)
+        max_d = max(max_d, _ag_tile(tile, phi, p.l, sums[2:]))
         spins = _spins((sqd / p.l) * phi)
-        _require_finite(spins[own])
-        _require_unit(spins[own])
-        _hn_tile(spins, i0, i1, hn_rects, hn_rects[-1], sqd, p.l, hn_sums)
-    _require_small_angles(sqd * max_d)
-    return (_record(p, hn_sums[0].value(), hn_sums[1].value()),
-            _record(p, ag_sums[0].value(), ag_sums[1].value()))
+        tile.seal((), 1, spins)
+        _require_unit(spins[tile.cells((), 1)])
+        _hn_tile(tile, spins, sqd, p.l, None, sums)
+        if tile.i1 == grid.nx:  # after every tile, before the loop rounds a sum
+            _require_small_angles(sqd * max_d)
+
+    hn_pot, hn_der, ag_pot, ag_der = _tile_sums(grid, grid.full_rect, 4, level_tile)
+    return _record(p, hn_pot, hn_der), _record(p, ag_pot, ag_der)
 
 
 @dataclass(frozen=True)

@@ -28,14 +28,11 @@ from .lattice_core import (
     ScalarField,
     VectorField,
     _cell_dot,
-    _ExactSum,
     _neighbours,
     _reach,
-    _reach_rect,
-    _require_finite,
-    _row_tiles,
+    _RowTile,
     _sq_norm,
-    _tile_cells,
+    _tile_sums,
     cell_sum,
     grad_d,
 )
@@ -319,41 +316,23 @@ def _record(p: ModelParams, well_sum: float, derivative_sum: float) -> EnergyRec
     return EnergyRecord(pot + der, pot, der)
 
 
-def _hn_rects(grid: Grid, valid: Rect) -> tuple[Rect, Rect, Rect, Rect]:
-    """Where spins valid on ``valid`` give the fields of ``energy_Hn``: the
-    right and upper angles, the chiralities, and Wd with Ad, which read the
-    spins one step away in each direction."""
-    def reach(*offsets):
-        return _reach_rect(valid, grid.periodic, offsets)
-
-    return reach((1, 0)), reach((0, 1)), reach((1, 0), (0, 1)), reach(*_CROSS)
-
-
-def _hn_tile(spins: NDArray, i0: int, i1: int, rects: tuple[Rect, ...], summed: Rect,
-             sqrt_delta: float, l: float, sums: tuple[_ExactSum, _ExactSum]) -> None:
-    """One row tile of ``energy_Hn``.
-
-    From the spins on the rows ``i0 - 1 .. i1`` and columns ``-1 .. ny``
-    (wrapped, as ``_row_tiles`` reads them), it forms the angles and both
-    chiralities on the rows ``i0 - 1 .. i1 - 1`` and Wd and Ad on the rows
-    ``i0 .. i1 - 1``, seals each on those of its cells that lie on the rows
-    ``i0 .. i1 - 1`` of its ``_hn_rects`` rect, and adds Wd and ``|Ad|^2`` on
-    ``summed`` to ``sums``.
-    """
+def _hn_tile(tile: _RowTile, spins: NDArray, sqrt_delta: float, l: float,
+             region: Rect | None, sums: list) -> None:
+    """One row tile of ``energy_Hn``: it forms the angles and both
+    chiralities with a one-cell margin and Wd and Ad on the tile's own cells,
+    seals each on the reach of its stencil, and adds Wd and ``|Ad|^2`` on the
+    reach of the 5-point stencil, cut to ``region``, to ``sums``."""
     here = spins[:-1, :-1]
     th, tv = _oriented_angle(here, spins[1:, :-1]), _oriented_angle(here, spins[:-1, 1:])
     c1, c2 = _chi(th, sqrt_delta), _chi(tv, sqrt_delta)
     t1, t2 = _chi_tilde(th, sqrt_delta), _chi_tilde(tv, sqrt_delta)
     wd = _wd(c1[1:, 1:], c1[:-1, 1:], c2[1:, 1:], c2[1:, :-1])
     ad = _ad(t1[1:, 1:], t1[:-1, 1:], t2[1:, 1:], t2[1:, :-1], l)
-    th_rect, tv_rect, chi_rect, w_rect = rects
-    margin, inner = (i0 - 1, -1), (i0, 0)
-    for values, rect, origin in ((th, th_rect, margin), (tv, tv_rect, margin),
-                                 (c1, chi_rect, margin), (c2, chi_rect, margin),
-                                 (t1, chi_rect, margin), (t2, chi_rect, margin),
-                                 (wd, w_rect, inner), (ad, w_rect, inner)):
-        _require_finite(values[_tile_cells(rect, i0, i1, origin)])
-    cells = _tile_cells(summed, i0, i1, inner)
+    tile.seal(((1, 0),), 1, th)
+    tile.seal(((0, 1),), 1, tv)
+    tile.seal(((1, 0), (0, 1)), 1, c1, c2, t1, t2)
+    tile.seal(_CROSS, 0, wd, ad)
+    cells = tile.cells(_CROSS, 0, region)
     sums[0].add(wd[cells])
     sums[1].add(ad[cells] ** 2)
 
@@ -368,15 +347,13 @@ def energy_Hn(u: SpinField, p: ModelParams, region: Rect | None = None) -> Energ
     """
     p.require_transition_regime()
     p.require_spacing(u.grid)
-    rects = _hn_rects(u.grid, u.valid)
-    if rects[-1].empty:  # the whole-field operators name the stencil without a cell
+    rect = _reach(u, _CROSS)
+    if rect.empty:  # the whole-field operators name the stencil without a cell
         Wd(chirality(u, p))
-    summed = rects[-1] if region is None else rects[-1].intersect(region)
-    sums = _ExactSum(), _ExactSum()
-    for i0, i1, index in _row_tiles(u.grid):
-        _hn_tile(u.values[index], i0, i1, rects, summed, math.sqrt(p.delta), p.l, sums)
-    _resolve_region(rects[-1], region)  # after the seals, as with whole fields
-    return _record(p, sums[0].value(), sums[1].value())
+    well, derivative = _tile_sums(u.grid, u.valid, 2, lambda tile, sums: _hn_tile(
+        tile, u.values[tile.index], math.sqrt(p.delta), p.l, region, sums))
+    _resolve_region(rect, region)  # after the seals, as with whole fields
+    return _record(p, well, derivative)
 
 
 def potential_W(xi: NDArray) -> NDArray:

@@ -4,6 +4,11 @@
 as ``lattice_core._sq_norm`` and ``lattice_core._cell_dot``; every other
 module calls them, so no ``sum(..., axis=-1)`` reduction is left in
 ``src/`` to round a second way.
+
+The row-tile layout has one owner too: only ``lattice_core`` makes exact
+accumulators, applies the reach rule to a bare rect, reads the tile size or
+builds an ``np.ix_`` index; the tiled energies get their tiles, cells and
+sums from ``lattice_core._tile_sums``.
 """
 
 import ast
@@ -11,6 +16,7 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "chiralattice"
 OWNED = ("_sq_norm", "_cell_dot")
+TILE_LAYOUT = {"_ExactSum", "_reach_rect", "_TILE_CELLS", "ix_"}
 
 
 def _trees():
@@ -41,3 +47,21 @@ def test_each_cell_kernel_is_defined_once_in_lattice_core():
             if isinstance(node, ast.FunctionDef) and node.name in defs:
                 defs[node.name].append(name)
     assert defs == {owned: ["lattice_core.py"] for owned in OWNED}
+
+
+def test_only_lattice_core_knows_the_tile_layout():
+    found = []
+    for name, tree in _trees().items():
+        if name == "lattice_core.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used = {node.id}
+            elif isinstance(node, ast.Attribute):
+                used = {node.attr}
+            elif isinstance(node, ast.ImportFrom):
+                used = {alias.name for alias in node.names}
+            else:
+                continue
+            found += [f"{name}:{node.lineno}:{u}" for u in sorted(used & TILE_LAYOUT)]
+    assert found == []

@@ -1,5 +1,6 @@
 """Mollified-roof recovery fields and the wall-energy convergence table."""
 
+import functools
 import math
 
 import numpy as np
@@ -333,3 +334,62 @@ class TestGammaTable(object):
         with pytest.raises(ConfigError):
             gamma_limsup_experiment(wall, schedule)
 
+
+
+@functools.cache
+def roof_profile_integrals() -> tuple[float, float]:
+    """``A = int (4F(1 - F))^2`` and ``B = int 4 m^2`` over [-1, 1], for the
+    kernel's normalised marginal ``m = C (1 - v^2)^{9/2}``, ``C = 256 / (63 pi)``,
+    and its CDF ``F``.  With ``v = sin(theta)`` the marginal is
+    ``C cos^10(theta)``, whose integral ``F`` has a closed form, and every
+    integrand is smooth in ``theta``."""
+    c = 256.0 / (63.0 * math.pi)
+    z, w = leggauss(200)
+    theta = z * math.pi / 2.0
+    terms = 252.0 * (theta + math.pi / 2.0)
+    for k in range(5):
+        terms = terms + math.comb(10, k) * np.sin(2 * (5 - k) * theta) / (5 - k)
+    f = c / 1024.0 * terms
+    a = math.pi / 2.0 * math.fsum(w * (4.0 * f * (1.0 - f)) ** 2 * np.cos(theta))
+    z, w = leggauss(20)  # 4 m^2 is a polynomial of degree 18 in v
+    b = 4.0 * c * c * math.fsum(w * (1.0 - z * z) ** 9)
+    return a, b
+
+
+def roof_profile_excess(radius: float) -> float:
+    """``c(R)``: how far the mollified roof's wall energy per unit length lies
+    above the optimal ``sigma = |[chi]|^3 / 6`` of the canonical wall.
+
+    Across the wall ``D phi = t nu_perp + (d/2) G'(s / eps R) nu`` with
+    ``G' = 2F - 1``.  At ``d = sqrt(2)`` the rescaled energy per unit length
+    is ``E(R) = (R A / 4 + B / (2R)) / 2``, so ``c(R) = E(R) / sigma - 1``.
+    """
+    a, b = roof_profile_integrals()
+    return 0.5 * (radius * a / 4.0 + b / (2.0 * radius)) / SQRT2_OVER_3 - 1.0
+
+
+class TestMollifiedRoofLimit:
+    """``Hn`` tends to the construction's own limit ``(1 + c(R)) sigma`` per unit
+    length, from below and at a rate ``O(delta)``, on every level."""
+
+    def test_profile_excess_oracle(self):
+        assert math.isclose(100.0 * roof_profile_excess(4.0), 0.72531, abs_tol=5e-6)
+        a, b = roof_profile_integrals()
+        best = math.sqrt(2.0 * b / a)  # where R A / 4 + B / (2R) is least
+        assert abs(best - 3.9994) <= 5e-5
+        assert roof_profile_excess(best) < min(roof_profile_excess(best - 1e-3),
+                                               roof_profile_excess(best + 1e-3))
+
+    @pytest.mark.parametrize("angle, eps0, levels, k", [
+        (0.0, 0.08, 5, 0.06),
+        (30.0, 0.04, 4, 0.09),
+        (-30.0, 0.04, 4, 0.09),
+    ])
+    def test_hn_lies_below_the_roof_limit_by_order_delta(self, angle, eps0, levels, k):
+        excess = roof_profile_excess(DEFAULT_KERNEL_RADIUS)
+        schedule = ScalingSchedule.geometric(eps0=eps0, levels=levels)
+        rows = gamma_limsup_experiment(canonical_wall(angle), schedule)
+        assert len(rows) == levels
+        for r in rows:
+            deficit = (1.0 + excess) * r["limit"] - r["Hn"]
+            assert 0.0 <= deficit <= k * r["delta"] * r["limit"]

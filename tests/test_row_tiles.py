@@ -4,7 +4,9 @@
 row tiles of about ``lattice_core._TILE_CELLS`` cells.  Here the constant is
 patched down to tiles of a few rows, so every case crosses tile seams, and
 the results are compared bit for bit with one tile over the whole grid, and
-under the lattice's own symmetries.
+under the lattice's own symmetries.  The tiles' cells are checked against the
+whole-field reach rule, and the errors of degenerate inputs against the
+whole-field operators.
 """
 
 import math
@@ -23,16 +25,21 @@ from chiralattice import (
     ScalarField,
     ScalingSchedule,
     SpinField,
+    Wd,
     canonical_wall,
+    chirality,
     discretize_potential,
     energy_F,
     energy_Hn,
     gamma_limsup_experiment,
+    grad_d,
+    laplace_shifted,
     laplacian_AG_energy,
     lattice_core,
     recovery_limsup,
     spin_from_potential,
 )
+from chiralattice.lattice_core import _CROSS, _reach_rect, _tile_sums
 
 HEIGHTS = (1, 2, 7)
 P = ModelParams(l=0.1, alpha=7.5)
@@ -175,3 +182,117 @@ def test_a_level_peak_memory_grows_less_than_twice_from_400_to_982_cells_per_sid
     sides = [int(round(1.0 / p.l)) + 2 for p in entries[3:]]
     assert sides == [400, 982]
     assert peaks[1] < 2 * peaks[0]
+
+
+STENCILS = ((), ((1, 0),), ((0, 1),), ((1, 0), (0, 1)), _CROSS)
+
+
+@st.composite
+def tile_cases(draw):
+    """A grid with sides 2 to 12, a valid rect (partial, possibly empty, on an
+    open grid), a region that may miss it, a stencil, a margin and a tile height."""
+    boundary = draw(st.sampled_from([Boundary.OPEN, Boundary.PERIODIC]))
+    nx, ny = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    grid = Grid(0.1, nx, ny, boundary)
+    valid = grid.full_rect
+    if boundary is Boundary.OPEN and draw(st.booleans()):
+        i0, j0 = draw(st.integers(0, nx)), draw(st.integers(0, ny))
+        valid = Rect(i0, draw(st.integers(i0, nx)), j0, draw(st.integers(j0, ny)))
+    region = None
+    if draw(st.booleans()):
+        i0, j0 = draw(st.integers(-2, nx + 2)), draw(st.integers(-2, ny + 2))
+        region = Rect(i0, draw(st.integers(i0 - 2, nx + 2)), j0, draw(st.integers(j0 - 2, ny + 2)))
+    return (grid, valid, region, draw(st.sampled_from(STENCILS)), draw(st.integers(0, 1)),
+            draw(st.integers(1, 7)))
+
+
+def rect_mask(rect, shape):
+    mask = np.zeros(shape, dtype=bool)
+    mask[max(rect.i0, 0) : max(rect.i1, 0), max(rect.j0, 0) : max(rect.j1, 0)] = True
+    return mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(tile_cases())
+def test_the_tiles_cells_cover_the_reach_of_the_stencil_once(case):
+    """Each tile's ``cells`` lie in the array a kernel forms on it (its own rows
+    and columns, with ``margin`` more above and to the left), and together
+    they cover ``_reach_rect(valid, periodic, offsets)``, cut to the region,
+    each cell once."""
+    grid, valid, region, offsets, margin, rows = case
+    hits = np.zeros((grid.nx, grid.ny), dtype=int)
+
+    def count(tile, sums):
+        assert sums == []
+        r, c = tile.cells(offsets, margin, region)
+        assert 0 <= r.start <= r.stop and 0 <= c.start <= c.stop
+        if r.start < r.stop and c.start < c.stop:
+            assert r.stop <= tile.i1 - tile.i0 + margin and c.stop <= grid.ny + margin
+        top = tile.i0 - margin
+        hits[r.start + top : r.stop + top, c.start - margin : c.stop - margin] += 1
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice_core, "_TILE_CELLS", rows * grid.ny)
+        assert _tile_sums(grid, valid, 0, count) == []
+    reach = _reach_rect(valid, grid.periodic, offsets)
+    expected = rect_mask(reach if region is None else reach.intersect(region), hits.shape)
+    assert np.array_equal(hits, expected.astype(int))
+
+
+def error_of(run):
+    """The type and message of ``run()``'s exception, or None."""
+    try:
+        run()
+    except Exception as exc:  # the error is the outcome compared
+        return type(exc).__name__, str(exc)
+    return None
+
+
+DEGENERATE = [
+    (Grid(0.1, 2, 5, Boundary.OPEN), None),
+    (Grid(0.1, 5, 2, Boundary.OPEN), None),
+    (Grid(0.1, 2, 2, Boundary.PERIODIC), None),
+    (Grid(0.1, 2, 6, Boundary.PERIODIC), None),
+    (Grid(0.1, 5, 6, Boundary.OPEN), Rect(2, 3, 0, 6)),  # one row
+    (Grid(0.1, 5, 6, Boundary.OPEN), Rect(0, 5, 3, 4)),  # one column
+    (Grid(0.1, 5, 6, Boundary.OPEN), Rect(2, 2, 1, 5)),  # empty
+]
+
+
+@pytest.mark.parametrize("grid, valid", DEGENERATE,
+                         ids=["open-2x5", "open-5x2", "periodic-2x2", "periodic-2x6",
+                              "one-row", "one-column", "empty"])
+@pytest.mark.parametrize("rows", HEIGHTS)
+def test_degenerate_inputs_end_as_the_whole_field_operators_do(grid, valid, rows):
+    psi = smooth_lift(np.random.default_rng(grid.nx * grid.ny), grid.nx, grid.ny)
+    u, phi = spins(grid, psi, valid), ScalarField(grid, psi, valid)
+
+    def whole_ag():
+        grad_d(phi)
+        laplace_shifted(phi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice_core, "_TILE_CELLS", rows * grid.ny)
+        assert error_of(lambda: energy_Hn(u, P)) == error_of(lambda: Wd(chirality(u, P)))
+        assert error_of(lambda: laplacian_AG_energy(phi, P)) == error_of(whole_ag)
+
+
+def test_a_level_raises_the_angle_error_before_its_sums_overflow(monkeypatch):
+    """A slope so steep that ``W(D_d phi)`` sums past the float range: the
+    whole-field path stops at the angle bound before any energy is summed,
+    and so does a tiled level, at every tile height."""
+    def huge(cfg, eps, m):
+        return lambda x: 5e76 * x[..., 0]
+
+    monkeypatch.setattr(recovery_limsup, "mollified_wall_potential", huge)
+    schedule = ScalingSchedule.geometric(levels=1)
+    p = schedule.entries[0]
+    side = int(round(1.0 / p.l)) + 2
+    grid = Grid(p.l, side, side, Boundary.OPEN)
+    phi = discretize_potential(huge(0, 0, 0), grid, (-p.l, -p.l))
+    assert error_of(lambda: laplacian_AG_energy(phi, p))[0] == "DomainError"  # the overflow
+    whole = outcome(lambda: spin_from_potential(phi, p))
+    assert whole[0] == "ScalingError"
+    for h in HEIGHTS + (None,):
+        assert at_height(h, lambda: gamma_limsup_experiment(canonical_wall(), schedule),
+                         grid) == whole
