@@ -61,7 +61,6 @@ from .entropy import (
 )
 from .recovery_limsup import (
     DEFAULT_KERNEL_RADIUS,
-    Mollifier,
     ScalingSchedule,
     WallConfig,
     canonical_wall,

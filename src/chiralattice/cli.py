@@ -22,7 +22,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,16 +58,6 @@ from .diagnostics import (
 GAMMA_TABLE_COLUMNS = (
     "n", "l", "delta", "eps", "Hn", "Hn_pot", "Hn_der", "AGs_energy", "gap", "limit", "rel_err",
 )
-
-
-@dataclass
-class ExperimentConfig:
-    """One resolved experiment: subcommand name plus its parameter map."""
-
-    command: str
-    params: dict = field(default_factory=dict)
-    out_dir: str = "."
-    threads: int = 1
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -118,17 +107,16 @@ _MIN_CELLS = {"ground-state": 3, "relax": 3, "entropy-scan": 2, "diagnose": 6}
 
 
 def _model(
-    cfg: ExperimentConfig, l: float, alpha: float | None = None
+    command: str, q: dict, l: float, alpha: float | None = None
 ) -> tuple[ModelParams | None, Grid]:
     """Grid, and ModelParams in the transition regime when ``alpha`` is given,
-    from a subcommand's flags.  Any value they reject, or a grid too small for
+    from the flags ``q`` of subcommand ``command``.  Any value they reject, or a grid too small for
     the subcommand or over ``MAX_GRID_CELLS`` cells, is a ``ConfigError``
     before any numerics run."""
-    q = cfg.params
     boundary = Boundary(q.get("boundary", "open"))
-    least = _MIN_CELLS[cfg.command] - (boundary is Boundary.PERIODIC)
+    least = _MIN_CELLS[command] - (boundary is Boundary.PERIODIC)
     if min(q["nx"], q["ny"]) < least:
-        raise ConfigError(f"{cfg.command} needs {least}x{least} cells, got {q['nx']}x{q['ny']}")
+        raise ConfigError(f"{command} needs {least}x{least} cells, got {q['nx']}x{q['ny']}")
     if q["nx"] * q["ny"] > MAX_GRID_CELLS:
         raise ConfigError(f"a {q['nx']}x{q['ny']} grid has over {MAX_GRID_CELLS} cells")
     # the energies weigh cells by l^2 and Hn squares |Ad| <= 8 / (sqrt(delta) l),
@@ -150,8 +138,7 @@ def _model(
 # the output paths; ``run`` writes the manifest.
 
 
-def _run_ground_state(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
-    q = cfg.params
+def _run_ground_state(q: dict, out_dir: str) -> tuple[dict, list[str]]:
     chi = _parse_vec(q["chi"])
     norm = math.hypot(*chi)
     if not norm >= sys.float_info.min:  # a subnormal norm does not normalize to 1e-12
@@ -159,14 +146,14 @@ def _run_ground_state(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
     chi = (chi[0] / norm, chi[1] / norm)  # tolerate 4-5 digit inputs
     if not math.isfinite(q["theta0"]):
         raise ConfigError(f"theta0 must be finite, got {q['theta0']!r}")
-    p, grid = _model(cfg, q["l"], q["alpha"])
+    p, grid = _model("ground-state", q, q["l"], q["alpha"])
     u = ground_state_from_chirality(chi, p, grid, q["theta0"])
     e = energy_E(u, p)
     f = energy_F(u, p)
     hn = energy_Hn(u, p)
-    field_path = os.path.join(cfg.out_dir, "ground_state_field.csv")
+    field_path = os.path.join(out_dir, "ground_state_field.csv")
     _write_field(u, field_path)
-    energy_path = os.path.join(cfg.out_dir, "ground_state_energies.csv")
+    energy_path = os.path.join(out_dir, "ground_state_energies.csv")
     _write_csv(
         energy_path,
         ("n", "l", "delta", "eps", "E", "F", "Hn", "Hn_potential", "Hn_derivative"),
@@ -197,9 +184,8 @@ def _scales_from_eps(eps: float, delta_exponent: float) -> tuple[float, float]:
     return eps * math.sqrt(delta), 8.0 - 2.0 * delta
 
 
-def _run_relax(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
-    q = cfg.params
-    p, grid = _model(cfg, *_scales_from_eps(q["eps"], q["delta_exponent"]))
+def _run_relax(q: dict, out_dir: str) -> tuple[dict, list[str]]:
+    p, grid = _model("relax", q, *_scales_from_eps(q["eps"], q["delta_exponent"]))
     try:
         boundary = FixedAngles(_parse_vec(q["chi_left"]), _parse_vec(q["chi_right"]))
         rc = RelaxConfig(
@@ -209,10 +195,10 @@ def _run_relax(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
         raise ConfigError(str(exc)) from None
     u0 = wall_start(boundary, p, grid)
     u, trace, grad_max = relax(u0, p, rc)
-    trace_path = os.path.join(cfg.out_dir, "relax_trace.csv")
+    trace_path = os.path.join(out_dir, "relax_trace.csv")
     _write_csv(trace_path, ("iter", "F"),
                [{"iter": k, "F": v} for k, v in enumerate(trace.tolist())])
-    field_path = os.path.join(cfg.out_dir, "relax_field.csv")
+    field_path = os.path.join(out_dir, "relax_field.csv")
     _write_field(u, field_path)
     hn = energy_Hn(u, p)
     derived = {
@@ -233,9 +219,8 @@ def _sharp_wall_chi(grid: Grid) -> VectorField:
     return VectorField(grid, vals)
 
 
-def _run_entropy_scan(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
-    q = cfg.params
-    _, grid = _model(cfg, q["l"])
+def _run_entropy_scan(q: dict, out_dir: str) -> tuple[dict, list[str]]:
+    _, grid = _model("entropy-scan", q, q["l"])
     n = q["angles"]
     if n < 1:
         raise ConfigError("need at least one scan angle")
@@ -251,13 +236,12 @@ def _run_entropy_scan(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
         nu = (math.cos(angle), math.sin(angle))
         production = total_variation_production(chi, jin_kohn(nu))
         rows.append({"angle": angle, "production": production})
-    scan_path = os.path.join(cfg.out_dir, "entropy_scan.csv")
+    scan_path = os.path.join(out_dir, "entropy_scan.csv")
     _write_csv(scan_path, ("angle", "production"), rows)
     return {"angles": n}, [scan_path]
 
 
-def _run_gamma_table(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
-    q = cfg.params
+def _run_gamma_table(q: dict, out_dir: str) -> tuple[dict, list[str]]:
     schedule = ScalingSchedule.geometric(
         eps0=q["eps0"], levels=q["levels"],
         delta_exponent=q["delta_exponent"], ratio=q["ratio"],
@@ -265,14 +249,12 @@ def _run_gamma_table(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
     if not math.isfinite(q["wall_angle"]):
         raise ConfigError(f"wall angle must be finite, got {q['wall_angle']!r}")
     wall = canonical_wall(q["wall_angle"])
-    if q["kernel"] != "quartic":
-        raise ConfigError(f"unknown kernel {q['kernel']!r}")
     try:
         m = quartic_bump(q["radius"])
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
     rows = gamma_limsup_experiment(wall, schedule, m)
-    table_path = os.path.join(cfg.out_dir, "gamma_table.csv")
+    table_path = os.path.join(out_dir, "gamma_table.csv")
     _write_csv(table_path, GAMMA_TABLE_COLUMNS, rows)
     schedule_rows = [
         {"n": i, "l": e.l, "delta": e.delta, "eps": e.eps} for i, e in enumerate(schedule.entries)
@@ -280,9 +262,8 @@ def _run_gamma_table(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
     return {"schedule": schedule_rows, "kernel_radius": m.radius}, [table_path]
 
 
-def _run_diagnose(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
-    q = cfg.params
-    p, grid = _model(cfg, q["l"], q["alpha"])
+def _run_diagnose(q: dict, out_dir: str) -> tuple[dict, list[str]]:
+    p, grid = _model("diagnose", q, q["l"], q["alpha"])
     if not (0 < q["t"] < math.pi):
         raise ConfigError(f"threshold must lie in (0, pi), got {q['t']}")
     raw = read_field_csv(q["field"], grid)
@@ -306,7 +287,7 @@ def _run_diagnose(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
         "Hn_star_over_Hn": ratio if math.isfinite(ratio) else None,
         "counting_constant": large * p.l / p.delta**1.5,
     }
-    report_path = os.path.join(cfg.out_dir, "diagnose_report.json")
+    report_path = os.path.join(out_dir, "diagnose_report.json")
     _atomic_write_text(report_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(report_path)
     return {"delta": p.delta, "eps": p.eps}, [report_path]
@@ -321,33 +302,31 @@ _RUNNERS = {
 }
 
 
-def run(cfg: ExperimentConfig) -> int:
-    """Execute a resolved experiment configuration and write its manifest.
+def run(command: str, params: dict, out_dir: str, threads: int) -> int:
+    """Run one subcommand on its resolved parameters and write its manifest.
 
     Every warning raised during the run is caught, and the manifest lists
     each distinct one once, in the order they first fired, under
     ``derived.warnings``; the key is there only when a warning fired.
     """
-    if cfg.command not in _RUNNERS:
-        raise ConfigError(f"unknown command {cfg.command!r}")
-    if cfg.threads < 1:
-        raise ConfigError(f"--threads must be at least 1, got {cfg.threads}")
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    if threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {threads}")
+    os.makedirs(out_dir, exist_ok=True)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        derived, outputs = _RUNNERS[cfg.command](cfg)
+        derived, outputs = _RUNNERS[command](params, out_dir)
     fired = dict.fromkeys(f"{w.category.__name__}: {w.message}" for w in caught)
     if fired:
         derived["warnings"] = list(fired)
     manifest = {
-        "command": cfg.command,
+        "command": command,
         "version": __version__,
-        "threads": cfg.threads,
-        "parameters": cfg.params,
+        "threads": threads,
+        "parameters": params,
         "derived": derived,
         "outputs": [os.path.basename(p) for p in outputs],
     }
-    path = os.path.join(cfg.out_dir, f"{cfg.command.replace('-', '_')}_manifest.json")
+    path = os.path.join(out_dir, f"{command.replace('-', '_')}_manifest.json")
     _atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -411,7 +390,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     gt.add_argument("--delta-exponent", type=float, default=0.6)
     gt.add_argument("--ratio", type=float, default=0.5)
     gt.add_argument("--wall-angle", type=float, default=0.0, help="degrees")
-    gt.add_argument("--kernel", default="quartic")
     gt.add_argument("--radius", type=float, default=DEFAULT_KERNEL_RADIUS)
     subparsers["gamma-table"] = gt
 
@@ -472,12 +450,9 @@ def main(argv: list[str] | None = None) -> int:
         if pre.config and pre.command:
             _apply_config_file(pre.config, pre.command, subparsers[pre.command])
         args = vars(parser.parse_args(argv))
-        command = args.pop("command")
-        out_dir = args.pop("out_dir")
-        threads = args.pop("threads")
+        command, out_dir, threads = args.pop("command"), args.pop("out_dir"), args.pop("threads")
         args.pop("config", None)
-        cfg = ExperimentConfig(command=command, params=args, out_dir=out_dir, threads=threads)
-        return run(cfg)
+        return run(command, args, out_dir, threads)
     except ConfigError as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
         return 2

@@ -197,7 +197,9 @@ def _resolve_region(rect: Rect, region: Rect | None) -> Rect:
 
 def energy_E(u: SpinField, p: ModelParams) -> float:
     """Three-coupling lattice energy: nearest (-alpha), diagonal (+beta),
-    and third-neighbour (+1) pair terms, each weighted by l^2."""
+    and third-neighbour (+1) pair terms, each weighted by l^2.  An open grid
+    sums only the cells whose six forward pairs all exist, so a reflected or
+    transposed field drops other edge pairs and gives another value."""
     p.require_spacing(u.grid)
     pairs = ((1, 0), (0, 1), (1, 1), (-1, 1), (2, 0), (0, 2))
     if _reach(u, pairs).empty:
@@ -379,7 +381,9 @@ def _well_and_jacobian(
 
 def energy_Hn_star(u: SpinField, p: ModelParams, region: Rect | None = None) -> EnergyRecord:
     """Auxiliary energy with the pointwise well W(chi) and the full forward
-    difference matrix of chi in place of the shifted stencils."""
+    difference matrix of chi in place of the shifted stencils.  Both look only
+    forward, so, unlike ``Hn``, it changes under a lattice reflection, on
+    periodic grids too."""
     p.require_transition_regime()
     p.require_spacing(u.grid)
     return _hn_star(chirality(u, p), p, region)

@@ -118,9 +118,11 @@ class TestGammaTable:
         assert err["error"] == "SCALING_VIOLATION"
 
     def test_unknown_kernel_is_a_config_error(self, tmp_path, capsys):
-        code = main(["--out-dir", str(tmp_path), "gamma-table", "--kernel", "gaussian"])
-        assert code == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "CONFIG_INVALID"
+        # the quartic bump is the one kernel, so there is no --kernel flag to name it
+        for kernel in ("gaussian", "quartic"):
+            code = main(["--out-dir", str(tmp_path), "gamma-table", "--kernel", kernel])
+            assert code == 2
+            assert json.loads(capsys.readouterr().err)["error"] == "CONFIG_INVALID"
 
     def test_rotated_walls_fit_at_the_default_eps0(self, tmp_path):
         # at 45 degrees the corners (0, 0) and (1, 1) both lie on the wall line
@@ -298,6 +300,7 @@ def test_bad_flags_are_config_errors_before_any_numerics(argv, tmp_path, capsys,
 
 @pytest.mark.parametrize("command, text", [
     ("gamma-table", "[gamma-table]\nlevles = 3\n"),  # not a flag
+    ("gamma-table", "[gamma-table]\nkernel = quartic\n"),  # no longer a flag
     ("ground-state", "[ground-state]\nboundary = sideways\n"),  # not a choice
     ("ground-state", "[ground-state]\nnx = 8.5\n"),  # not an int
     ("gamma-table", "[gamma-table]\nlevels = 1.0\n"),
@@ -305,8 +308,8 @@ def test_bad_flags_are_config_errors_before_any_numerics(argv, tmp_path, capsys,
     ("relax", "[relax]\nnx = 8\n[relax]\nny = 8\n"),  # repeated section
     ("relax", "[relax]\nchi_left = 50%\n"),  # read as it is: not a vector
     ("relax", b"[relax]\nnx = 8\xff\n"),  # not UTF-8
-], ids=["unknown-key", "bad-choice", "float-for-int", "float-for-levels", "no-section",
-        "repeated-section", "percent", "undecodable"])
+], ids=["unknown-key", "kernel-key", "bad-choice", "float-for-int", "float-for-levels",
+        "no-section", "repeated-section", "percent", "undecodable"])
 def test_bad_config_files_are_config_errors(command, text, tmp_path, capsys):
     ini = tmp_path / "bad.ini"
     ini.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -323,12 +326,14 @@ def test_bad_config_files_are_config_errors(command, text, tmp_path, capsys):
     ["gamma-table", "--eps0", "1e-4", "--levels", "1"],
     # l is about 2.4: a 2 x 2 grid, too small for the energies
     ["gamma-table", "--eps0", "2", "--delta-exponent", "0.5", "--radius", "0.125", "--levels", "1"],
+    # levels 0-5 fit; level 6 needs about 3.5e7 cells
+    ["gamma-table", "--levels", "7"],
 ])
 def test_gamma_table_grid_out_of_bounds_is_a_config_error(argv, tmp_path, capsys, monkeypatch):
-    def discretize(*args, **kwargs):
-        raise AssertionError("a level was discretized before every level was sized")
+    def level(*args, **kwargs):
+        raise AssertionError("a level ran before every level was sized")
 
-    monkeypatch.setattr(recovery_limsup, "discretize_potential", discretize)
+    monkeypatch.setattr(recovery_limsup, "_level_energies", level)
     assert main(["--out-dir", str(tmp_path)] + argv) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
@@ -680,14 +685,14 @@ FIXED_CONFIG_SHA256 = {
     "entropy_scan.csv": "76e8cbc4b95b263b40c326875a9c3b57e31d4764298655818c8a1f1ae08bf4f7",
     "entropy_scan_manifest.json": "8de8574b31f4537d1c8fa31c3469edf99f0a47877553aa7984fe11db1662a8fc",
     "gamma_table.csv": "a81df054a34426a7141fe9a07bb9c003b0316af2c6988ebe8a080e2167940d4f",
-    "gamma_table_manifest.json": "d92d7729e30d6e5f538727091c1c25c84262cb084bc48aa803246f91029f7a4b",
+    "gamma_table_manifest.json": "4d74adff554460ced088950ededf0495f989a674c840203018efcc9ac2f278c7",
 }
 
 # the same for a wall rotated by 30 degrees, where every lattice point has
 # its own distance from the wall
 ROTATED_WALL_SHA256 = {
     "gamma_table.csv": "718f1f14c82365bd4df8868c106d9c4fd6a194d049260a6e0ef8eee1e859d122",
-    "gamma_table_manifest.json": "5063b50f979dac3770f47d7922e9d4325bd936d73e56637c6b9a5e7993a762fa",
+    "gamma_table_manifest.json": "955f0622e599b1483a2e58278638abffb35fc33750bf237362d07940a6871197",
 }
 
 # the same at more levels, whose 400 x 400 finest grids span many row tiles
@@ -695,12 +700,12 @@ MULTI_TILE_SHA256 = {
     ("--levels", "4"): {
         "gamma_table.csv": "4bcfa8e8fc588531da0f6931721f303b049f68d924c4c9bb37f2867c3aa5ded9",
         "gamma_table_manifest.json":
-            "5edc86a25c2b9c9226d6ba5c2f93d166eda085929cc75e14de21284e0a8fba27",
+            "634d8accd7087081cc0b774642d624abbcd3d2c71067be0babd81000e7022d8d",
     },
     ("--wall-angle", "30", "--eps0", "0.04", "--levels", "3"): {
         "gamma_table.csv": "69a12a3efe55745a8abf8f161dccf2751f725fc5340a5d1c8392bb0a6028b580",
         "gamma_table_manifest.json":
-            "43b1272c4a9b41eff3e35d4832d84b7479b3db2f479587eb26e04dc220151094",
+            "c54487bbaa80f7efa45c1889230bf4699f5e6b1a92736127e471f202e52afd36",
     },
 }
 
