@@ -70,7 +70,6 @@ from .recovery_limsup import (
     mollified_wall_potential,
     mollify,
     quartic_bump,
-    single_wall_potential,
     spin_from_potential,
 )
 from .relaxation import FixedAngles, RelaxConfig, f_gradient, relax, wall_start

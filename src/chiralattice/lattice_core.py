@@ -21,10 +21,11 @@ extracts the values of each block of cells error-free into a few exact
 partials in numpy and rounds their sum once with ``math.fsum``, so every sum
 is the correctly rounded real sum: bit for bit the same whatever the blocks,
 the thread count or the run order.  :func:`cell_sum` is the accumulator over
-one block.  The energies that stream over row tiles (``_RowTile``) run one
-loop, ``_tile_sums``, whose kernels add one block per tile, so no tile height
-changes a bit of their sums; each tiled quantity is sealed on the reach of
-its stencil, the cells where a whole field of it would be valid.
+one block.  The two streams the CLI runs, ``energy_Hn`` and a gamma-table
+level, read row tiles (``_RowTile``) in one loop, ``_tile_sums``, whose
+kernels add one block per tile, so no tile height changes a bit of their
+sums; each tiled quantity that can be non-finite is sealed on the reach of its
+stencil, the cells where a whole field of it would be valid.
 """
 
 from __future__ import annotations

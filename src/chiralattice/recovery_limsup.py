@@ -25,11 +25,11 @@ from numpy.typing import NDArray
 
 from .errors import ConfigError, DomainError, ParameterError, ScalingError
 from .lattice_core import (
-    _CROSS, Boundary, Grid, Rect, ScalarField, _cell_dot, _forward_grad, _laplace, _reach,
-    _RowTile, _sq_norm, _tile_sums, _views, grad_d, laplace_shifted,
+    _CROSS, Boundary, Grid, Rect, ScalarField, _cell_dot, _forward_grad, _laplace, _RowTile,
+    _sq_norm, _tile_sums, _views, cell_sum, grad_d, laplace_shifted,
 )
 from .spin_energy import (
-    EnergyRecord, ModelParams, SpinField, _hn_tile, _record, _require_unit, _spins, potential_W,
+    EnergyRecord, ModelParams, SpinField, _hn_tile, _record, _spins, potential_W,
 )
 from .entropy import _jump_size, perp, sigma_surface_density
 
@@ -38,7 +38,6 @@ __all__ = [
     "ScalingSchedule",
     "quartic_bump",
     "canonical_wall",
-    "single_wall_potential",
     "mollify",
     "mollified_wall_potential",
     "discretize_potential",
@@ -124,24 +123,6 @@ def canonical_wall(angle: float = 0.0) -> WallConfig:
     )
 
 
-def single_wall_potential(cfg: WallConfig) -> Callable[[NDArray], NDArray]:
-    """Roof potential with gradient chi_plus above the wall, chi_minus below.
-
-    ``phi(x) = t (x . nu_perp) + (d/2) |x . nu - offset|``; on the wall line
-    the absolute value vanishes and the lower-side branch is the convention.
-    """
-    nu = np.asarray(cfg.nu, dtype=np.float64)
-    nup = perp(nu)
-    t = cfg.tangential
-    dh = cfg.half_jump
-
-    def phi(x: NDArray) -> NDArray:
-        x = np.asarray(x, dtype=np.float64)
-        return t * (x @ nup) + dh * np.abs(x @ nu - cfg.wall_offset)
-
-    return phi
-
-
 def mollify(
     phi: Callable[[NDArray], NDArray], eps: float, m: Mollifier
 ) -> Callable[[NDArray], NDArray]:
@@ -193,7 +174,9 @@ def _kink_profile(s: NDArray, width: float) -> NDArray:
 def mollified_wall_potential(
     cfg: WallConfig, eps: float, m: Mollifier
 ) -> Callable[[NDArray], NDArray]:
-    """Closed form of ``mollify(single_wall_potential(cfg), eps, m)``.
+    """Closed form of ``mollify(phi, eps, m)`` for the roof potential
+    ``phi(x) = t (x . nu_perp) + (d/2) |x . nu - offset|``, whose gradient is
+    ``chi_plus`` above the wall and ``chi_minus`` below it.
 
     With ``s = x . nu - offset`` the mollified roof is
     ``t (x . nu_perp) + (d/2) g(s)``: the kernel is radial, so its first
@@ -262,10 +245,11 @@ def spin_from_potential(phi_n: ScalarField, p: ModelParams) -> SpinField:
 
 
 def _ag_tile(tile: _RowTile, phi: NDArray, l: float, sums: list) -> float:
-    """One row tile of ``laplacian_AG_energy``: it forms ``D_d phi`` and
-    ``Delta_s phi`` on the tile's own cells, seals each on the reach of its
-    stencil, and adds ``W(D_d phi)`` and ``|Delta_s phi|^2`` on the reach of
-    both to ``sums``.  Returns ``max |D_d phi|`` over its cells, or 0."""
+    """One row tile of a gamma level's ``laplacian_AG_energy``: it forms
+    ``D_d phi`` and ``Delta_s phi`` on the tile's own cells, seals each on the
+    reach of its stencil, and adds ``W(D_d phi)`` and ``|Delta_s phi|^2`` on
+    the reach of both to ``sums``.  Returns ``max |D_d phi|`` over its cells,
+    or 0."""
     here, right, left, up, down = _views(phi, 1, ((0, 0),) + _CROSS)
     d = _forward_grad(here, right, up, l)
     lap = _laplace(here, [right, left, up, down], l)
@@ -280,23 +264,19 @@ def _ag_tile(tile: _RowTile, phi: NDArray, l: float, sums: list) -> float:
 
 def laplacian_AG_energy(phi_n: ScalarField, p: ModelParams) -> EnergyRecord:
     """Discrete Aviles-Giga energy with the shifted 5-point Laplacian:
-    ``(1/2) int (1/eps) W(D_d phi) + eps |Delta_s phi|^2``.
+    ``(1/2) int (1/eps) W(D_d phi) + eps |Delta_s phi|^2``, summed where the
+    Laplacian is valid (inside the gradient's rect).
 
     ``W`` is taken of the one-sided forward gradient, so, unlike ``Hn``, the
     energy is not invariant under a lattice reflection: mirrored walls give
     different values, and so does the gamma table's ``gap``: at ``--eps0
     0.04``, levels 0-4, it goes 0.139 -> 0.066 at +30 degrees and 0.054 ->
-    0.020 at -30, where ``Hn`` agrees.  It streams over row tiles like
-    ``energy_Hn``."""
+    0.020 at -30, where ``Hn`` agrees."""
     p.require_transition_regime()
-    g = phi_n.grid
-    p.require_spacing(g)
-    if _reach(phi_n, _CROSS).empty or g.nx < 3 or g.ny < 3:
-        grad_d(phi_n)  # the whole-field operators raise as they always have
-        laplace_shifted(phi_n)
-    well, derivative = _tile_sums(g, phi_n.valid, 2, lambda tile, sums: _ag_tile(
-        tile, phi_n.values[tile.index], p.l, sums))
-    return _record(p, well, derivative)
+    p.require_spacing(phi_n.grid)
+    d, lap = grad_d(phi_n), laplace_shifted(phi_n)
+    return _record(p, cell_sum(potential_W(d.values), lap.valid),
+                   cell_sum(lap.values ** 2, lap.valid))
 
 
 def _level_energies(
@@ -310,8 +290,11 @@ def _level_energies(
     potential on its rows and a one-cell margin, forms ``D_d phi`` once,
     wraps the spins and adds both energies' densities, so no whole-grid
     array is built.  The angle bound is checked over all tiles after the
-    last, before any sum is rounded.  The seals it follows cannot fail once
-    the potential is finite, so the whole-field path's error comes first.
+    last, before any sum is rounded.  The spins need no seal of their own:
+    ``cos`` and ``sin`` of the sealed, finite ``phi`` are finite unit
+    vectors.  Should ``(sqrt(delta) / l) phi`` overflow, the ``nan`` spins
+    it gives reach the seal of ``Wd`` and ``Ad`` or sit beside a step of
+    ``phi`` that fails the angle bound.
     """
     sqd = math.sqrt(p.delta)
     xs, ys = grid.lattice_points()
@@ -324,10 +307,7 @@ def _level_energies(
         phi = np.asarray(phi_eps(np.stack([x, y], axis=-1)), dtype=np.float64)
         tile.seal((), 1, phi)
         max_d = max(max_d, _ag_tile(tile, phi, p.l, sums[2:]))
-        spins = _spins((sqd / p.l) * phi)
-        tile.seal((), 1, spins)
-        _require_unit(spins[tile.cells((), 1)])
-        _hn_tile(tile, spins, sqd, p.l, None, sums)
+        _hn_tile(tile, _spins((sqd / p.l) * phi), sqd, p.l, None, sums)
         if tile.i1 == grid.nx:  # after every tile, before the loop rounds a sum
             _require_small_angles(sqd * max_d)
 

@@ -322,17 +322,17 @@ def _hn_tile(tile: _RowTile, spins: NDArray, sqrt_delta: float, l: float,
              region: Rect | None, sums: list) -> None:
     """One row tile of ``energy_Hn``: it forms the angles and both
     chiralities with a one-cell margin and Wd and Ad on the tile's own cells,
-    seals each on the reach of its stencil, and adds Wd and ``|Ad|^2`` on the
-    reach of the 5-point stencil, cut to ``region``, to ``sums``."""
+    seals Wd and Ad on the reach of the 5-point stencil, and adds Wd and
+    ``|Ad|^2`` there, cut to ``region``, to ``sums``.  Finite spins give
+    finite angles and chiralities (cells outside the valid rect hold
+    ``(0, 0)``, whose angle is 0), so only Wd and Ad, which square or divide
+    by ``l``, can overflow."""
     here = spins[:-1, :-1]
     th, tv = _oriented_angle(here, spins[1:, :-1]), _oriented_angle(here, spins[:-1, 1:])
     c1, c2 = _chi(th, sqrt_delta), _chi(tv, sqrt_delta)
     t1, t2 = _chi_tilde(th, sqrt_delta), _chi_tilde(tv, sqrt_delta)
     wd = _wd(c1[1:, 1:], c1[:-1, 1:], c2[1:, 1:], c2[1:, :-1])
     ad = _ad(t1[1:, 1:], t1[:-1, 1:], t2[1:, 1:], t2[1:, :-1], l)
-    tile.seal(((1, 0),), 1, th)
-    tile.seal(((0, 1),), 1, tv)
-    tile.seal(((1, 0), (0, 1)), 1, c1, c2, t1, t2)
     tile.seal(_CROSS, 0, wd, ad)
     cells = tile.cells(_CROSS, 0, region)
     sums[0].add(wd[cells])

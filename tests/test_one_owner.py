@@ -8,7 +8,8 @@ module calls them, so no ``sum(..., axis=-1)`` reduction is left in
 The row-tile layout has one owner too: only ``lattice_core`` makes exact
 accumulators, applies the reach rule to a bare rect, reads the tile size or
 builds an ``np.ix_`` index; the tiled energies get their tiles, cells and
-sums from ``lattice_core._tile_sums``.
+sums from ``lattice_core._tile_sums``.  Only the two streams the CLI runs
+call that loop: ``energy_Hn`` and a gamma-table level.
 """
 
 import ast
@@ -65,3 +66,14 @@ def test_only_lattice_core_knows_the_tile_layout():
                 continue
             found += [f"{name}:{node.lineno}:{u}" for u in sorted(used & TILE_LAYOUT)]
     assert found == []
+
+
+def test_only_the_cli_streams_call_the_tile_loop():
+    callers = []
+    for name, tree in _trees().items():
+        for top in tree.body:
+            callers += [f"{name}:{getattr(top, 'name', '<module>')}"
+                        for node in ast.walk(top)
+                        if (isinstance(node, ast.Name) and node.id == "_tile_sums")
+                        or (isinstance(node, ast.Attribute) and node.attr == "_tile_sums")]
+    assert sorted(callers) == ["recovery_limsup.py:_level_energies", "spin_energy.py:energy_Hn"]

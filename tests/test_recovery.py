@@ -23,19 +23,36 @@ from chiralattice import (
     cell_sum,
     chirality,
     discretize_potential,
+    energy_Hn,
     gamma_limsup_experiment,
     grad_d,
+    laplacian_AG_energy,
     mollified_wall_potential,
     mollify,
+    perp,
     potential_W,
     quartic_bump,
     sigma_surface_density,
-    single_wall_potential,
     spin_from_potential,
 )
 from chiralattice.lattice_core import ScalarField
 
 SQRT2_OVER_3 = math.sqrt(2.0) / 3.0
+
+
+def single_wall_potential(cfg):
+    """Roof potential with gradient chi_plus above the wall, chi_minus below:
+    ``phi(x) = t (x . nu_perp) + (d/2) |x . nu - offset|``."""
+    nu = np.asarray(cfg.nu, dtype=np.float64)
+    nup = perp(nu)
+    t = cfg.tangential
+    dh = cfg.half_jump
+
+    def phi(x):
+        x = np.asarray(x, dtype=np.float64)
+        return t * (x @ nup) + dh * np.abs(x @ nu - cfg.wall_offset)
+
+    return phi
 
 
 @pytest.fixture(scope="module")
@@ -44,14 +61,18 @@ def gamma_rows():
     return gamma_limsup_experiment(canonical_wall(), schedule)
 
 
-def level_field(row):
-    """The spin field of one gamma-table row, sampled on the level's grid."""
+def level_potential(row, wall):
+    """The potential of one gamma-table row of ``wall``, sampled on the level's grid."""
     p = row["_params"]
     size = int(round(1.0 / p.l)) + 2
     grid = Grid(p.l, size, size, Boundary.OPEN)
     m = quartic_bump(DEFAULT_KERNEL_RADIUS)
-    phi_eps = mollified_wall_potential(canonical_wall(), p.eps, m)
-    return spin_from_potential(discretize_potential(phi_eps, grid, row["_origin"]), p)
+    return discretize_potential(mollified_wall_potential(wall, p.eps, m), grid, row["_origin"])
+
+
+def level_field(row):
+    """The spin field of one gamma-table row of the canonical wall."""
+    return spin_from_potential(level_potential(row, canonical_wall()), row["_params"])
 
 
 class TestMollifierAndWall:
@@ -323,6 +344,22 @@ class TestGammaTable(object):
         assert math.isclose(rows[30.0]["Hn"], rows[-30.0]["Hn"], rel_tol=1e-11)
         assert math.isclose(rows[30.0]["gap"], 0.139437670452, rel_tol=1e-9)
         assert math.isclose(rows[-30.0]["gap"], 0.0535382290808, rel_tol=1e-9)
+
+    @pytest.mark.parametrize("angle, eps0, levels",
+                             [(0.0, 0.08, 3), (30.0, 0.04, 2), (-30.0, 0.04, 2), (45.0, 0.04, 1)])
+    def test_each_level_equals_the_whole_field_energies(self, angle, eps0, levels):
+        # a level streams over row tiles; the whole-field path samples the
+        # potential on the grid, wraps it into a spin field and sums each
+        # energy of whole fields
+        wall = canonical_wall(angle)
+        schedule = ScalingSchedule.geometric(eps0=eps0, levels=levels)
+        for row in gamma_limsup_experiment(wall, schedule):
+            p, phi = row["_params"], level_potential(row, wall)
+            hn = energy_Hn(spin_from_potential(phi, p), p)
+            ags = laplacian_AG_energy(phi, p)
+            whole = (hn.total, hn.potential_part, hn.derivative_part, ags.total)
+            tiled = (row["Hn"], row["Hn_pot"], row["Hn_der"], row["AGs_energy"])
+            assert [x.hex() for x in tiled] == [x.hex() for x in whole]
 
     def test_layer_must_fit_in_the_domain(self):
         schedule = ScalingSchedule.geometric(eps0=0.08, levels=1)

@@ -1,12 +1,13 @@
 """The row-tiled energies: the tile height never changes a bit.
 
-``energy_Hn``, ``laplacian_AG_energy`` and each gamma-table level stream over
-row tiles of about ``lattice_core._TILE_CELLS`` cells.  Here the constant is
-patched down to tiles of a few rows, so every case crosses tile seams, and
-the results are compared bit for bit with one tile over the whole grid, and
-under the lattice's own symmetries.  The tiles' cells are checked against the
-whole-field reach rule, and the errors of degenerate inputs against the
-whole-field operators.
+``energy_Hn`` and each gamma-table level stream over row tiles of about
+``lattice_core._TILE_CELLS`` cells.  Here the constant is patched down to
+tiles of a few rows, so every case crosses tile seams, and the results are
+compared bit for bit with one tile over the whole grid, and under the
+lattice's own symmetries and the global spin maps.  ``laplacian_AG_energy``,
+which sums whole fields, runs beside them as the oracle of a level's AG part.
+The tiles' cells are checked against the whole-field reach rule, and the
+errors of degenerate inputs against the whole-field operators.
 """
 
 import math
@@ -29,6 +30,7 @@ from chiralattice import (
     canonical_wall,
     chirality,
     discretize_potential,
+    energy_E,
     energy_F,
     energy_Hn,
     gamma_limsup_experiment,
@@ -167,6 +169,33 @@ def test_hn_and_f_are_invariant_under_the_lattice_symmetries(boundary, nx, ny, r
         mapped_pot, *mapped_exact = energies(f(psi))
         assert mapped_exact == exact
         assert math.isclose(mapped_pot, pot, rel_tol=1e-14)
+
+
+SPIN_MAPS = {
+    "quarter-turn": lambda v: np.stack([-v[..., 1], v[..., 0]], axis=-1),
+    "reflection": lambda v: np.stack([v[..., 0], -v[..., 1]], axis=-1),
+    "half-turn": np.negative,
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([Boundary.OPEN, Boundary.PERIODIC]), st.integers(4, 39),
+       st.integers(4, 39), st.integers(0, 2**32 - 1))
+def test_the_energies_are_bitwise_invariant_under_the_global_spin_maps(boundary, nx, ny, seed):
+    """The maps permute and negate spin components, which leaves every dot
+    product bitwise as it is and every cross product up to its sign, so E, F
+    and both parts of Hn keep every bit, not only 1e-12 as for a general
+    rotation."""
+    grid = Grid(0.1, nx, ny, boundary)
+    u = spins(grid, smooth_lift(np.random.default_rng(seed), nx, ny))
+
+    def energies(v):
+        hn = energy_Hn(v, P)
+        return [x.hex() for x in (energy_E(v, P), energy_F(v, P), hn.potential_part,
+                                  hn.derivative_part)]
+
+    for f in SPIN_MAPS.values():
+        assert energies(SpinField(grid, f(u.values))) == energies(u)
 
 
 def test_a_level_peak_memory_grows_less_than_twice_from_400_to_982_cells_per_side():
