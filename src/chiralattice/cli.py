@@ -26,7 +26,9 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .errors import ChiraLatticeError, ConfigError, DimensionError, DomainError, ParameterError
+from .errors import (
+    ChiraLatticeError, ConfigError, DimensionError, DomainError, ParameterError, ScalingError,
+)
 from .lattice_core import (
     Boundary,
     Grid,
@@ -68,8 +70,6 @@ def _atomic_write_text(path: str, text: str) -> None:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return format_float(value)
     return str(value)
@@ -86,6 +86,14 @@ def _write_field(fieldobj, path: str) -> None:
     tmp = path + ".tmp"
     write_field_csv(fieldobj, tmp)
     os.replace(tmp, path)
+
+
+def _read_vector_field(path: str, grid: Grid, command: str) -> VectorField:
+    """The field CSV at ``path`` on ``grid``, which must have two components."""
+    field = read_field_csv(path, grid)
+    if not isinstance(field, VectorField):
+        raise ConfigError(f"{command} needs a two-component field")
+    return field
 
 
 def _parse_vec(text: str) -> tuple[float, float]:
@@ -169,23 +177,16 @@ def _run_ground_state(q: dict, out_dir: str) -> tuple[dict, list[str]]:
             [field_path, energy_path])
 
 
-def _scales_from_eps(eps: float, delta_exponent: float) -> tuple[float, float]:
-    """``(l, alpha)`` with ``delta = eps**delta_exponent`` and ``l = eps sqrt(delta)``."""
-    if not (0 < eps < math.inf and math.isfinite(delta_exponent)):
-        raise ConfigError(
-            f"need a finite eps > 0 and delta exponent, got {eps!r}, {delta_exponent!r}"
-        )
-    try:
-        delta = eps**delta_exponent
-    except OverflowError:
-        delta = math.inf
-    if not (0 < delta < 4):
-        raise ConfigError(f"delta = eps**delta_exponent = {delta!r} must lie in (0, 4)")
-    return eps * math.sqrt(delta), 8.0 - 2.0 * delta
-
-
 def _run_relax(q: dict, out_dir: str) -> tuple[dict, list[str]]:
-    p, grid = _model("relax", q, *_scales_from_eps(q["eps"], q["delta_exponent"]))
+    try:  # level 0 of the gamma-table schedule at the same eps and exponent
+        (p,) = ScalingSchedule.geometric(
+            eps0=q["eps"], levels=1, delta_exponent=q["delta_exponent"]).entries
+    except ScalingError:
+        raise ConfigError(
+            "relax needs finite --eps > 0 and --delta-exponent > 0 with eps**delta_exponent "
+            f"in (0, 4), got --eps {q['eps']!r} --delta-exponent {q['delta_exponent']!r}"
+        ) from None
+    _, grid = _model("relax", q, p.l)
     try:
         boundary = FixedAngles(_parse_vec(q["chi_left"]), _parse_vec(q["chi_right"]))
         rc = RelaxConfig(
@@ -225,9 +226,7 @@ def _run_entropy_scan(q: dict, out_dir: str) -> tuple[dict, list[str]]:
     if n < 1:
         raise ConfigError("need at least one scan angle")
     if q.get("field"):
-        chi = read_field_csv(q["field"], grid)
-        if not isinstance(chi, VectorField):
-            raise ConfigError("entropy-scan needs a two-component field")
+        chi = _read_vector_field(q["field"], grid, "entropy-scan")
     else:
         chi = _sharp_wall_chi(grid)
     rows = []
@@ -266,11 +265,8 @@ def _run_diagnose(q: dict, out_dir: str) -> tuple[dict, list[str]]:
     p, grid = _model("diagnose", q, q["l"], q["alpha"])
     if not (0 < q["t"] < math.pi):
         raise ConfigError(f"threshold must lie in (0, pi), got {q['t']}")
-    raw = read_field_csv(q["field"], grid)
-    if not isinstance(raw, VectorField):
-        raise ConfigError("diagnose needs a two-component spin field")
-    try:
-        u = SpinField(grid, raw.values)
+    try:  # the spins copy the values, so the read field is freed here
+        u = SpinField(grid, _read_vector_field(q["field"], grid, "diagnose").values)
     except DomainError as exc:
         raise ConfigError(f"{q['field']}: {exc}") from None
     ch = chirality(u, p)  # the one angles pass; every check below reads it

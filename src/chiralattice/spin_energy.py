@@ -364,10 +364,8 @@ def potential_W(xi: NDArray) -> NDArray:
     return (1.0 - _sq_norm(xi)) ** 2
 
 
-def _well_and_jacobian(
-    p: ModelParams, w: NDArray, v: VectorField, region: Rect | None = None
-) -> EnergyRecord:
-    """Energy of the well density ``w`` and the squared full forward-difference
+def _well_and_jacobian(p: ModelParams, v: VectorField, region: Rect | None = None) -> EnergyRecord:
+    """Energy of the well ``potential_W(v)`` and the squared full forward-difference
     matrix of ``v``, over the part of ``v.valid`` where all of it exists."""
     (e1, e2), rect = _neighbours(v, (1, 0), (0, 1))
     x, l = v.values, v.grid.spacing
@@ -376,7 +374,7 @@ def _well_and_jacobian(
         for ahead in (e1, e2):
             dsq = dsq + ((ahead[..., k] - x[..., k]) / l) ** 2
     rect = _resolve_region(rect, region)
-    return _record(p, cell_sum(w, rect), cell_sum(dsq, rect))
+    return _record(p, cell_sum(potential_W(x), rect), cell_sum(dsq, rect))
 
 
 def energy_Hn_star(u: SpinField, p: ModelParams, region: Rect | None = None) -> EnergyRecord:
@@ -391,15 +389,14 @@ def energy_Hn_star(u: SpinField, p: ModelParams, region: Rect | None = None) -> 
 
 def _hn_star(ch: ChiralityFields, p: ModelParams, region: Rect | None) -> EnergyRecord:
     """``energy_Hn_star`` from chirality fields the caller already holds."""
-    chi = ch.chi
-    return _well_and_jacobian(p, potential_W(chi.values), chi, region)
+    return _well_and_jacobian(p, ch.chi, region)
 
 
 def energy_AGd(phi: ScalarField, p: ModelParams) -> EnergyRecord:
-    """Discrete Aviles-Giga energy of a scalar potential: well of the discrete
-    gradient plus the full second forward-difference matrix."""
+    """Discrete Aviles-Giga energy of a scalar potential: the well
+    ``potential_W`` of the discrete gradient plus the full second
+    forward-difference matrix, summed as ``energy_Hn_star`` sums the
+    chirality's."""
     p.require_transition_regime()
     p.require_spacing(phi.grid)
-    d = grad_d(phi)
-    w = (1.0 - d.values[..., 0] ** 2 - d.values[..., 1] ** 2) ** 2
-    return _well_and_jacobian(p, w, d)
+    return _well_and_jacobian(p, grad_d(phi))

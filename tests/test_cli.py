@@ -210,6 +210,35 @@ class TestRelax:
             assert code == 2
             assert json.loads(capsys.readouterr().err)["error"] == "CONFIG_INVALID"
 
+    @pytest.mark.parametrize("eps, exponent", [("0.02", "0.6"), ("3.9999999998", "1")])
+    def test_scales_are_level_0_of_the_gamma_table_schedule(self, eps, exponent, tmp_path,
+                                                           monkeypatch):
+        relax = tmp_path / "relax"
+        argv = ["relax", "--eps", eps, "--delta-exponent", exponent, "--nx", "6", "--ny", "6",
+                "--max-iters", "0"]
+        assert main(["--out-dir", str(relax)] + argv) == 0
+        derived = read_manifest(str(relax), "relax")["derived"]
+        # the schedule's manifest rows need no level run; the second eps is too
+        # coarse for a gamma-table grid
+        monkeypatch.setattr(cli, "gamma_limsup_experiment", lambda *args: [])
+        table = tmp_path / "gamma"
+        assert main(["--out-dir", str(table), "gamma-table", "--eps0", eps,
+                     "--delta-exponent", exponent, "--levels", "1"]) == 0
+        row = read_manifest(str(table), "gamma-table")["derived"]["schedule"][0]
+        assert {k: derived[k].hex() for k in ("l", "delta", "eps")} == {
+            k: row[k].hex() for k in ("l", "delta", "eps")}
+        (p,) = recovery_limsup.ScalingSchedule.geometric(
+            eps0=float(eps), levels=1, delta_exponent=float(exponent)).entries
+        assert derived["alpha"].hex() == p.alpha.hex()
+
+    @pytest.mark.parametrize("flags", [["--delta-exponent", "0"],
+                                       ["--eps", "2", "--delta-exponent", "-0.5"]])
+    def test_a_delta_exponent_that_is_not_positive_is_a_config_error(self, flags, tmp_path,
+                                                                     capsys):
+        assert main(["--out-dir", str(tmp_path), "relax", "--nx", "6", "--ny", "6"] + flags) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "CONFIG_INVALID" and "--delta-exponent" in error["message"]
+
     def test_argparse_errors_are_json_config_errors(self, tmp_path, capsys):
         for flags in (["--tol-grad", "-1e-5"], ["--nx", "eight"], ["--no-such-flag"]):
             code = main(["--out-dir", str(tmp_path), "relax"] + flags)
@@ -726,6 +755,47 @@ FIELD_READ_SHA256 = {
 }
 
 
+# The sets above are numpy 2.4.6's bytes at its AVX-512 dispatch levels.  Its
+# AVX2 loops (X86_V3) and its X86_V2 baseline round arctan2, arcsin and **
+# differently, and these outputs move: each pinned hash maps to the hash at
+# those levels.  Recorded on one AVX-512 machine with NPY_DISABLE_CPU_FEATURES
+# set to "AVX512_SPR", "AVX512_SPR AVX512_ICL", "... X86_V4" and "... X86_V3".
+AVX2_SHA256 = {
+    "ceaae9db0335aabb8bdbf30078d2f2d1c976d93c309e027f56fb12c9c065fffc":  # ground_state_energies
+        "c7ce73d5fa715eb76b10b1e8bb95b3191cdaf6d477fa983ea0253e9aa16d19de",
+    "a789a5c176fc8d92b3c090e47c0f443878d75ca8c460f0972787a8593c03d0c3":  # diagnose_report
+        "75cd1e784e4f551bbb81415ecf86c7948e542b947049dcec50869da6f57c26a2",
+    "69a12a3efe55745a8abf8f161dccf2751f725fc5340a5d1c8392bb0a6028b580":  # gamma_table, 30 degrees
+        "fb0fc5e848eb68dfa0f11e698b6c3c8fb055a8b54f0584d9f616ddb683b04c87",
+    "adabfb5804e85d603721fd3add551b04aff7221473865466f72635c538cb2754":  # relax_trace
+        "c8a87a48902bfff1bec757a04238244af077cd22fd1578873925458fab16604e",
+    "615a407a7417649cbb8b223ae21e6f12e063d2344a1e892f6baae50b9abdad8f":  # relax_field
+        "2be63ba58898b867868eada4a6d7726b5ecf9b04df15205dc9955fca719d036c",
+    "c4dcf8115d01e205d053505b9dcccd968c020702ba4c3cb01e27369f930b8c07":  # field-read diagnose
+        "fa79ed21bb00b8486e6dd5f0c9e61e2fa6b49757be101a5b7522b4b710158ab9",
+}
+LEVEL_SHA256 = {"AVX512_SPR": {}, "AVX512_ICL": {}, "X86_V4": {},
+                "X86_V3": AVX2_SHA256, "X86_V2": AVX2_SHA256}
+
+
+def dispatch_level():
+    """numpy's SIMD dispatch level: the highest target it dispatches to that
+    the CPU has and ``NPY_DISABLE_CPU_FEATURES`` leaves on, else its baseline."""
+    from numpy._core import _multiarray_umath as umath
+
+    enabled = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return (enabled or umath.__cpu_baseline__)[-1]
+
+
+def recorded(pins, level=None):
+    """``pins`` as numpy writes them at ``level`` (default: the running one).
+    A level with no recorded set fails; it is never skipped."""
+    level = level or dispatch_level()
+    if level not in LEVEL_SHA256:
+        pytest.fail(f"no sha256 set is recorded for numpy's dispatch level {level}")
+    return {name: LEVEL_SHA256[level].get(digest, digest) for name, digest in pins.items()}
+
+
 def _smooth_wall_chirality_csv(path, n=32):
     lines = ["i,j,v1,v2"]
     for i in range(n):
@@ -752,7 +822,7 @@ class TestFixedConfigOutputs:
         for name in FIXED_CONFIG_SHA256:
             with open(os.path.join(out, name), "rb") as fh:
                 found[name] = hashlib.sha256(fh.read()).hexdigest()
-        assert found == FIXED_CONFIG_SHA256
+        assert found == recorded(FIXED_CONFIG_SHA256)
 
     def test_rotated_wall_outputs_match_recorded_hashes(self, tmp_path):
         out = str(tmp_path / "rotated")
@@ -762,7 +832,7 @@ class TestFixedConfigOutputs:
         for name in ROTATED_WALL_SHA256:
             with open(os.path.join(out, name), "rb") as fh:
                 found[name] = hashlib.sha256(fh.read()).hexdigest()
-        assert found == ROTATED_WALL_SHA256
+        assert found == recorded(ROTATED_WALL_SHA256)
 
     @pytest.mark.parametrize("args", list(MULTI_TILE_SHA256), ids=["aligned-4", "rotated-3"])
     def test_multi_tile_gamma_outputs_match_recorded_hashes(self, args, tmp_path):
@@ -772,7 +842,7 @@ class TestFixedConfigOutputs:
         for name in MULTI_TILE_SHA256[args]:
             with open(os.path.join(out, name), "rb") as fh:
                 found[name] = hashlib.sha256(fh.read()).hexdigest()
-        assert found == MULTI_TILE_SHA256[args]
+        assert found == recorded(MULTI_TILE_SHA256[args])
 
     def test_relax_outputs_match_recorded_hashes(self, tmp_path):
         out = str(tmp_path)
@@ -782,7 +852,7 @@ class TestFixedConfigOutputs:
         for name in RELAX_SHA256:
             with open(os.path.join(out, name), "rb") as fh:
                 found[name] = hashlib.sha256(fh.read()).hexdigest()
-        assert found == RELAX_SHA256
+        assert found == recorded(RELAX_SHA256)
 
     def test_relax_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # the model Hessian and every inner product avoid BLAS, so the thread
@@ -802,7 +872,7 @@ class TestFixedConfigOutputs:
             for name in RELAX_SHA256:
                 with open(os.path.join(out, name), "rb") as fh:
                     found[-1][name] = hashlib.sha256(fh.read()).hexdigest()
-        assert found == [RELAX_SHA256, RELAX_SHA256]
+        assert found == [recorded(RELAX_SHA256)] * 2
 
     def test_field_read_outputs_match_recorded_hashes(self, tmp_path):
         out = str(tmp_path)
@@ -827,4 +897,41 @@ class TestFixedConfigOutputs:
         for name in FIELD_READ_SHA256:
             with open(os.path.join(out, name), "rb") as fh:
                 found[name] = hashlib.sha256(fh.read()).hexdigest()
-        assert found == FIELD_READ_SHA256
+        assert found == recorded(FIELD_READ_SHA256)
+
+    def test_the_avx2_level_writes_its_recorded_set(self, tmp_path):
+        """The cheap pinned configs, ground-state with diagnose and relax, in a
+        child process where numpy runs its AVX2 loops (X86_V3)."""
+        lattice = ["--l", "0.05", "--nx", "32", "--ny", "32"]
+        runs = [
+            ["ground-state", "--chi", "0.6,0.8", "--theta0", "0.3"] + lattice,
+            ["diagnose", "--field", str(tmp_path / "ground_state_field.csv"),
+             "--alpha", "7.92"] + lattice,
+            ["relax", "--eps", "0.08", "--nx", "12", "--ny", "12", "--max-iters", "300"],
+        ]
+        child = ("import json, sys\n"
+                 "from chiralattice.cli import main\n"
+                 "from test_cli import dispatch_level\n"
+                 "for argv in json.loads(sys.argv[1]):\n"
+                 "    assert main(['--out-dir', sys.argv[2]] + argv) == 0\n"
+                 "print(dispatch_level())\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        tests = os.path.dirname(os.path.abspath(__file__))
+        path = os.pathsep.join(filter(None, (src, tests, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4",
+                   PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", child, json.dumps(runs), str(tmp_path)],
+                              env=env, check=True, capture_output=True, text=True)
+        assert done.stdout.split()[-1] == "X86_V3"
+        pins = {name: FIXED_CONFIG_SHA256[name] for name in FIXED_CONFIG_SHA256
+                if name.startswith(("ground_state", "diagnose"))}
+        pins.update(RELAX_SHA256)
+        found = {}
+        for name in pins:
+            with open(tmp_path / name, "rb") as fh:
+                found[name] = hashlib.sha256(fh.read()).hexdigest()
+        assert found == recorded(pins, "X86_V3") != pins
+
+    def test_a_level_with_no_recorded_set_fails_and_names_it(self):
+        with pytest.raises(pytest.fail.Exception, match="level ASIMDHP$"):
+            recorded(RELAX_SHA256, "ASIMDHP")

@@ -10,6 +10,10 @@ accumulators, applies the reach rule to a bare rect, reads the tile size or
 builds an ``np.ix_`` index; the tiled energies get their tiles, cells and
 sums from ``lattice_core._tile_sums``.  Only the two streams the CLI runs
 call that loop: ``energy_Hn`` and a gamma-table level.
+
+The scale rule ``delta = eps**delta_exponent`` is written once, in
+``ScalingSchedule.geometric``: ``relax`` takes its scales as level 0 of that
+schedule, as gamma-table does.
 """
 
 import ast
@@ -77,3 +81,21 @@ def test_only_the_cli_streams_call_the_tile_loop():
                         if (isinstance(node, ast.Name) and node.id == "_tile_sums")
                         or (isinstance(node, ast.Attribute) and node.attr == "_tile_sums")]
     assert sorted(callers) == ["recovery_limsup.py:_level_energies", "spin_energy.py:energy_Hn"]
+
+
+def _scoped(node, scope=""):
+    """Each node under ``node`` with the dotted names of its enclosing classes and functions."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        yield inner, child
+        yield from _scoped(child, inner)
+
+
+def test_the_scale_rule_is_written_once():
+    found = [f"{name}:{scope}" for name, tree in _trees().items()
+             for scope, node in _scoped(tree)
+             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+             and isinstance(node.right, ast.Name) and node.right.id == "delta_exponent"]
+    assert found == ["recovery_limsup.py:ScalingSchedule.geometric"]

@@ -4,10 +4,12 @@
 ``lattice_core._TILE_CELLS`` cells.  Here the constant is patched down to
 tiles of a few rows, so every case crosses tile seams, and the results are
 compared bit for bit with one tile over the whole grid, and under the
-lattice's own symmetries and the global spin maps.  ``laplacian_AG_energy``,
-which sums whole fields, runs beside them as the oracle of a level's AG part.
-The tiles' cells are checked against the whole-field reach rule, and the
-errors of degenerate inputs against the whole-field operators.
+lattice's own symmetries and the global spin maps.  The tiles' cells are
+checked against the whole-field reach rule, and the errors of degenerate
+inputs against the whole-field operators.  ``laplacian_AG_energy`` sums whole
+fields and reads no tile height, so it meets the degenerate grids once each;
+``tests/test_stencil_oracle.py`` checks its bits, and
+``tests/test_recovery.py`` uses it as the oracle of a level's AG part.
 """
 
 import math
@@ -101,9 +103,8 @@ def cases(draw):
 @given(cases())
 def test_tile_height_changes_no_bit_of_the_energies(case):
     grid, psi, valid, region = case
-    u, phi = spins(grid, psi, valid), ScalarField(grid, psi, valid)
-    for run in (lambda: energy_Hn(u, P), lambda: energy_Hn(u, P, region),
-                lambda: laplacian_AG_energy(phi, P)):
+    u = spins(grid, psi, valid)
+    for run in (lambda: energy_Hn(u, P), lambda: energy_Hn(u, P, region)):
         whole = at_height(None, run, grid)
         assert [at_height(h, run, grid) for h in HEIGHTS] == [whole] * len(HEIGHTS)
 
@@ -286,24 +287,30 @@ DEGENERATE = [
     (Grid(0.1, 5, 6, Boundary.OPEN), Rect(0, 5, 3, 4)),  # one column
     (Grid(0.1, 5, 6, Boundary.OPEN), Rect(2, 2, 1, 5)),  # empty
 ]
+DEGENERATE_IDS = ["open-2x5", "open-5x2", "periodic-2x2", "periodic-2x6", "one-row",
+                  "one-column", "empty"]
 
 
-@pytest.mark.parametrize("grid, valid", DEGENERATE,
-                         ids=["open-2x5", "open-5x2", "periodic-2x2", "periodic-2x6",
-                              "one-row", "one-column", "empty"])
+@pytest.mark.parametrize("grid, valid", DEGENERATE, ids=DEGENERATE_IDS)
 @pytest.mark.parametrize("rows", HEIGHTS)
 def test_degenerate_inputs_end_as_the_whole_field_operators_do(grid, valid, rows):
     psi = smooth_lift(np.random.default_rng(grid.nx * grid.ny), grid.nx, grid.ny)
-    u, phi = spins(grid, psi, valid), ScalarField(grid, psi, valid)
+    u = spins(grid, psi, valid)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice_core, "_TILE_CELLS", rows * grid.ny)
+        assert error_of(lambda: energy_Hn(u, P)) == error_of(lambda: Wd(chirality(u, P)))
+
+
+@pytest.mark.parametrize("grid, valid", DEGENERATE, ids=DEGENERATE_IDS)
+def test_degenerate_inputs_end_the_ag_energy_as_its_operators_do(grid, valid):
+    psi = smooth_lift(np.random.default_rng(grid.nx * grid.ny), grid.nx, grid.ny)
+    phi = ScalarField(grid, psi, valid)
 
     def whole_ag():
         grad_d(phi)
         laplace_shifted(phi)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lattice_core, "_TILE_CELLS", rows * grid.ny)
-        assert error_of(lambda: energy_Hn(u, P)) == error_of(lambda: Wd(chirality(u, P)))
-        assert error_of(lambda: laplacian_AG_energy(phi, P)) == error_of(whole_ag)
+    assert error_of(lambda: laplacian_AG_energy(phi, P)) == error_of(whole_ag)
 
 
 def test_a_level_raises_the_angle_error_before_its_sums_overflow(monkeypatch):
