@@ -50,10 +50,10 @@ from .recovery_limsup import (
 )
 from .relaxation import FixedAngles, RelaxConfig, relax, wall_start
 from .diagnostics import (
-    _count_large_angles,
-    _hn_vs_hnstar,
+    count_large_angle_cells,
     curl_l1,
     curl_quantization_residual,
+    hn_vs_hnstar,
     lp_norm,
 )
 
@@ -130,7 +130,10 @@ def _model(
     # the energies weigh cells by l^2 and Hn squares |Ad| <= 8 / (sqrt(delta) l),
     # with delta >= 8.9e-16: in this range neither comes near overflow
     if not (1e-100 < l < 1e100):
-        raise ConfigError(f"lattice spacing must lie in (1e-100, 1e100), got {l!r}")
+        got = f"got {l!r}"
+        if command == "relax":  # relax derives l from its scale flags
+            got += f" from --eps {q['eps']!r} --delta-exponent {q['delta_exponent']!r}"
+        raise ConfigError(f"lattice spacing must lie in (1e-100, 1e100), {got}")
     try:
         p = None
         if alpha is not None:
@@ -270,8 +273,8 @@ def _run_diagnose(q: dict, out_dir: str) -> tuple[dict, list[str]]:
     except DomainError as exc:
         raise ConfigError(f"{q['field']}: {exc}") from None
     ch = chirality(u, p)  # the one angles pass; every check below reads it
-    hn, hs, ratio = _hn_vs_hnstar(u, ch, p)
-    large = _count_large_angles(ch.theta_hor, ch.theta_ver, q["t"])
+    hn, hs, ratio = hn_vs_hnstar(u, ch.chi, p)
+    large = count_large_angle_cells(ch.theta_hor, ch.theta_ver, q["t"])
     report = {
         "large_angle_cells": large,
         "angle_threshold": q["t"],

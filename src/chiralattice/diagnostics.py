@@ -12,17 +12,8 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .lattice_core import ScalarField, VectorField, _reach, _sq_norm, cell_sum, curl_d
-from .spin_energy import (
-    ChiralityFields,
-    EnergyRecord,
-    ModelParams,
-    SpinField,
-    _hn_star,
-    angles,
-    chirality,
-    energy_Hn,
-)
+from .lattice_core import ScalarField, VectorField, _sq_norm, cell_sum, curl_d
+from .spin_energy import EnergyRecord, ModelParams, SpinField, _well_and_jacobian, energy_Hn
 
 __all__ = [
     "count_large_angle_cells",
@@ -33,18 +24,12 @@ __all__ = [
 ]
 
 
-def count_large_angle_cells(u: SpinField, t: float) -> int:
-    """Number of valid cells where either neighbour angle exceeds ``t``."""
+def count_large_angle_cells(theta_hor: ScalarField, theta_ver: ScalarField, t: float) -> int:
+    """Number of cells, valid for both neighbour angles, where either exceeds ``t``."""
     if not (0 < t < math.pi):
         raise DomainError(f"threshold must lie in (0, pi), got {t}")
-    return _count_large_angles(*angles(u), t)
-
-
-def _count_large_angles(th: ScalarField, tv: ScalarField, t: float) -> int:
-    """``count_large_angle_cells`` from angle fields the caller already holds."""
-    rect = th.valid.intersect(tv.valid)
-    si, sj = rect.slices
-    big = (np.abs(th.values[si, sj]) > t) | (np.abs(tv.values[si, sj]) > t)
+    si, sj = theta_hor.valid.intersect(theta_ver.valid).slices
+    big = (np.abs(theta_hor.values[si, sj]) > t) | (np.abs(theta_ver.values[si, sj]) > t)
     return int(np.count_nonzero(big))
 
 
@@ -64,27 +49,20 @@ def lp_norm(chi: VectorField, p: int) -> float:
     return total ** (1.0 / p)
 
 
-def hn_vs_hnstar(u: SpinField, p: ModelParams) -> tuple[EnergyRecord, EnergyRecord, float]:
-    """Both transition energies over the chirality rect shrunk by two cells,
-    plus their ratio.
+def hn_vs_hnstar(
+    u: SpinField, chi: VectorField, p: ModelParams
+) -> tuple[EnergyRecord, EnergyRecord, float]:
+    """``energy_Hn`` and ``energy_Hn_star`` of ``u``, whose chirality is
+    ``chi = chirality(u, p).chi``, over ``chi``'s valid rect shrunk by two
+    cells, plus their ratio.
 
     The two-cell margin keeps both stencil families defined on every summed
     cell; the ratio is reported as NaN when the shifted-stencil energy
     vanishes.
     """
-    p.require_transition_regime()  # before chirality, as energy_Hn checks first
-    p.require_spacing(u.grid)
-    return _hn_vs_hnstar(u, chirality(u, p), p)
-
-
-def _hn_vs_hnstar(
-    u: SpinField, ch: ChiralityFields, p: ModelParams
-) -> tuple[EnergyRecord, EnergyRecord, float]:
-    """``hn_vs_hnstar`` from the chirality fields of ``u`` the caller already holds."""
-    # the cells where both neighbour angles exist, without an angles pass
-    inner = _reach(u, ((1, 0), (0, 1))).shrink(2)
-    hn = energy_Hn(u, p, inner)
-    hs = _hn_star(ch, p, inner)
+    inner = chi.valid.shrink(2)
+    hn = energy_Hn(u, p, inner)  # runs the parameter checks first
+    hs = _well_and_jacobian(p, chi, inner)
     ratio = hs.total / hn.total if hn.total != 0.0 else math.nan
     return hn, hs, ratio
 

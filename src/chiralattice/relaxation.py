@@ -76,8 +76,8 @@ class RelaxConfig:
             raise DomainError("max_iters must be nonnegative")
         if not (0 < self.step < math.inf):
             raise DomainError("initial step must be positive and finite")
-        if not (self.tol_grad > 0):
-            raise DomainError("gradient tolerance must be positive")
+        if not (0 < self.tol_grad < math.inf):
+            raise DomainError("gradient tolerance must be positive and finite")
         if not isinstance(self.boundary, FixedAngles) and self.boundary != "periodic":
             raise DomainError("boundary must be 'periodic' or FixedAngles(...)")
 

@@ -384,12 +384,7 @@ def energy_Hn_star(u: SpinField, p: ModelParams, region: Rect | None = None) -> 
     periodic grids too."""
     p.require_transition_regime()
     p.require_spacing(u.grid)
-    return _hn_star(chirality(u, p), p, region)
-
-
-def _hn_star(ch: ChiralityFields, p: ModelParams, region: Rect | None) -> EnergyRecord:
-    """``energy_Hn_star`` from chirality fields the caller already holds."""
-    return _well_and_jacobian(p, ch.chi, region)
+    return _well_and_jacobian(p, chirality(u, p).chi, region)
 
 
 def energy_AGd(phi: ScalarField, p: ModelParams) -> EnergyRecord:

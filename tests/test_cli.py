@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiralattice import (
-    Boundary, ConfigError, Grid, ScalarField, VectorField, cli, diagnostics, read_field_csv,
+    Boundary, ConfigError, Grid, ScalarField, VectorField, cli, read_field_csv,
     recovery_limsup, relaxation, spin_energy, write_field_csv,
 )
 from chiralattice.cli import main
@@ -205,7 +205,7 @@ class TestRelax:
 
     def test_bad_numbers_are_config_errors(self, tmp_path, capsys):
         for flags in (["--max-iters", "-5"], ["--eps", "inf"], ["--eps", "-1"],
-                      ["--delta-exponent", "-1"], ["--step", "inf"]):
+                      ["--delta-exponent", "-1"], ["--step", "inf"], ["--tol-grad", "inf"]):
             code = main(["--out-dir", str(tmp_path), "relax", "--nx", "6", "--ny", "6"] + flags)
             assert code == 2
             assert json.loads(capsys.readouterr().err)["error"] == "CONFIG_INVALID"
@@ -238,6 +238,13 @@ class TestRelax:
         assert main(["--out-dir", str(tmp_path), "relax", "--nx", "6", "--ny", "6"] + flags) == 2
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "CONFIG_INVALID" and "--delta-exponent" in error["message"]
+
+    def test_a_spacing_out_of_range_names_the_scale_flags(self, tmp_path, capsys):
+        argv = ["relax", "--eps", "1e-300", "--delta-exponent", "1e-300"]
+        assert main(["--out-dir", str(tmp_path)] + argv) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "CONFIG_INVALID"
+        assert "--eps" in error["message"] and "--delta-exponent" in error["message"]
 
     def test_argparse_errors_are_json_config_errors(self, tmp_path, capsys):
         for flags in (["--tol-grad", "-1e-5"], ["--nx", "eight"], ["--no-such-flag"]):
@@ -496,8 +503,8 @@ def test_config_file_values_end_as_the_same_flags_do(data):
 
 
 # wild grid sizes: below every subcommand's minimum, or so large that any
-# valid other side takes the grid over MAX_GRID_CELLS = 2**24 cells
-_WILD_SIZES = st.one_of(st.integers(-5, 1), st.integers(1 << 23, 1 << 62))
+# valid other side (2 cells or more) takes the grid over MAX_GRID_CELLS = 2**24 cells
+_WILD_SIZES = st.one_of(st.integers(-5, 1), st.integers((1 << 23) + 1, 1 << 62))
 _VECTORS = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(lambda v: any(v))
 _WILD_VECTORS = st.one_of(
     st.tuples(st.floats(), st.floats()).map(lambda v: f"{v[0]!r},{v[1]!r}"),
@@ -540,6 +547,13 @@ def test_ground_state_flags_end_in_success_or_a_config_error(data):
 @given(data=st.data())
 def test_entropy_scan_flags_end_in_success_or_a_config_error(data):
     assert _exit_code(_draw_argv(data, "entropy-scan", ENTROPY_SCAN_FLAGS)) in (0, 2)
+
+
+def test_a_grid_of_exactly_the_cap_runs_and_one_row_more_does_not(monkeypatch):
+    # the wild sizes stay above the cap; this is its edge, at a cap small enough to run
+    monkeypatch.setattr(cli, "MAX_GRID_CELLS", 64)
+    assert _exit_code(["entropy-scan", "--nx", "32", "--ny", "2"]) == 0
+    assert _exit_code(["entropy-scan", "--nx", "33", "--ny", "2"]) == 2
 
 
 def _field_csv(tmp_path_factory, n, values):
@@ -669,8 +683,7 @@ class TestDiagnose:
             passes.append(u.grid.nx * u.grid.ny)
             return original(u)
 
-        for module in (spin_energy, diagnostics):
-            monkeypatch.setattr(module, "angles", counted)
+        monkeypatch.setattr(spin_energy, "angles", counted)
         field = os.path.join(out, "ground_state_field.csv")
         assert main(["--out-dir", out, "diagnose", "--field", field, "--l", "0.05",
                      "--alpha", "7.92", "--nx", "16", "--ny", "16"]) == 0

@@ -26,7 +26,7 @@ from chiralattice import (
     hn_vs_hnstar,
     lp_norm,
 )
-from chiralattice import diagnostics
+from chiralattice import spin_energy
 from chiralattice.lattice_core import ScalarField
 
 
@@ -49,7 +49,7 @@ class TestLargeAngleCount:
     def test_ground_state_has_none(self):
         g = Grid(0.1, 10, 10, Boundary.OPEN)
         u = helical_field(HelixSpec(0.0, 0.2, -0.1), g)
-        assert count_large_angle_cells(u, 1.0) == 0
+        assert count_large_angle_cells(*angles(u), 1.0) == 0
 
     def test_checkerboard_counts_every_cell(self):
         g = Grid(0.1, 8, 8, Boundary.PERIODIC)
@@ -57,15 +57,15 @@ class TestLargeAngleCount:
         vals = np.zeros((8, 8, 2))
         vals[..., 0] = sign
         u = SpinField(g, vals)
-        assert count_large_angle_cells(u, 1.0) == 64
+        assert count_large_angle_cells(*angles(u), 1.0) == 64
 
     def test_threshold_range(self):
         g = Grid(0.1, 4, 4, Boundary.PERIODIC)
         u = helical_field(HelixSpec(0.0, 0.0, 0.0), g)
         with pytest.raises(DomainError):
-            count_large_angle_cells(u, 4.0)
+            count_large_angle_cells(*angles(u), 4.0)
         with pytest.raises(DomainError):
-            count_large_angle_cells(u, 0.0)
+            count_large_angle_cells(*angles(u), 0.0)
 
 
 class TestCurlNorms:
@@ -117,7 +117,7 @@ class TestEnergyComparison:
         vals[..., 0] = 1.0
         u = SpinField(g, vals)
         p = ModelParams(l=0.05, alpha=7.84)
-        hn, hs, ratio = hn_vs_hnstar(u, p)
+        hn, hs, ratio = hn_vs_hnstar(u, chirality(u, p).chi, p)
         assert hn.total > 0.0
         assert ratio == 1.0
 
@@ -133,8 +133,9 @@ class TestEnergyComparison:
         def no_angles(*args):
             raise AssertionError("hn_vs_hnstar ran an angles pass of its own")
 
-        monkeypatch.setattr(diagnostics, "angles", no_angles)
-        hn, hs, _ = hn_vs_hnstar(u, p)
+        chi = chirality(u, p).chi
+        monkeypatch.setattr(spin_energy, "angles", no_angles)
+        hn, hs, _ = hn_vs_hnstar(u, chi, p)
         assert hn.total > 0.0 and hs.total > 0.0
 
     @pytest.mark.parametrize("grid, valid", [
@@ -145,8 +146,9 @@ class TestEnergyComparison:
     def test_sums_over_the_chirality_rect_shrunk_by_two(self, grid, valid):
         u = SpinField(grid, random_spins(grid, 4).values, valid)
         p = ModelParams(l=0.05, alpha=7.5)
-        inner = chirality(u, p).chi.valid.shrink(2)
-        hn, hs, ratio = hn_vs_hnstar(u, p)
+        chi = chirality(u, p).chi
+        inner = chi.valid.shrink(2)
+        hn, hs, ratio = hn_vs_hnstar(u, chi, p)
         assert hn == energy_Hn(u, p, inner)
         assert hs == energy_Hn_star(u, p, inner)
         assert ratio == hs.total / hn.total

@@ -14,6 +14,9 @@ call that loop: ``energy_Hn`` and a gamma-table level.
 The scale rule ``delta = eps**delta_exponent`` is written once, in
 ``ScalingSchedule.geometric``: ``relax`` takes its scales as level 0 of that
 schedule, as gamma-table does.
+
+Each ``diagnose`` check is one public function that takes the fields it
+reads, so ``cli`` imports no private name of the package.
 """
 
 import ast
@@ -99,3 +102,13 @@ def test_the_scale_rule_is_written_once():
              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
              and isinstance(node.right, ast.Name) and node.right.id == "delta_exponent"]
     assert found == ["recovery_limsup.py:ScalingSchedule.geometric"]
+
+
+def test_the_cli_imports_no_private_name_of_the_package():
+    # a private "from the fields the caller holds" twin of a public check
+    # would hide the check from a tracer that wraps the public names
+    private = [f"{node.lineno}:{alias.name}" for node in ast.walk(_trees()["cli.py"])
+               if isinstance(node, ast.ImportFrom) and node.level > 0
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.startswith("__")]
+    assert private == []

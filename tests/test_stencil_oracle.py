@@ -195,7 +195,7 @@ def test_every_stencil_matches_its_np_roll_formula(fs, beta):
     for c in (d1, d2):
         for di, dj in ((1, 0), (0, 1)):
             dsq = dsq + ((ahead(c, di, dj) - c) / l) ** 2
-    check_record(lambda: energy_AGd(scalar, p), p, (1.0 - d1**2 - d2**2) ** 2, dsq, jac)
+    check_record(lambda: energy_AGd(scalar, p), p, (1.0 - (d1 * d1 + d2 * d2)) ** 2, dsq, jac)
     # the Aviles-Giga energy of the Laplacian, over the cells where both stencils exist
     check_record(lambda: laplacian_AG_energy(scalar, p), p, (1.0 - (d1 * d1 + d2 * d2)) ** 2,
                  (lap / l**2) ** 2, lookup_mask(valid, CROSS, per))
