@@ -45,9 +45,14 @@ def perp(v: NDArray) -> NDArray:
 class Entropy:
     """An entropy carried as a pair of callables (Phi, DPhi).
 
-    ``phi`` maps (...,2) arrays to new (...,2) float64 arrays, which the
-    production takes over; ``dphi`` maps (...,2) arrays to (...,2,2)
-    Jacobians.  Both must be pure and reentrant.
+    ``phi`` maps (...,2) arrays to (...,2) float64 arrays and must act on
+    each cell alone: its value at a cell depends, bit for bit, only on that
+    cell's two floats, not on the array's shape or the cell's place in it.
+    The productions evaluate it once per run of bitwise-equal consecutive
+    cells (row-major) and repeat the result; when every cell is its own run
+    they take over the array ``phi`` returns, so it must be new.  ``dphi``
+    maps (...,2) arrays to (...,2,2) Jacobians.  Both must be pure and
+    reentrant.
     """
 
     phi: Callable[[NDArray], NDArray]
@@ -131,8 +136,31 @@ def ent_norm_estimate(e: Entropy, sample_box, resolution: int) -> float:
     return best
 
 
+def _run_starts(cells: NDArray) -> NDArray | None:
+    """Indices of the (n, 2) ``cells`` where a run of bitwise-equal
+    consecutive cells starts (so 0.0 and -0.0 differ), or None when every run
+    is one cell long.  The whole-grid mask dies on return, before ``Phi``
+    runs: held alive across it, it slowed a 16-axis scan of an all-distinct
+    512^2 field by 5-10% (glibc malloc, 2-vCPU x86_64)."""
+    bits = cells.view(np.int64)
+    new_run = bits[1:, 0] != bits[:-1, 0]
+    new_run |= bits[1:, 1] != bits[:-1, 1]
+    if new_run.all():
+        return None
+    return np.concatenate(([0], np.flatnonzero(new_run) + 1))
+
+
 def _production_density(chi: VectorField, e: Entropy) -> ScalarField:
-    return div_d(VectorField._adopt(chi.grid, e.phi(perp(chi.values)), chi.valid))
+    """``div_d(Phi o chi_perp)``, with ``Phi`` evaluated once per run of
+    bitwise-equal consecutive cells (row-major) and the result repeated."""
+    cells = chi.values.reshape(-1, 2)
+    starts = _run_starts(cells)
+    if starts is None:
+        flux = e.phi(perp(chi.values))
+    else:
+        lengths = np.diff(starts, append=len(cells))
+        flux = np.repeat(e.phi(perp(cells[starts])), lengths, axis=0).reshape(chi.values.shape)
+    return div_d(VectorField._adopt(chi.grid, flux, chi.valid))
 
 
 def entropy_production(chi: VectorField, e: Entropy, zeta: Callable) -> float:

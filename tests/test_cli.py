@@ -913,13 +913,15 @@ class TestFixedConfigOutputs:
         assert found == recorded(FIELD_READ_SHA256)
 
     def test_the_avx2_level_writes_its_recorded_set(self, tmp_path):
-        """The cheap pinned configs, ground-state with diagnose and relax, in a
-        child process where numpy runs its AVX2 loops (X86_V3)."""
+        """The cheap pinned configs, ground-state with diagnose, the sharp-wall
+        entropy-scan and relax, in a child process where numpy runs its AVX2
+        loops (X86_V3)."""
         lattice = ["--l", "0.05", "--nx", "32", "--ny", "32"]
         runs = [
             ["ground-state", "--chi", "0.6,0.8", "--theta0", "0.3"] + lattice,
             ["diagnose", "--field", str(tmp_path / "ground_state_field.csv"),
              "--alpha", "7.92"] + lattice,
+            ["entropy-scan", "--nx", "32", "--ny", "32", "--l", "0.03125", "--angles", "8"],
             ["relax", "--eps", "0.08", "--nx", "12", "--ny", "12", "--max-iters", "300"],
         ]
         child = ("import json, sys\n"
@@ -937,7 +939,7 @@ class TestFixedConfigOutputs:
                               env=env, check=True, capture_output=True, text=True)
         assert done.stdout.split()[-1] == "X86_V3"
         pins = {name: FIXED_CONFIG_SHA256[name] for name in FIXED_CONFIG_SHA256
-                if name.startswith(("ground_state", "diagnose"))}
+                if name.startswith(("ground_state", "diagnose")) or name == "entropy_scan.csv"}
         pins.update(RELAX_SHA256)
         found = {}
         for name in pins:

@@ -4,16 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chiralattice import (
     Boundary,
     DomainError,
+    Entropy,
     Grid,
     HelixSpec,
     ModelParams,
+    Rect,
     VectorField,
     WallConfig,
+    cell_sum,
     chirality,
+    div_d,
     ent_norm_estimate,
     entropy_production,
     helical_field,
@@ -24,6 +30,7 @@ from chiralattice import (
     sigma_surface_density,
     total_variation_production,
 )
+from chiralattice.cli import _sharp_wall_chi
 
 SQRT2_OVER_3 = math.sqrt(2.0) / 3.0
 
@@ -211,6 +218,82 @@ class TestTotalVariation:
         tv0 = total_variation_production(chi, jin_kohn((0.0, 1.0)))
         assert tv45 <= 1e-12
         assert tv45 < tv0
+
+
+# cell values the piecewise-constant fields draw from: signed zeros in either
+# component, so that 0.0 and -0.0 cells meet in one row
+_ZERO_CELLS = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)]
+
+# a cell-wise map that tells 0.0 from -0.0, which the productions of the cubic
+# entropies do not: a production that merged the two would move its total
+_SIGNS = Entropy(lambda xi: np.copysign(1.0, xi), lambda xi: np.zeros(np.shape(xi) + (2,)))
+
+
+@st.composite
+def production_cases(draw):
+    """A vector field on a 2..40 a side grid, open with a valid rect of at
+    least 2x2 cells (so the divergence has cells) or periodic.  Its cells are
+    all distinct, or runs (row-major, from one cell up to the whole grid) of
+    1 to 4 values that may be signed zeros.  The entropy is a random
+    ``jin_kohn`` axis or ``_SIGNS``."""
+    nx, ny = draw(st.integers(2, 40)), draw(st.integers(2, 40))
+    periodic = draw(st.booleans())
+    g = Grid(1.0 / max(nx, ny), nx, ny, Boundary.PERIODIC if periodic else Boundary.OPEN)
+    valid = g.full_rect
+    if not periodic and draw(st.booleans()):
+        i0, j0 = draw(st.integers(0, nx - 2)), draw(st.integers(0, ny - 2))
+        valid = Rect(i0, draw(st.integers(i0 + 2, nx)), j0, draw(st.integers(j0 + 2, ny)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["runs", "distinct", "zeros"]))
+    if kind == "distinct":
+        cells = rng.normal(size=(nx * ny, 2))
+    else:
+        pool = _ZERO_CELLS if kind == "zeros" else _ZERO_CELLS[:1] + [
+            tuple(rng.normal(size=2)) for _ in range(3)]
+        values = [pool[k] for k in rng.choice(len(pool), draw(st.integers(1, 4)))]
+        cells = np.empty((nx * ny, 2))
+        start, longest = 0, draw(st.integers(1, nx * ny))
+        while start < nx * ny:
+            stop = start + int(rng.integers(1, longest + 1))
+            cells[start:stop] = values[rng.integers(len(values))]
+            start = stop
+    chi = VectorField(g, cells.reshape(nx, ny, 2), valid)
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    e = draw(st.sampled_from([jin_kohn((math.cos(angle), math.sin(angle))), _SIGNS]))
+    return chi, e, rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=production_cases())
+def test_both_productions_equal_the_per_cell_formula_bit_for_bit(case):
+    chi, e, rng = case
+    g = chi.grid
+    dv = div_d(VectorField._adopt(g, e.phi(perp(chi.values)), chi.valid))
+    tv = g.spacing**2 * cell_sum(np.abs(dv.values), dv.valid)
+    assert total_variation_production(chi, e).hex() == tv.hex()
+    weights = np.zeros((g.nx, g.ny))
+    weights[dv.valid.slices] = rng.normal(size=weights[dv.valid.slices].shape)
+    paired = g.spacing**2 * cell_sum(weights * dv.values, dv.valid)
+    assert entropy_production(chi, e, lambda pts: weights).hex() == paired.hex()
+
+
+def test_the_sharp_wall_evaluates_phi_once_per_run_of_equal_cells():
+    # the CLI's wall holds two runs per row, so a production evaluates Phi on
+    # at most 2 nx cells, not on all nx ny
+    nx, ny = 24, 40
+    chi = _sharp_wall_chi(Grid(1.0 / ny, nx, ny, Boundary.OPEN))
+    for k in range(8):
+        e = jin_kohn((math.cos(math.pi * k / 4), math.sin(math.pi * k / 4)))
+        seen = []
+
+        def phi(xi, phi=e.phi):
+            seen.append(np.asarray(xi).size // 2)
+            return phi(xi)
+
+        counted = Entropy(phi, e.dphi)
+        total_variation_production(chi, counted)
+        entropy_production(chi, counted, lambda pts: np.zeros(pts.shape[:-1]))
+        assert len(seen) == 2 and max(seen) <= 2 * nx, seen
 
 
 class TestLimitFunctionals:
