@@ -77,6 +77,7 @@ from .diagnostics import (
     count_large_angle_cells,
     curl_l1,
     curl_quantization_residual,
+    diagnose_report,
     hn_vs_hnstar,
     lp_norm,
 )

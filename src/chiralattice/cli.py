@@ -37,7 +37,7 @@ from .lattice_core import (
     read_field_csv,
     write_field_csv,
 )
-from .spin_energy import ModelParams, SpinField, chirality, energy_E, energy_F, energy_Hn
+from .spin_energy import ModelParams, energy_E, energy_F, energy_Hn
 from .ground_states import ground_state_from_chirality
 from .entropy import jin_kohn, total_variation_production
 from .recovery_limsup import (
@@ -49,24 +49,32 @@ from .recovery_limsup import (
     quartic_bump,
 )
 from .relaxation import FixedAngles, RelaxConfig, relax, wall_start
-from .diagnostics import (
-    count_large_angle_cells,
-    curl_l1,
-    curl_quantization_residual,
-    hn_vs_hnstar,
-    lp_norm,
-)
+from .diagnostics import diagnose_report
 
 GAMMA_TABLE_COLUMNS = (
     "n", "l", "delta", "eps", "Hn", "Hn_pot", "Hn_der", "AGs_energy", "gap", "limit", "rel_err",
 )
 
 
-def _atomic_write_text(path: str, text: str) -> None:
+def _atomic_write(path: str, write) -> None:
+    """``write(tmp)`` to a temporary file, then rename it to ``path``; a write
+    that raises removes the temporary file."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _atomic_write_text(path: str, text: str) -> None:
+    def write(tmp: str) -> None:
+        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(text)
+
+    _atomic_write(path, write)
 
 
 def _fmt(value) -> str:
@@ -83,9 +91,7 @@ def _write_csv(path: str, columns, rows) -> None:
 
 
 def _write_field(fieldobj, path: str) -> None:
-    tmp = path + ".tmp"
-    write_field_csv(fieldobj, tmp)
-    os.replace(tmp, path)
+    _atomic_write(path, lambda tmp: write_field_csv(fieldobj, tmp))
 
 
 def _read_vector_field(path: str, grid: Grid, command: str) -> VectorField:
@@ -217,10 +223,11 @@ def _run_relax(q: dict, out_dir: str) -> tuple[dict, list[str]]:
 def _sharp_wall_chi(grid: Grid) -> VectorField:
     wall = canonical_wall()
     ny = grid.ny
-    vals = np.empty((grid.nx, ny, 2))
-    vals[:, : ny // 2] = wall.chi_minus
-    vals[:, ny // 2 :] = wall.chi_plus
-    return VectorField(grid, vals)
+    row = np.empty((ny, 2))
+    row[: ny // 2] = wall.chi_minus
+    row[ny // 2 :] = wall.chi_plus
+    # the field's copy of one broadcast row is the only whole-grid array
+    return VectorField(grid, np.broadcast_to(row, (grid.nx, ny, 2)))
 
 
 def _run_entropy_scan(q: dict, out_dir: str) -> tuple[dict, list[str]]:
@@ -268,24 +275,11 @@ def _run_diagnose(q: dict, out_dir: str) -> tuple[dict, list[str]]:
     p, grid = _model("diagnose", q, q["l"], q["alpha"])
     if not (0 < q["t"] < math.pi):
         raise ConfigError(f"threshold must lie in (0, pi), got {q['t']}")
-    try:  # the spins copy the values, so the read field is freed here
-        u = SpinField(grid, _read_vector_field(q["field"], grid, "diagnose").values)
+    field = _read_vector_field(q["field"], grid, "diagnose")
+    try:  # the report checks the unit norm; no other error arises on unit spins
+        report = diagnose_report(field, p, q["t"])
     except DomainError as exc:
         raise ConfigError(f"{q['field']}: {exc}") from None
-    ch = chirality(u, p)  # the one angles pass; every check below reads it
-    hn, hs, ratio = hn_vs_hnstar(u, ch.chi, p)
-    large = count_large_angle_cells(ch.theta_hor, ch.theta_ver, q["t"])
-    report = {
-        "large_angle_cells": large,
-        "angle_threshold": q["t"],
-        "curl_l1": curl_l1(ch.chi_bar),
-        "curl_quantization_residual": curl_quantization_residual(ch.chi_bar, p),
-        "lp_norms": {str(k): lp_norm(ch.chi, k) for k in (2, 4, 6)},
-        "Hn": hn.total,
-        "Hn_star": hs.total,
-        "Hn_star_over_Hn": ratio if math.isfinite(ratio) else None,
-        "counting_constant": large * p.l / p.delta**1.5,
-    }
     report_path = os.path.join(out_dir, "diagnose_report.json")
     _atomic_write_text(report_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(report_path)

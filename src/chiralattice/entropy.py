@@ -20,7 +20,10 @@ from numpy.polynomial.legendre import leggauss
 from numpy.typing import NDArray
 
 from .errors import DomainError
-from .lattice_core import ScalarField, VectorField, _sq_norm, _unit, cell_sum, div_d
+from .lattice_core import (
+    _AHEAD, ScalarField, VectorField, _div, _reach, _RowTile, _sq_norm, _tile_sums, _unit,
+    cell_sum, div_d,
+)
 
 __all__ = [
     "Entropy",
@@ -150,17 +153,21 @@ def _run_starts(cells: NDArray) -> NDArray | None:
     return np.concatenate(([0], np.flatnonzero(new_run) + 1))
 
 
-def _production_density(chi: VectorField, e: Entropy) -> ScalarField:
-    """``div_d(Phi o chi_perp)``, with ``Phi`` evaluated once per run of
-    bitwise-equal consecutive cells (row-major) and the result repeated."""
-    cells = chi.values.reshape(-1, 2)
+def _flux(values: NDArray, e: Entropy) -> NDArray:
+    """``Phi o perp`` of the ``(..., 2)`` array ``values``, with ``Phi``
+    evaluated once per run of bitwise-equal consecutive cells (row-major)
+    and the result repeated."""
+    cells = values.reshape(-1, 2)
     starts = _run_starts(cells)
     if starts is None:
-        flux = e.phi(perp(chi.values))
-    else:
-        lengths = np.diff(starts, append=len(cells))
-        flux = np.repeat(e.phi(perp(cells[starts])), lengths, axis=0).reshape(chi.values.shape)
-    return div_d(VectorField._adopt(chi.grid, flux, chi.valid))
+        return e.phi(perp(values))
+    lengths = np.diff(starts, append=len(cells))
+    return np.repeat(e.phi(perp(cells[starts])), lengths, axis=0).reshape(values.shape)
+
+
+def _production_density(chi: VectorField, e: Entropy) -> ScalarField:
+    """``div_d(Phi o chi_perp)`` on the whole field."""
+    return div_d(VectorField._adopt(chi.grid, _flux(chi.values, e), chi.valid))
 
 
 def entropy_production(chi: VectorField, e: Entropy, zeta: Callable) -> float:
@@ -184,9 +191,31 @@ def entropy_production(chi: VectorField, e: Entropy, zeta: Callable) -> float:
 
 def total_variation_production(chi: VectorField, e: Entropy) -> float:
     """l^1 cell sum of the production density: the lattice total variation of
-    ``div(Phi o chi_perp)`` over its valid set."""
-    dv = _production_density(chi, e)
-    return chi.grid.spacing**2 * cell_sum(np.abs(dv.values), dv.valid)
+    ``div(Phi o chi_perp)`` over its valid set.
+
+    It streams over row tiles: each tile forms the flux of its rows and the
+    row ahead (``Phi`` once per run of equal cells, as on the whole field)
+    and its divergence, and seals both where a whole field of them would be
+    valid, so the sum is ``div_d``'s, bit for bit, with no whole-grid array.
+    """
+    g, l = chi.grid, chi.grid.spacing
+    if _reach(chi, _AHEAD).empty:  # the whole-field path names the stencil without a cell
+        _production_density(chi, e)
+
+    def tile_tv(tile: _RowTile, sums: list) -> None:
+        # an open grid's last row and last column lie outside the reach, so
+        # only a periodic grid wraps to the row and the column ahead
+        rows = np.arange(tile.i0, min(tile.i1 + 1, g.nx + g.periodic)) % g.nx
+        flux = _flux(chi.values[rows], e)
+        tile.seal((), 0, flux)
+        if g.periodic:
+            flux = np.concatenate((flux, flux[:, :1]), axis=1)
+        div = _div(flux[:-1, :-1], flux[1:, :-1], flux[:-1, 1:], l)
+        tile.seal(_AHEAD, 0, div)
+        sums[0].add(np.abs(div[tile.cells(_AHEAD, 0)]))
+
+    (total,) = _tile_sums(g, chi.valid, 1, tile_tv, margin=0)
+    return l**2 * total
 
 
 def _jump_size(a, b, nu) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .lattice_core import Grid, _unit
+from .lattice_core import Grid, _row_blocks, _unit
 from .spin_energy import ModelParams, SpinField, _spins
 
 __all__ = [
@@ -58,16 +58,21 @@ def helical_field(spec: HelixSpec, grid: Grid) -> SpinField:
 
     On periodic grids the rotations must wind an integer number of turns
     across each axis, otherwise the wrap seam would carry spurious energy.
+    The spins are filled in one block of rows at a time, so no whole-grid
+    lift or temporary is built.
     """
     if grid.periodic:
         _check_commensurate(grid.nx, spec.theta_h, "x")
         _check_commensurate(grid.ny, spec.theta_v, "y")
-    i = np.arange(grid.nx)[:, None]
-    j = np.arange(grid.ny)[None, :]
     # fmod is exact, so a phase in (-2 pi, 2 pi) keeps its bits and a huge
     # one does not round the per-step angles away
-    psi = math.fmod(spec.theta0, 2.0 * math.pi) + i * spec.theta_h + j * spec.theta_v
-    return SpinField._adopt(grid, _spins(psi), grid.full_rect)
+    phase = math.fmod(spec.theta0, 2.0 * math.pi)
+    j = np.arange(grid.ny)[None, :]
+    values = np.empty((grid.nx, grid.ny, 2))
+    for i0, i1 in _row_blocks(grid.nx, grid.ny):
+        i = np.arange(i0, i1)[:, None]
+        values[i0:i1] = _spins(phase + i * spec.theta_h + j * spec.theta_v)
+    return SpinField._adopt(grid, values, grid.full_rect)
 
 
 def _helix_angles(chi_unit, p: ModelParams) -> tuple[float, float]:

@@ -21,11 +21,14 @@ extracts the values of each block of cells error-free into a few exact
 partials in numpy and rounds their sum once with ``math.fsum``, so every sum
 is the correctly rounded real sum: bit for bit the same whatever the blocks,
 the thread count or the run order.  :func:`cell_sum` is the accumulator over
-one block.  The two streams the CLI runs, ``energy_Hn`` and a gamma-table
-level, read row tiles (``_RowTile``) in one loop, ``_tile_sums``, whose
-kernels add one block per tile, so no tile height changes a bit of their
-sums; each tiled quantity that can be non-finite is sealed on the reach of its
-stencil, the cells where a whole field of it would be valid.
+one block.  The streams the CLI runs (the energies ``E``, ``F`` and ``Hn``,
+a gamma-table level, the entropy production and the ``diagnose`` report)
+read row tiles (``_RowTile``) in one loop, ``_tile_sums``, whose kernels add
+one block per tile, so no tile height changes a bit of their sums; each tiled
+quantity that can be non-finite is sealed on the reach of its stencil, the
+cells where a whole field of it would be valid.  The field seals and the CSV
+reader work in blocks of rows of the same size, so a subcommand holds its one
+field and the arrays of one tile.
 """
 
 from __future__ import annotations
@@ -146,6 +149,13 @@ def _require_finite(values: NDArray) -> None:
         raise DomainError("field values must be finite")
 
 
+def _by_rows(check, values: NDArray) -> None:
+    """``check`` on each block of ``_row_blocks`` rows of ``values``, so that
+    the check of a whole field holds the temporaries of one block only."""
+    for i0, i1 in _row_blocks(*values.shape[:2]):
+        check(values[i0:i1])
+
+
 def _zero_outside(values: NDArray, rect: Rect) -> None:
     """Zero ``values`` in place outside ``values[rect.slices]``, allocating
     nothing; ``rect`` lies in the grid, and an empty one zeroes every cell."""
@@ -198,7 +208,7 @@ class ScalarField:
         if g.periodic and v != g.full_rect:
             raise DimensionError(f"a periodic field is valid on the whole grid, got {v}")
         _zero_outside(self.values, v)
-        _require_finite(self.values)
+        _by_rows(_require_finite, self.values)
         self.values.setflags(write=False)
 
 
@@ -301,8 +311,9 @@ def _exact_parts(block: NDArray) -> list[float] | None:
     return parts
 
 
-# the lookups of the 5-point stencil
+# the lookups of the 5-point stencil, and of the forward differences
 _CROSS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+_AHEAD = ((1, 0), (0, 1))
 
 
 def _reach(f: ScalarField, offsets) -> Rect:
@@ -344,16 +355,24 @@ def _neighbours(f: ScalarField, *offsets: tuple[int, int]) -> tuple[list[NDArray
     return _views(np.pad(f.values, pad, mode="wrap"), h, offsets), rect
 
 
-# cells per row tile of the streamed energies; like _BLOCK_CELLS it sets
-# memory and speed only, never a bit of a result
+# cells per row tile of the streams, per block of the field seals and per
+# block of lines the CSV reader parses; like _BLOCK_CELLS it sets memory and
+# speed only, never a bit of a result
 _TILE_CELLS = 1 << 15
+
+
+def _row_blocks(nx: int, ny: int) -> list[tuple[int, int]]:
+    """The rows ``0 .. nx - 1`` cut into ranges ``i0 .. i1 - 1`` of about
+    ``_TILE_CELLS`` cells of rows ``ny`` long."""
+    step = max(1, _TILE_CELLS // max(ny, 1))
+    return [(i0, min(i0 + step, nx)) for i0 in range(0, nx, step)]
 
 
 @dataclass(frozen=True)
 class _RowTile:
     """The rows ``i0 .. i1 - 1`` of a field valid on ``valid``, read as
-    ``values[index]`` with a one-cell margin: rows ``i0 - 1 .. i1`` and
-    columns ``-1 .. ny``, wrapped as in ``_neighbours``."""
+    ``values[index]`` with a margin of ``m`` cells: rows ``i0 - m .. i1 + m - 1``
+    and columns ``-m .. ny + m - 1``, wrapped as in ``_neighbours``."""
 
     i0: int
     i1: int
@@ -378,17 +397,15 @@ class _RowTile:
             _require_finite(values[cells])
 
 
-def _tile_sums(grid: Grid, valid: Rect, n: int, kernel) -> list[float]:
+def _tile_sums(grid: Grid, valid: Rect, n: int, kernel, margin: int = 1) -> list[float]:
     """The values of ``n`` exact accumulators once ``kernel(tile, sums)`` has
-    added its blocks for each row tile, of about ``_TILE_CELLS`` cells, of a
-    field on ``grid`` valid on ``valid``, in order."""
+    added its blocks for each row tile (``_row_blocks``), with a margin of
+    ``margin`` cells, of a field on ``grid`` valid on ``valid``, in order."""
     nx, ny = grid.nx, grid.ny
-    cols = np.arange(-1, ny + 1) % ny
-    step = max(1, _TILE_CELLS // ny)
+    cols = np.arange(-margin, ny + margin) % ny
     sums = [_ExactSum() for _ in range(n)]
-    for i0 in range(0, nx, step):
-        i1 = min(i0 + step, nx)
-        index = np.ix_(np.arange(i0 - 1, i1 + 1) % nx, cols)
+    for i0, i1 in _row_blocks(nx, ny):
+        index = np.ix_(np.arange(i0 - margin, i1 + margin) % nx, cols)
         kernel(_RowTile(i0, i1, index, valid, grid.periodic), sums)
     return [s.value() for s in sums]
 
@@ -407,6 +424,16 @@ def _laplace(x: NDArray, cross: list[NDArray], l: float) -> NDArray:
     return total / l**2
 
 
+def _div(x: NDArray, right: NDArray, up: NDArray, l: float) -> NDArray:
+    """The forward divergence of the vectors ``x`` against their views ahead."""
+    return (right[..., 0] - x[..., 0]) / l + (up[..., 1] - x[..., 1]) / l
+
+
+def _curl(x: NDArray, right: NDArray, up: NDArray, l: float) -> NDArray:
+    """The forward curl of the vectors ``x`` against their views ahead."""
+    return (right[..., 1] - x[..., 1]) / l - (up[..., 0] - x[..., 0]) / l
+
+
 def dpartial(v: ScalarField, axis: int) -> ScalarField:
     """Forward difference quotient along ``axis`` in {1, 2}."""
     if axis not in (1, 2):
@@ -423,16 +450,12 @@ def grad_d(v: ScalarField) -> VectorField:
 
 def div_d(v: VectorField) -> ScalarField:
     (e1, e2), rect = _neighbours(v, (1, 0), (0, 1))
-    x, l = v.values, v.grid.spacing
-    div = (e1[..., 0] - x[..., 0]) / l + (e2[..., 1] - x[..., 1]) / l
-    return ScalarField._adopt(v.grid, div, rect)
+    return ScalarField._adopt(v.grid, _div(v.values, e1, e2, v.grid.spacing), rect)
 
 
 def curl_d(v: VectorField) -> ScalarField:
     (e1, e2), rect = _neighbours(v, (1, 0), (0, 1))
-    x, l = v.values, v.grid.spacing
-    curl = (e1[..., 1] - x[..., 1]) / l - (e2[..., 0] - x[..., 0]) / l
-    return ScalarField._adopt(v.grid, curl, rect)
+    return ScalarField._adopt(v.grid, _curl(v.values, e1, e2, v.grid.spacing), rect)
 
 
 def laplace_shifted(phi: ScalarField) -> ScalarField:
@@ -459,24 +482,31 @@ def write_field_csv(f: ScalarField, path: str) -> None:
     per cell in row-major order with each value as ``%.17g`` (the bytes of
     :func:`format_float`), so every float64 reads back exactly.
 
-    Lines are formatted one grid row at a time by a single ``%`` template, so
-    the per-cell work runs in C and memory stays at one row of text.
+    Each grid row is formatted by a single ``%`` template that carries the
+    row's ``i`` and ``j`` as text, so the per-cell work runs in C and memory
+    stays at one row of text.
     """
     vec = isinstance(f, VectorField)
     nx, ny = f.grid.nx, f.grid.ny
-    row_fmt = "%d,%d,%.17g,%.17g\n" if vec else "%d,%d,%.17g\n"
-    width = 4 if vec else 3
-    values = f.values.reshape(nx, ny, -1)
-    cells = [0] * (width * ny)
-    cells[1::width] = range(ny)
+    cells = [f"{j},%.17g,%.17g\n" if vec else f"{j},%.17g\n" for j in range(ny)]
+    values = f.values.reshape(nx, -1)  # a row's values, interleaved as the lines take them
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("i,j,v1,v2\n" if vec else "i,j,v1\n")
         for i in range(nx):
-            cells[0::width] = [i] * ny
-            cells[2::width] = values[i, :, 0].tolist()
-            if vec:
-                cells[3::width] = values[i, :, 1].tolist()
-            fh.write((row_fmt * ny) % tuple(cells))
+            fh.write((f"{i}," + f"{i},".join(cells)) % tuple(values[i].tolist()))
+
+
+def _loadtxt(rows, max_rows=None) -> NDArray:
+    return np.loadtxt(rows, delimiter=",", ndmin=2, max_rows=max_rows)
+
+
+def _whole_file_error(path: str) -> None:
+    """Parse the body of ``path`` in one call, for the ``ValueError`` with
+    the message and row number a single ``np.loadtxt`` gives."""
+    with open(path, encoding="ascii") as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        fh.readline()
+        _loadtxt(line for line in fh if not line.isspace())
 
 
 def read_field_csv(path: str, grid: Grid) -> ScalarField | VectorField:
@@ -495,52 +525,88 @@ def read_field_csv(path: str, grid: Grid) -> ScalarField | VectorField:
     integer inside the grid ("inside"), a cell given twice ("repeats") or
     not at all ("misses", also for a header with no rows), and a value that
     is not finite.  A missing or unreadable file raises ``OSError``.
+
+    The body is parsed ``_TILE_CELLS`` rows at a time into the field's own
+    array, with one byte per cell to count the cells given, so the reader
+    holds the field and one block of rows.  The errors, and the row numbers
+    in them, are those of one parse of the whole body: a block that fails to
+    parse after the first is parsed again with the whole body.
     """
+    nx, ny = grid.nx, grid.ny
+    width = bad_row = None  # the columns of the first row; the first row off the grid
+    offset = 0  # the rows parsed before the block
     try:
-        with open(path, encoding="ascii") as fh:
+        with open(path, encoding="ascii") as fh, warnings.catch_warnings():
+            # a header-only file is the "misses" error below; lines with no
+            # data are skipped as they are by a single parse
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            warnings.filterwarnings("ignore", "Input line", UserWarning)
             names = [name.strip() for name in fh.readline().split(",")]
-            with warnings.catch_warnings():
-                # a header-only file is the "misses" error below
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                        UserWarning)
-                rows = (line for line in fh if not line.isspace())
-                data = np.loadtxt(rows, delimiter=",", ndmin=2)
+            columns = {"i", "j", "v1"} <= set(names)
+            vec = "v2" in names
+            values = np.empty((nx * ny, 2 if vec else 1))
+            given = np.zeros(nx * ny, dtype=np.uint8)  # 0, 1, or 2 for twice or more
+            rows = (line for line in fh if not line.isspace())
+            while True:
+                try:
+                    data = _loadtxt(rows, _TILE_CELLS)
+                    if data.size and data.shape[1] != (width or data.shape[1]):
+                        raise ValueError("the number of columns changed")
+                except ValueError:
+                    if offset:
+                        _whole_file_error(path)
+                    raise
+                if data.size == 0:
+                    break
+                width = data.shape[1]
+                if columns and width == len(names) and bad_row is None:
+                    row = _place_rows(data, names, grid, values, given)
+                    bad_row = None if row is None else offset + row
+                offset += len(data)
+                if len(data) < _TILE_CELLS:
+                    break
     except ValueError as exc:  # UnicodeDecodeError included
         raise ConfigError(f"{path}: malformed field CSV: {exc}") from None
-    if not {"i", "j", "v1"} <= set(names):
+    if not columns:
         raise ConfigError(f"{path}: field CSV needs the columns i, j, v1[, v2]")
-    if data.size == 0:
-        data = data.reshape(0, len(names))
-    if data.shape[1] != len(names):
+    if width is not None and width != len(names):
         raise ConfigError(
             f"{path}: malformed field CSV: the header names {len(names)} columns, "
-            f"the rows hold {data.shape[1]}"
+            f"the rows hold {width}"
         )
-    vec = "v2" in names
+    if bad_row is not None:
+        raise ConfigError(
+            f"{path}: cell index is not an integer inside the {nx}x{ny} grid at row {bad_row}"
+        )
+    if np.any(given != 1):
+        bad = int(np.argmax(given != 1))
+        what = "repeats" if given[bad] > 1 else "misses"
+        raise ConfigError(f"{path}: field CSV {what} cell {divmod(bad, ny)}")
+    cls = VectorField if vec else ScalarField
+    try:
+        return cls._adopt(grid, values.reshape((nx, ny, 2) if vec else (nx, ny)),
+                          grid.full_rect)
+    except DomainError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _place_rows(data: NDArray, names: list[str], grid: Grid, values: NDArray,
+                given: NDArray) -> int | None:
+    """Put the values of a block of parsed rows into ``values`` (one row per
+    cell, row-major) and count their cells in ``given``, up to 2.  Returns
+    the 1-based row in the block of the first index that is not a cell of
+    the grid, with nothing put, or None."""
     fi, fj = data[:, names.index("i")], data[:, names.index("j")]
     inside = (fi >= 0) & (fi < grid.nx) & (fj >= 0) & (fj < grid.ny)
     inside &= (np.floor(fi) == fi) & (np.floor(fj) == fj)
     if not np.all(inside):
-        raise ConfigError(
-            f"{path}: cell index is not an integer inside the {grid.nx}x{grid.ny} grid "
-            f"at row {int(np.argmin(inside)) + 1}"
-        )
-    ii = fi.astype(int)
-    jj = fj.astype(int)
-    hits = np.bincount(ii * grid.ny + jj, minlength=grid.nx * grid.ny)
-    if np.any(hits != 1):
-        bad = int(np.argmax(hits != 1))
-        what = "repeats" if hits[bad] > 1 else "misses"
-        raise ConfigError(f"{path}: field CSV {what} cell {divmod(bad, grid.ny)}")
-    v1 = data[:, names.index("v1")]
-    if vec:
-        cls, values = VectorField, np.empty((grid.nx, grid.ny, 2))
-        values[ii, jj, 0] = v1
-        values[ii, jj, 1] = data[:, names.index("v2")]
-    else:
-        cls, values = ScalarField, np.empty((grid.nx, grid.ny))
-        values[ii, jj] = v1
-    try:
-        return cls._adopt(grid, values, grid.full_rect)
-    except DomainError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        return int(np.argmin(inside)) + 1
+    cell = fi.astype(int) * grid.ny + fj.astype(int)
+    ordered = np.sort(cell)
+    twice = np.concatenate((ordered[1:][ordered[1:] == ordered[:-1]], cell[given[cell] > 0]))
+    given[cell] = 1
+    given[twice] = 2
+    values[cell, 0] = data[:, names.index("v1")]
+    if values.shape[1] == 2:
+        values[cell, 1] = data[:, names.index("v2")]
+    return None

@@ -29,7 +29,7 @@ from .lattice_core import (
     _sq_norm, _tile_sums, _views, cell_sum, grad_d, laplace_shifted,
 )
 from .spin_energy import (
-    EnergyRecord, ModelParams, SpinField, _hn_tile, _record, _spins, potential_W,
+    EnergyRecord, ModelParams, SpinField, _hn_tile, _record, _spins, _tile_angles, potential_W,
 )
 from .entropy import _jump_size, perp, sigma_surface_density
 
@@ -307,7 +307,7 @@ def _level_energies(
         phi = np.asarray(phi_eps(np.stack([x, y], axis=-1)), dtype=np.float64)
         tile.seal((), 1, phi)
         max_d = max(max_d, _ag_tile(tile, phi, p.l, sums[2:]))
-        _hn_tile(tile, _spins((sqd / p.l) * phi), sqd, p.l, None, sums)
+        _hn_tile(tile, *_tile_angles(_spins((sqd / p.l) * phi)), 1, sqd, p.l, None, sums)
         if tile.i1 == grid.nx:  # after every tile, before the loop rounds a sum
             _require_small_angles(sqd * max_d)
 

@@ -30,9 +30,11 @@ from .lattice_core import (
     _cell_dot,
     _neighbours,
     _reach,
+    _by_rows,
     _RowTile,
     _sq_norm,
     _tile_sums,
+    _views,
     cell_sum,
     grad_d,
 )
@@ -102,7 +104,7 @@ class SpinField(VectorField):
 
     def _seal(self) -> None:
         super()._seal()
-        _require_unit(self.values[self.valid.slices])
+        _by_rows(_require_unit, self.values[self.valid.slices])
 
 
 def _require_unit(spins: NDArray) -> None:
@@ -146,7 +148,7 @@ class ChiralityFields:
 
     @cached_property
     def chi_bar(self) -> VectorField:
-        return self._pack(lambda theta: theta / self.sqrt_delta)
+        return self._pack(lambda theta: _chi_bar(theta, self.sqrt_delta))
 
 
 def _chi(theta: NDArray, sqrt_delta: float) -> NDArray:
@@ -157,6 +159,11 @@ def _chi(theta: NDArray, sqrt_delta: float) -> NDArray:
 def _chi_tilde(theta: NDArray, sqrt_delta: float) -> NDArray:
     """Per-cell sine-variant chirality ``sin(theta)/sqrt(delta)``."""
     return np.sin(theta) / sqrt_delta
+
+
+def _chi_bar(theta: NDArray, sqrt_delta: float) -> NDArray:
+    """Per-cell linearized chirality ``theta/sqrt(delta)``."""
+    return theta / sqrt_delta
 
 
 def _oriented_angle(a: NDArray, b: NDArray) -> NDArray:
@@ -170,6 +177,13 @@ def _oriented_angle(a: NDArray, b: NDArray) -> NDArray:
     theta = np.arctan2(cross, _cell_dot(a, b))
     theta[theta == np.pi] = -np.pi
     return theta
+
+
+def _tile_angles(spins: NDArray) -> tuple[NDArray, NDArray]:
+    """The angles from each spin of a tile array to its right and upper
+    neighbour, on all but the array's last row and column."""
+    here = spins[:-1, :-1]
+    return _oriented_angle(here, spins[1:, :-1]), _oriented_angle(here, spins[:-1, 1:])
 
 
 def angles(u: SpinField) -> tuple[ScalarField, ScalarField]:
@@ -195,23 +209,32 @@ def _resolve_region(rect: Rect, region: Rect | None) -> Rect:
     return rect
 
 
+_PAIRS = ((1, 0), (0, 1), (1, 1), (-1, 1), (2, 0), (0, 2))  # the pairs of energy_E
+
+
 def energy_E(u: SpinField, p: ModelParams) -> float:
     """Three-coupling lattice energy: nearest (-alpha), diagonal (+beta),
     and third-neighbour (+1) pair terms, each weighted by l^2.  An open grid
     sums only the cells whose six forward pairs all exist, so a reflected or
-    transposed field drops other edge pairs and gives another value."""
+    transposed field drops other edge pairs and gives another value.  It
+    streams over row tiles with a margin of two cells, as far as the pairs
+    reach."""
     p.require_spacing(u.grid)
-    pairs = ((1, 0), (0, 1), (1, 1), (-1, 1), (2, 0), (0, 2))
-    if _reach(u, pairs).empty:
+    if _reach(u, _PAIRS).empty:
         return 0.0
-    views, rect = _neighbours(u, *pairs)
-    dots = [_cell_dot(u.values, nb) for nb in views]
-    per_cell = (
-        -p.alpha * (dots[0] + dots[1])
-        + p.beta * (dots[2] + dots[3])
-        + (dots[4] + dots[5])
-    )
-    return p.l**2 * cell_sum(per_cell, rect)
+
+    def tile_e(tile: _RowTile, sums: list) -> None:
+        x, *views = _views(u.values[tile.index], 2, ((0, 0),) + _PAIRS)
+        dots = [_cell_dot(x, nb) for nb in views]
+        per_cell = (
+            -p.alpha * (dots[0] + dots[1])
+            + p.beta * (dots[2] + dots[3])
+            + (dots[4] + dots[5])
+        )
+        sums[0].add(per_cell[tile.cells(_PAIRS, 0)])
+
+    (total,) = _tile_sums(u.grid, u.valid, 1, tile_e, margin=2)
+    return p.l**2 * total
 
 
 def _f_residuals(
@@ -251,10 +274,17 @@ def energy_F(u: SpinField, p: ModelParams) -> float:
 
     Both residual sums run over the common index set where the full 5-point
     stencil exists, so that the rescaling identity with ``energy_Hn`` holds
-    cell by cell also on open grids.
+    cell by cell also on open grids.  It streams over row tiles: the density
+    of each tile array is exact on all but its one-cell margin.
     """
     p.require_spacing(u.grid)
-    return p.l**2 * cell_sum(*_f_density(u.values, p, u.grid, u.valid))
+
+    def tile_f(tile: _RowTile, sums: list) -> None:
+        per_cell, _ = _f_density(u.values[tile.index], p, u.grid, u.valid)
+        sums[0].add(per_cell[tile.cells(_CROSS, 1)])
+
+    (total,) = _tile_sums(u.grid, u.valid, 1, tile_f)
+    return p.l**2 * total
 
 
 def bulk_identity_check(u: SpinField, p: ModelParams) -> float:
@@ -318,23 +348,21 @@ def _record(p: ModelParams, well_sum: float, derivative_sum: float) -> EnergyRec
     return EnergyRecord(pot + der, pot, der)
 
 
-def _hn_tile(tile: _RowTile, spins: NDArray, sqrt_delta: float, l: float,
-             region: Rect | None, sums: list) -> None:
-    """One row tile of ``energy_Hn``: it forms the angles and both
-    chiralities with a one-cell margin and Wd and Ad on the tile's own cells,
-    seals Wd and Ad on the reach of the 5-point stencil, and adds Wd and
-    ``|Ad|^2`` there, cut to ``region``, to ``sums``.  Finite spins give
-    finite angles and chiralities (cells outside the valid rect hold
-    ``(0, 0)``, whose angle is 0), so only Wd and Ad, which square or divide
-    by ``l``, can overflow."""
-    here = spins[:-1, :-1]
-    th, tv = _oriented_angle(here, spins[1:, :-1]), _oriented_angle(here, spins[:-1, 1:])
+def _hn_tile(tile: _RowTile, th: NDArray, tv: NDArray, margin: int, sqrt_delta: float,
+             l: float, region: Rect | None, sums: list) -> None:
+    """One row tile of ``energy_Hn`` from the tile's angles (``_tile_angles``)
+    with a margin of ``margin >= 1`` cells: it forms both chiralities there
+    and Wd and Ad one cell in, seals Wd and Ad on the reach of the 5-point
+    stencil, and adds Wd and ``|Ad|^2`` there, cut to ``region``, to
+    ``sums``.  Finite spins give finite angles and chiralities (cells outside
+    the valid rect hold ``(0, 0)``, whose angle is 0), so only Wd and Ad,
+    which square or divide by ``l``, can overflow."""
     c1, c2 = _chi(th, sqrt_delta), _chi(tv, sqrt_delta)
     t1, t2 = _chi_tilde(th, sqrt_delta), _chi_tilde(tv, sqrt_delta)
     wd = _wd(c1[1:, 1:], c1[:-1, 1:], c2[1:, 1:], c2[1:, :-1])
     ad = _ad(t1[1:, 1:], t1[:-1, 1:], t2[1:, 1:], t2[1:, :-1], l)
-    tile.seal(_CROSS, 0, wd, ad)
-    cells = tile.cells(_CROSS, 0, region)
+    tile.seal(_CROSS, margin - 1, wd, ad)
+    cells = tile.cells(_CROSS, margin - 1, region)
     sums[0].add(wd[cells])
     sums[1].add(ad[cells] ** 2)
 
@@ -353,7 +381,7 @@ def energy_Hn(u: SpinField, p: ModelParams, region: Rect | None = None) -> Energ
     if rect.empty:  # the whole-field operators name the stencil without a cell
         Wd(chirality(u, p))
     well, derivative = _tile_sums(u.grid, u.valid, 2, lambda tile, sums: _hn_tile(
-        tile, u.values[tile.index], math.sqrt(p.delta), p.l, region, sums))
+        tile, *_tile_angles(u.values[tile.index]), 1, math.sqrt(p.delta), p.l, region, sums))
     _resolve_region(rect, region)  # after the seals, as with whole fields
     return _record(p, well, derivative)
 
@@ -364,17 +392,24 @@ def potential_W(xi: NDArray) -> NDArray:
     return (1.0 - _sq_norm(xi)) ** 2
 
 
+def _jacobian_sq(x: NDArray, right: NDArray, up: NDArray, l: float) -> NDArray:
+    """Per cell, the squared full forward-difference matrix of the vectors
+    ``x`` against their views ahead."""
+    dsq = 0.0
+    for k in (0, 1):
+        for ahead in (right, up):
+            dsq = dsq + ((ahead[..., k] - x[..., k]) / l) ** 2
+    return dsq
+
+
 def _well_and_jacobian(p: ModelParams, v: VectorField, region: Rect | None = None) -> EnergyRecord:
     """Energy of the well ``potential_W(v)`` and the squared full forward-difference
     matrix of ``v``, over the part of ``v.valid`` where all of it exists."""
     (e1, e2), rect = _neighbours(v, (1, 0), (0, 1))
-    x, l = v.values, v.grid.spacing
-    dsq = 0.0
-    for k in (0, 1):
-        for ahead in (e1, e2):
-            dsq = dsq + ((ahead[..., k] - x[..., k]) / l) ** 2
+    x = v.values
     rect = _resolve_region(rect, region)
-    return _record(p, cell_sum(potential_W(x), rect), cell_sum(dsq, rect))
+    return _record(p, cell_sum(potential_W(x), rect),
+                   cell_sum(_jacobian_sq(x, e1, e2, v.grid.spacing), rect))
 
 
 def energy_Hn_star(u: SpinField, p: ModelParams, region: Rect | None = None) -> EnergyRecord:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiralattice import (
-    Boundary, ConfigError, Grid, ScalarField, VectorField, cli, read_field_csv,
+    Boundary, ConfigError, DomainError, Grid, ScalarField, VectorField, cli, lattice_core,
+    read_field_csv,
     recovery_limsup, relaxation, spin_energy, write_field_csv,
 )
 from chiralattice.cli import main
@@ -633,6 +635,36 @@ def test_mutated_field_csv_reads_or_is_a_config_error(data, random_field_4x4):
     assert isinstance(f, ScalarField) and f.values.shape[:2] == (4, 4)
 
 
+def _read_outcome(path, grid):
+    """The type and bytes of the field read from ``path``, or the error's message."""
+    try:
+        f = read_field_csv(path, grid)
+    except ConfigError as exc:
+        return str(exc)
+    return type(f).__name__, f.values.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_mutated_field_csv_reads_alike_in_blocks_of_any_length(data, random_field_4x4):
+    """The reader parses ``_TILE_CELLS`` lines at a time.  In blocks of 1, 2
+    and 7 lines every file gives the field, or the error with its message and
+    row number, of a single parse of the whole body."""
+    text = _mutated_csv(data, random_field_4x4)
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = os.path.join(tmp, "field.csv")
+        with open(path, "wb") as fh:
+            fh.write(text)
+        for cells in (None, 1, 2, 7):
+            with pytest.MonkeyPatch.context() as mp:
+                if cells is not None:
+                    mp.setattr(lattice_core, "_TILE_CELLS", cells)
+                outcomes.append(_read_outcome(path, Grid(0.05, 4, 4, Boundary.OPEN)))
+    assert outcomes[1:] == outcomes[:1] * 3
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_diagnose_on_a_mutated_field_csv_succeeds_or_is_a_config_error(data, spin_field_8x8):
@@ -673,21 +705,56 @@ class TestDiagnose:
         assert report["large_angle_cells"] == 0
         assert report["curl_quantization_residual"] <= 1e-10
 
-    def test_one_angles_pass_serves_every_check(self, tmp_path, monkeypatch):
+    def test_each_cells_angles_are_formed_once_plus_the_tile_margins(self, tmp_path,
+                                                                      monkeypatch):
+        # each tile of h rows forms both angles on its (h + 3) x (16 + 3) cells
+        # with their two-cell margin, and every check reads those
         out = str(tmp_path)
         main(["--out-dir", out] + GROUND_STATE_ARGS)
-        passes = []
-        original = spin_energy.angles
-
-        def counted(u):
-            passes.append(u.grid.nx * u.grid.ny)
-            return original(u)
-
-        monkeypatch.setattr(spin_energy, "angles", counted)
         field = os.path.join(out, "ground_state_field.csv")
+        formed = []
+        original = spin_energy._oriented_angle
+
+        def counted(a, b):
+            formed.append(a.shape[:2])
+            return original(a, b)
+
+        monkeypatch.setattr(spin_energy, "_oriented_angle", counted)
+        for rows, tiles in ((16, 1), (1, 16), (7, 3)):
+            formed.clear()
+            monkeypatch.setattr(lattice_core, "_TILE_CELLS", rows * 16)
+            assert main(["--out-dir", out, "diagnose", "--field", field, "--l", "0.05",
+                         "--alpha", "7.92", "--nx", "16", "--ny", "16"]) == 0
+            assert len(formed) == 2 * tiles
+            assert all(ny == 16 + 3 for _, ny in formed)
+            assert sum(nx for nx, _ in formed) == 2 * (16 + 3 * tiles)
+
+    @pytest.mark.parametrize("rows", [None, 1, 2, 7])
+    def test_spins_off_the_unit_circle_in_the_last_row_are_a_config_error(
+        self, rows, tmp_path, capsys, monkeypatch
+    ):
+        # the report checks the norm tile by tile; a bad last row ends the run
+        # as the whole-field seal did, whichever tile reads it first
+        out = str(tmp_path)
+        main(["--out-dir", out] + GROUND_STATE_ARGS)
+        field = os.path.join(out, "ground_state_field.csv")
+        with open(field) as fh:
+            header, *lines = fh.read().splitlines()
+        for k in range(len(lines) - 16, len(lines)):  # the cells (15, j)
+            i, j, v1, v2 = lines[k].split(",")
+            lines[k] = f"{i},{j},{float(v1) * (1.0 + 1e-9)!r},{v2}"
+        with open(field, "w") as fh:
+            fh.write("\n".join([header] + lines) + "\n")
+        if rows is not None:
+            monkeypatch.setattr(lattice_core, "_TILE_CELLS", rows * 16)
+        capsys.readouterr()
         assert main(["--out-dir", out, "diagnose", "--field", field, "--l", "0.05",
-                     "--alpha", "7.92", "--nx", "16", "--ny", "16"]) == 0
-        assert passes == [16 * 16]
+                     "--alpha", "7.92", "--nx", "16", "--ny", "16"]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "CONFIG_INVALID",
+            "message": f"{field}: spin field values must be unit vectors (1e-12)",
+        }
+        assert not os.path.exists(os.path.join(out, "diagnose_report.json"))
 
     def test_missing_field_file_is_a_runtime_failure(self, tmp_path, capsys):
         args = ["--out-dir", str(tmp_path), "diagnose", "--field", "nope.csv",
@@ -714,6 +781,81 @@ class TestDiagnose:
         error = json.loads(lines[0])
         assert error["error"] == "CONFIG_INVALID"
         assert error["message"] == "the following arguments are required: --nx"
+
+
+def _traced_peak(argv):
+    """Peak bytes tracemalloc sees while ``main`` runs ``argv``."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command", ["ground-state", "diagnose", "entropy-scan"])
+def test_peak_memory_above_the_field_grows_less_than_twice_from_128_to_512_per_side(
+    command, tmp_path, monkeypatch
+):
+    """Each field command holds its one field (16 bytes per cell) and forms
+    every other per-cell array one row tile at a time.  Tiles of 4096 cells
+    cut both grids into many tiles (a 128 x 128 grid is one tile at the
+    default height), so the peak above the field is a tile's and does not
+    grow with the grid, where a whole-grid array grows 16-fold."""
+    monkeypatch.setattr(lattice_core, "_TILE_CELLS", 4096)
+    above = []
+    for n in (128, 512):
+        out = str(tmp_path / str(n))
+        lattice = ["--l", "0.01", "--alpha", "7.92", "--nx", str(n), "--ny", str(n)]
+        runs = {
+            "ground-state": ["ground-state", "--chi", "0.6,0.8"] + lattice,
+            "diagnose": ["diagnose", "--field", os.path.join(out, "ground_state_field.csv")]
+            + lattice,
+            "entropy-scan": ["entropy-scan", "--nx", str(n), "--ny", str(n), "--angles", "2"],
+        }
+        if command == "diagnose":
+            assert main(["--out-dir", out] + runs["ground-state"]) == 0
+        above.append(_traced_peak(["--out-dir", out] + runs[command]) - 16 * n * n)
+    assert 0 < above[1] < 2 * above[0]
+
+
+def test_a_failed_field_write_leaves_no_file(tmp_path, capsys, monkeypatch):
+    def failing_write(field, path):
+        with open(path, "w") as fh:
+            fh.write("i,j,v1,v2\n0,0,")
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli, "write_field_csv", failing_write)
+    assert main(["--out-dir", str(tmp_path)] + GROUND_STATE_ARGS) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "RUNTIME_FAILURE", "message": "no space left on device",
+    }
+    assert os.listdir(tmp_path) == []
+
+
+def test_an_energy_error_in_a_late_tile_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # the third of 16 one-row tiles of energy_Hn raises
+    original, calls = spin_energy._hn_tile, []
+
+    def failing_tile(tile, *args):
+        calls.append(tile.i0)
+        if len(calls) == 3:
+            raise DomainError("field values must be finite")
+        original(tile, *args)
+
+    monkeypatch.setattr(spin_energy, "_hn_tile", failing_tile)
+    monkeypatch.setattr(lattice_core, "_TILE_CELLS", 16)
+    assert main(["--out-dir", str(tmp_path)] + GROUND_STATE_ARGS) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "RUNTIME_FAILURE"
+    assert calls == [0, 1, 2]
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_failed_text_write_leaves_no_file(tmp_path):
+    path = str(tmp_path / "report.json")
+    with pytest.raises(UnicodeEncodeError):
+        cli._atomic_write_text(path, "caf\u00e9\n")
+    assert os.listdir(tmp_path) == []
 
 
 # sha256 of every output of three fixed configs, recorded with numpy 2.4.6
@@ -818,17 +960,40 @@ def _smooth_wall_chirality_csv(path, n=32):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _fixed_config_runs(out):
+    """The runs that write the files of ``FIXED_CONFIG_SHA256`` into ``out``."""
+    lattice = ["--l", "0.05", "--nx", "32", "--ny", "32"]
+    field = os.path.join(out, "ground_state_field.csv")
+    return [
+        ["ground-state", "--chi", "0.6,0.8", "--theta0", "0.3"] + lattice,
+        ["diagnose", "--field", field, "--alpha", "7.92"] + lattice,
+        ["entropy-scan", "--nx", "32", "--ny", "32", "--l", "0.03125", "--angles", "8"],
+        ["gamma-table", "--levels", "2"],
+    ]
+
+
+def _field_read_runs(out, chi_path):
+    """The runs that write the files of ``FIELD_READ_SHA256`` into ``out``,
+    ``chi_path`` holding ``_smooth_wall_chirality_csv``."""
+    # a helix winding once along x and twice along y on the 32 x 32 torus
+    s1, s2 = math.sin(math.pi / 32), math.sin(math.pi / 16)
+    delta = 4.0 * (s1**2 + s2**2)
+    chi = f"{2 * s1 / math.sqrt(delta)!r},{2 * s2 / math.sqrt(delta)!r}"
+    lattice = ["--l", "0.05", "--nx", "32", "--ny", "32", "--boundary", "periodic",
+               "--alpha", repr(8.0 - 2.0 * delta)]
+    field = os.path.join(out, "ground_state_field.csv")
+    return [
+        ["entropy-scan", "--field", str(chi_path), "--nx", "32", "--ny", "32",
+         "--l", "0.03125", "--angles", "8"],
+        ["ground-state", "--chi", chi] + lattice,
+        ["diagnose", "--field", field] + lattice,
+    ]
+
+
 class TestFixedConfigOutputs:
     def test_outputs_match_recorded_hashes(self, tmp_path):
         out = str(tmp_path)
-        lattice = ["--l", "0.05", "--nx", "32", "--ny", "32"]
-        field = os.path.join(out, "ground_state_field.csv")
-        runs = [
-            ["ground-state", "--chi", "0.6,0.8", "--theta0", "0.3"] + lattice,
-            ["diagnose", "--field", field, "--alpha", "7.92"] + lattice,
-            ["entropy-scan", "--nx", "32", "--ny", "32", "--l", "0.03125", "--angles", "8"],
-            ["gamma-table", "--levels", "2"],
-        ]
+        runs = _fixed_config_runs(out)
         for args in runs:
             assert main(["--out-dir", out] + args) == 0
         found = {}
@@ -891,19 +1056,7 @@ class TestFixedConfigOutputs:
         out = str(tmp_path)
         chi_path = tmp_path / "chi.csv"
         _smooth_wall_chirality_csv(chi_path)
-        # a helix winding once along x and twice along y on the 32 x 32 torus
-        s1, s2 = math.sin(math.pi / 32), math.sin(math.pi / 16)
-        delta = 4.0 * (s1**2 + s2**2)
-        chi = f"{2 * s1 / math.sqrt(delta)!r},{2 * s2 / math.sqrt(delta)!r}"
-        lattice = ["--l", "0.05", "--nx", "32", "--ny", "32", "--boundary", "periodic",
-                   "--alpha", repr(8.0 - 2.0 * delta)]
-        field = os.path.join(out, "ground_state_field.csv")
-        runs = [
-            ["entropy-scan", "--field", str(chi_path), "--nx", "32", "--ny", "32",
-             "--l", "0.03125", "--angles", "8"],
-            ["ground-state", "--chi", chi] + lattice,
-            ["diagnose", "--field", field] + lattice,
-        ]
+        runs = _field_read_runs(out, chi_path)
         for args in runs:
             assert main(["--out-dir", out] + args) == 0
         found = {}
@@ -946,6 +1099,28 @@ class TestFixedConfigOutputs:
             with open(tmp_path / name, "rb") as fh:
                 found[name] = hashlib.sha256(fh.read()).hexdigest()
         assert found == recorded(pins, "X86_V3") != pins
+
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_the_field_commands_write_their_recorded_bytes_at_any_tile_height(
+        self, rows, tmp_path, monkeypatch
+    ):
+        # ground-state, diagnose and entropy-scan stream over row tiles, and
+        # the CSV reader parses blocks of as many lines: at a few rows per
+        # tile every 32 x 32 run crosses many tile seams
+        monkeypatch.setattr(lattice_core, "_TILE_CELLS", rows * 32)
+        out = str(tmp_path)
+        chi_path = tmp_path / "chi.csv"
+        _smooth_wall_chirality_csv(chi_path)
+        for runs, pins in ((_fixed_config_runs(out)[:3], FIXED_CONFIG_SHA256),
+                           (_field_read_runs(out, chi_path), FIELD_READ_SHA256)):
+            for args in runs:
+                assert main(["--out-dir", out] + args) == 0
+            pins = {name: pins[name] for name in pins if not name.startswith("gamma_table")}
+            found = {}
+            for name in pins:
+                with open(os.path.join(out, name), "rb") as fh:
+                    found[name] = hashlib.sha256(fh.read()).hexdigest()
+            assert found == recorded(pins)
 
     def test_a_level_with_no_recorded_set_fails_and_names_it(self):
         with pytest.raises(pytest.fail.Exception, match="level ASIMDHP$"):

@@ -1,12 +1,16 @@
 """Empirical a-priori checks: angle counting, curl norms, energy comparison."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chiralattice import (
     Boundary,
+    DimensionError,
     DomainError,
     Grid,
     HelixSpec,
@@ -19,6 +23,7 @@ from chiralattice import (
     count_large_angle_cells,
     curl_l1,
     curl_quantization_residual,
+    diagnose_report,
     energy_Hn,
     energy_Hn_star,
     grad_d,
@@ -26,7 +31,7 @@ from chiralattice import (
     hn_vs_hnstar,
     lp_norm,
 )
-from chiralattice import spin_energy
+from chiralattice import lattice_core, spin_energy
 from chiralattice.lattice_core import ScalarField
 
 
@@ -168,3 +173,74 @@ class TestCurlQuantization:
         p = ModelParams(l=0.1, alpha=7.84)
         ch = chirality(vortex_spins(g), p)
         assert curl_quantization_residual(ch.chi_bar, p) <= 1e-10
+
+
+def whole_field_report(u, p, t):
+    """The ``diagnose`` report built from the whole-field checks: the oracle
+    of ``diagnose_report``."""
+    ch = chirality(u, p)
+    hn, hs, ratio = hn_vs_hnstar(u, ch.chi, p)
+    large = count_large_angle_cells(ch.theta_hor, ch.theta_ver, t)
+    return {
+        "large_angle_cells": large,
+        "angle_threshold": t,
+        "curl_l1": curl_l1(ch.chi_bar),
+        "curl_quantization_residual": curl_quantization_residual(ch.chi_bar, p),
+        "lp_norms": {str(k): lp_norm(ch.chi, k) for k in (2, 4, 6)},
+        "Hn": hn.total,
+        "Hn_star": hs.total,
+        "Hn_star_over_Hn": ratio if math.isfinite(ratio) else None,
+        "counting_constant": large * p.l / p.delta**1.5,
+    }
+
+
+@st.composite
+def report_cases(draw):
+    """Unit spins on an open grid with sides 6 to 24 or a periodic one with
+    sides 5 to 24, the smallest ``diagnose`` takes: a smooth wave or random
+    angles, so that large angles and curl quanta occur; a threshold; and a
+    tile height of 1 to 7 rows, or the default."""
+    boundary = draw(st.sampled_from([Boundary.OPEN, Boundary.PERIODIC]))
+    least = 6 if boundary is Boundary.OPEN else 5
+    grid = Grid(0.1, draw(st.integers(least, 24)), draw(st.integers(least, 24)), boundary)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    i, j = np.meshgrid(np.arange(grid.nx), np.arange(grid.ny), indexing="ij")
+    if draw(st.booleans()):
+        psi = rng.uniform(-math.pi, math.pi, size=(grid.nx, grid.ny))
+    else:
+        psi = 0.3 * i + rng.uniform(-1, 1) * j + rng.normal(scale=0.2, size=i.shape)
+    rows = draw(st.sampled_from([None, 1, 2, 3, 7]))
+    t = draw(st.floats(0.05, 3.0))
+    return grid, np.stack([np.cos(psi), np.sin(psi)], axis=-1), rows, t
+
+
+class TestDiagnoseReport:
+    @settings(max_examples=60, deadline=None)
+    @given(report_cases())
+    def test_holds_the_whole_field_checks_bit_for_bit(self, case):
+        grid, values, rows, t = case
+        p = ModelParams(l=0.1, alpha=7.5)
+        expected = whole_field_report(SpinField(grid, values), p, t)
+        with pytest.MonkeyPatch.context() as mp:
+            if rows is not None:
+                mp.setattr(lattice_core, "_TILE_CELLS", rows * grid.ny)
+            report = diagnose_report(VectorField(grid, values), p, t)
+        assert json.dumps(report, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_a_spin_off_the_unit_circle_is_the_spin_field_error(self, rows, monkeypatch):
+        g = Grid(0.05, 12, 12, Boundary.OPEN)
+        values = random_spins(g, 5).values.copy()
+        values[11, 11] *= 1.0 + 1e-9
+        with pytest.raises(DomainError) as whole:
+            SpinField(g, values)
+        monkeypatch.setattr(lattice_core, "_TILE_CELLS", rows * g.ny)
+        with pytest.raises(DomainError) as tiled:
+            diagnose_report(VectorField(g, values), ModelParams(l=0.05, alpha=7.5), 1.0)
+        assert str(tiled.value) == str(whole.value)
+
+    def test_reads_a_field_valid_on_the_whole_grid_only(self):
+        g = Grid(0.05, 12, 12, Boundary.OPEN)
+        v = VectorField(g, random_spins(g, 6).values, Rect(0, 11, 0, 12))
+        with pytest.raises(DimensionError, match="whole grid"):
+            diagnose_report(v, ModelParams(l=0.05, alpha=7.5), 1.0)

@@ -8,8 +8,9 @@ module calls them, so no ``sum(..., axis=-1)`` reduction is left in
 The row-tile layout has one owner too: only ``lattice_core`` makes exact
 accumulators, applies the reach rule to a bare rect, reads the tile size or
 builds an ``np.ix_`` index; the tiled energies get their tiles, cells and
-sums from ``lattice_core._tile_sums``.  Only the two streams the CLI runs
-call that loop: ``energy_Hn`` and a gamma-table level.
+sums from ``lattice_core._tile_sums``.  Only the streams the CLI runs call
+that loop: ``energy_E``, ``energy_F`` and ``energy_Hn``, a gamma-table
+level, the entropy scan's production and the ``diagnose`` report.
 
 The scale rule ``delta = eps**delta_exponent`` is written once, in
 ``ScalingSchedule.geometric``: ``relax`` takes its scales as level 0 of that
@@ -83,7 +84,11 @@ def test_only_the_cli_streams_call_the_tile_loop():
                         for node in ast.walk(top)
                         if (isinstance(node, ast.Name) and node.id == "_tile_sums")
                         or (isinstance(node, ast.Attribute) and node.attr == "_tile_sums")]
-    assert sorted(callers) == ["recovery_limsup.py:_level_energies", "spin_energy.py:energy_Hn"]
+    assert sorted(callers) == [
+        "diagnostics.py:diagnose_report", "entropy.py:total_variation_production",
+        "recovery_limsup.py:_level_energies", "spin_energy.py:energy_E", "spin_energy.py:energy_F",
+        "spin_energy.py:energy_Hn",
+    ]
 
 
 def _scoped(node, scope=""):

@@ -1,6 +1,7 @@
 """The row-tiled energies: the tile height never changes a bit.
 
-``energy_Hn`` and each gamma-table level stream over row tiles of about
+``energy_E``, ``energy_F``, ``energy_Hn``, the entropy production, the
+helical fields and each gamma-table level stream over row tiles of about
 ``lattice_core._TILE_CELLS`` cells.  Here the constant is patched down to
 tiles of a few rows, so every case crosses tile seams, and the results are
 compared bit for bit with one tile over the whole grid, and under the
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from chiralattice import (
     Boundary,
     Grid,
+    HelixSpec,
     ModelParams,
     Rect,
     ScalarField,
@@ -37,11 +39,14 @@ from chiralattice import (
     energy_Hn,
     gamma_limsup_experiment,
     grad_d,
+    helical_field,
+    jin_kohn,
     laplace_shifted,
     laplacian_AG_energy,
     lattice_core,
     recovery_limsup,
     spin_from_potential,
+    total_variation_production,
 )
 from chiralattice.lattice_core import _CROSS, _reach_rect, _tile_sums
 
@@ -55,6 +60,8 @@ def outcome(run):
         result = run()
     except Exception as exc:  # the error is the outcome compared
         return type(exc).__name__, str(exc)
+    if isinstance(result, float):
+        return result.hex()
     if isinstance(result, list):  # gamma-table rows
         return [{k: v.hex() if isinstance(v, float) else v for k, v in row.items()}
                 for row in result]
@@ -102,11 +109,28 @@ def cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(cases())
 def test_tile_height_changes_no_bit_of_the_energies(case):
+    # energy_E reads two rows ahead, the others one
     grid, psi, valid, region = case
     u = spins(grid, psi, valid)
-    for run in (lambda: energy_Hn(u, P), lambda: energy_Hn(u, P, region)):
+    e = jin_kohn((math.cos(psi[0, 0]), math.sin(psi[0, 0])))
+    for run in (lambda: energy_Hn(u, P), lambda: energy_Hn(u, P, region),
+                lambda: energy_E(u, P), lambda: energy_F(u, P),
+                lambda: total_variation_production(chirality(u, P).chi, e)):
         whole = at_height(None, run, grid)
         assert [at_height(h, run, grid) for h in HEIGHTS] == [whole] * len(HEIGHTS)
+
+
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
+def test_tile_height_changes_no_bit_of_a_helix(boundary):
+    grid = Grid(0.1, 23, 17, boundary)
+    spec = HelixSpec(0.3, 2.0 * math.pi * 3 / 23, -2.0 * math.pi * 2 / 17)
+    found = []
+    for rows in HEIGHTS + (None,):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice_core, "_TILE_CELLS", grid.nx * grid.ny if rows is None
+                       else rows * grid.ny)
+            found.append(helical_field(spec, grid).values.tobytes())
+    assert found == found[-1:] * len(found)
 
 
 @pytest.mark.parametrize("angle, eps0, levels", [(0.0, 0.08, 2), (30.0, 0.04, 1)])
