@@ -18,7 +18,7 @@ from .lattice_core import (
     _views, cell_sum, curl_d,
 )
 from .spin_energy import (
-    EnergyRecord, ModelParams, SpinField, _chi, _chi_bar, _hn_tile, _jacobian_sq, _record,
+    EnergyRecord, ModelParams, SpinField, _chi_bar, _hn_tile, _jacobian_sq, _record,
     _require_unit, _resolve_region, _tile_angles, _well_and_jacobian, energy_Hn, potential_W,
 )
 
@@ -143,10 +143,9 @@ def diagnose_report(field: VectorField, p: ModelParams, t: float) -> dict:
         spins = field.values[tile.index]
         _require_unit(spins)  # every cell the tile reads
         th, tv = _tile_angles(spins)
-        _hn_tile(tile, th, tv, 2, sqd, l, inner, sums)
+        chi = np.stack(_hn_tile(tile, th, tv, 2, sqd, l, inner, sums), axis=-1)
         cells = tile.cells(_AHEAD, 2)
         large += int(np.count_nonzero(_large_angles(th, tv, t)[cells]))
-        chi = np.stack([_chi(th, sqd), _chi(tv, sqd)], axis=-1)
         for k, total in zip((2, 4, 6), sums[2:5]):
             total.add(_lp_density(chi, k)[cells])
         x, right, up = _views(chi, 1, _FORWARD)

@@ -27,12 +27,14 @@ read row tiles (``_RowTile``) in one loop, ``_tile_sums``, whose kernels add
 one block per tile, so no tile height changes a bit of their sums; each tiled
 quantity that can be non-finite is sealed on the reach of its stencil, the
 cells where a whole field of it would be valid.  The field seals and the CSV
-reader work in blocks of rows of the same size, so a subcommand holds its one
-field and the arrays of one tile.
+reader work in blocks of rows of the same size, and the CSV writer in blocks
+of an eighth as many cells, so a subcommand holds its one field and the
+arrays of one tile.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -472,9 +474,142 @@ def laplace_shifted(phi: ScalarField) -> ScalarField:
     return ScalarField._adopt(g, _laplace(phi.values, views, g.spacing), rect)
 
 
+_G17 = ".17g"  # every float the package writes, to read back bit for bit
+
+
 def format_float(x: float) -> str:
     """17-significant-digit decimal formatting (round-trips float64)."""
-    return f"{x:.17g}"
+    return format(x, _G17)
+
+
+@functools.cache
+def _groups() -> NDArray:
+    """The 4-digit groups 0..9999 as '<u4' words of ASCII digits: in full
+    ("0012"), then without trailing zeros ("12", 0 as ""), then without
+    leading zeros ("12", 0 as "0"), a dropped digit as NUL.  Built at the
+    first write, in uint8, to keep the import's time and memory."""
+    d = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T.copy()  # the digits of 0..9999
+    zero = d == 0
+    trail = np.logical_and.accumulate(zero[:, ::-1], axis=1)[:, ::-1]
+    lead = np.logical_and.accumulate(zero, axis=1)
+    lead[:, 3] = False  # 0 keeps its last digit
+    d = d + np.uint8(ord("0"))
+    words = np.concatenate([d, np.where(trail, np.uint8(0), d), np.where(lead, np.uint8(0), d)])
+    words = words.view("<u4").ravel()
+    words.setflags(write=False)
+    return words
+
+
+# The text before the last 16 digits, as '<u8' words at [sign, e, d]: a
+# "-" or not, then "0." and 3 - e zeros for the decade e = 0..3 of
+# [1e-4, 1), or neither for e = 4 (the values 0 and 1), then the lead digit d.
+_HEADS = np.frombuffer(b"".join(
+    (sign + ("0." + "0" * (3 - e) if e < 4 else "") + str(d)).encode().ljust(8, b"\0")
+    for sign in ("", "-") for e in range(5) for d in range(10)), "<u8")
+_U = np.uint64
+_POW5 = np.array([5**20, 5**19, 5**18, 5**17], _U)
+# |x| as bits, which order as the magnitudes do
+_B1E4, _B1E3, _B1E2, _B1E1, _B1, _BHALF = np.array([1e-4, 1e-3, 1e-2, 0.1, 1.0, 0.5]).view(_U)
+_M32 = _U(0xFFFFFFFF)
+
+
+def _float_text(x: NDArray) -> NDArray:
+    """:func:`format_float`'s text of each value of the 1-D float64 ``x``,
+    as rows of 24 bytes padded with NULs and spaces.  ``±0`` and every
+    ``1e-4 <= |x| <= 1`` (all spin components but rare near-zero ones) are
+    written from integers (``_digits17``), the same at every SIMD level: the
+    sign, ``0.`` and ``-k`` zeros for the decade ``[10^(k-1), 10^k)``, the
+    lead digit and four 4-digit groups, the last nonzero one without its
+    trailing zeros.  The other values take the rule (``_rule_text``)."""
+    bits = x.view(_U)
+    a = bits & _U(0x7FFFFFFFFFFFFFFF)
+    fast = (a >= _B1E4) & (a <= _B1)
+    zero = a == 0
+    slow = np.flatnonzero(~(fast | zero))
+    if slow.size == x.size:
+        return _rule_text(x)
+    rows = np.zeros((x.size, 6), "<u4")  # the head word, then the groups
+    e, lead = 4, 0  # "0" in every row, when no value is in range
+    if fast.any():
+        a[~fast] = _BHALF  # a value in range, for shifts that stay in range
+        e, d = _digits17(a)
+        e[zero] = 4
+        d[zero] = 0
+        tail = np.ones(x.size, bool)  # the groups after this one are zero
+        q = np.empty_like(d)
+        for g in range(5, 1, -1):  # the 4-digit groups, last first
+            np.divmod(d, 10000, out=(d, q))
+            blank = q == 0
+            q += tail * 10000
+            rows[:, g] = _groups().take(q)
+            tail &= blank
+        lead = d
+    rows.view("<u8")[:, 0] = _HEADS.take((bits >> _U(63)).view(np.int64) * 50 + e * 10 + lead)
+    rows = rows.view(np.uint8)
+    if slow.size:
+        rows[slow] = _rule_text(x[slow])
+    return rows
+
+
+def _rule_text(x: NDArray) -> NDArray:
+    """:func:`format_float`'s text of each value of ``x``, from one ``%``
+    template, as rows padded with spaces to 24, the longest text's length."""
+    text = (f"%-24{_G17}" * x.size) % tuple(x.tolist())
+    return np.frombuffer(text.encode("ascii"), np.uint8).reshape(x.size, 24)
+
+
+def _digits17(a: NDArray) -> tuple[NDArray, NDArray]:
+    """The decade ``e = k + 3`` and the 17 digits ``D`` of each double
+    ``1e-4 <= |x| <= 1`` given by its bits ``a``: ``x = D 10^(k-17)`` rounded
+    half to even, in integers.  The decade ``[10^(k-1), 10^k)`` comes from
+    exact comparisons, and for ``|x| = m 2^E``, ``D = round(m 5^(17-k)
+    2^(E+17-k))`` in two 64-bit limbs, shifted 36 to 46 bits.  Each decade
+    starts at a double above its decimal value, so ``D < 10^17`` but for
+    ``|x| = 1``, returned as ``D = 10^16`` in the decade ``e = 4``."""
+    e = (a >= _B1E3).view(np.uint8) + (a >= _B1E2).view(np.uint8)
+    e += (a >= _B1E1).view(np.uint8)
+    u = 1023 - (a >> _U(52)).view(np.int64)  # the shift, less 32
+    u += e
+    u = u.view(_U)
+    c0 = _POW5.take(e)
+    c1 = c0 >> _U(32)
+    c0 &= _M32
+    m0 = (a & _U((1 << 52) - 1)) | _U(1 << 52)
+    m1 = m0 >> _U(32)
+    m0 &= _M32
+    low = m0 * c0
+    mid = m1 * c0  # the product is m1 c1 2^64 + mid 2^32 + low
+    m0 *= c1
+    mid += m0
+    mid += low >> _U(32)
+    d = mid >> u
+    m1 *= c1
+    m1 <<= _U(32) - u
+    d += m1
+    mid &= (_U(1) << u) - _U(1)  # the remainder, from here on
+    mid <<= _U(32)
+    low &= _M32
+    mid |= low
+    mid += d & _U(1)  # a tie rounds up from an odd d only
+    d += mid > (_U(1) << (u + _U(31)))
+    d = d.view(np.int64)
+    one = d == 10**17
+    e[one] = 4
+    d[one] = 10**16
+    return e, d
+
+
+def _int_text(n: NDArray, groups: int) -> NDArray:
+    """The decimal text of each int ``0 <= n < 10^(4 groups)`` as rows of
+    ``4 groups`` bytes, NUL-padded on the left."""
+    words = np.empty((n.size, groups), "<u4")
+    for g in range(groups):
+        q = n // 10 ** (4 * (groups - 1 - g))  # the digits up to this group
+        index = q % 10000 + 20000 * (q < 10000)
+        if g < groups - 1:
+            index[q == 0] = 10000  # blank above the leading digit
+        words[:, g] = _groups().take(index)
+    return words.view(np.uint8)
 
 
 def write_field_csv(f: ScalarField, path: str) -> None:
@@ -482,18 +617,31 @@ def write_field_csv(f: ScalarField, path: str) -> None:
     per cell in row-major order with each value as ``%.17g`` (the bytes of
     :func:`format_float`), so every float64 reads back exactly.
 
-    Each grid row is formatted by a single ``%`` template that carries the
-    row's ``i`` and ``j`` as text, so the per-cell work runs in C and memory
-    stays at one row of text.
+    Blocks of an eighth of a row tile of cells are laid out with each field
+    at a fixed column of a padded row and written without the padding, so
+    memory stays at one block whatever the grid's shape.  (A vector block's
+    temporaries are then 64 KB; from 128 KB glibc maps each one afresh, and
+    the formatter measured twice as slow per value.)
     """
-    vec = isinstance(f, VectorField)
+    nv = 2 if isinstance(f, VectorField) else 1
     nx, ny = f.grid.nx, f.grid.ny
-    cells = [f"{j},%.17g,%.17g\n" if vec else f"{j},%.17g\n" for j in range(ny)]
-    values = f.values.reshape(nx, -1)  # a row's values, interleaved as the lines take them
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("i,j,v1,v2\n" if vec else "i,j,v1\n")
-        for i in range(nx):
-            fh.write((f"{i}," + f"{i},".join(cells)) % tuple(values[i].tolist()))
+    step = max(1, _TILE_CELLS // 8)
+    gi, gj = (len(str(nx - 1)) + 3) // 4, (len(str(ny - 1)) + 3) // 4
+    values = f.values.reshape(-1)
+    line = np.zeros((min(step, nx * ny), 4 * (gi + gj) + 25 * nv + 2), np.uint8)
+    line[:, 4 * gi] = ord(",")
+    line[:, -1] = ord("\n")
+    texts = line[:, 4 * (gi + gj) + 1 : -1].reshape(len(line), nv, 25)
+    texts[:, :, 0] = ord(",")
+    with open(path, "wb") as fh:
+        fh.write(b"i,j,v1,v2\n" if nv == 2 else b"i,j,v1\n")
+        for c0 in range(0, nx * ny, step):
+            c1 = min(c0 + step, nx * ny)
+            i, j = np.divmod(np.arange(c0, c1), ny)
+            line[: c1 - c0, : 4 * gi] = _int_text(i, gi)
+            line[: c1 - c0, 4 * gi + 1 : 4 * (gi + gj) + 1] = _int_text(j, gj)
+            texts[: c1 - c0, :, 1:] = _float_text(values[c0 * nv : c1 * nv]).reshape(-1, nv, 24)
+            fh.write(line[: c1 - c0].tobytes().translate(None, b"\0 "))
 
 
 def _loadtxt(rows, max_rows=None) -> NDArray:

@@ -349,14 +349,15 @@ def _record(p: ModelParams, well_sum: float, derivative_sum: float) -> EnergyRec
 
 
 def _hn_tile(tile: _RowTile, th: NDArray, tv: NDArray, margin: int, sqrt_delta: float,
-             l: float, region: Rect | None, sums: list) -> None:
+             l: float, region: Rect | None, sums: list) -> tuple[NDArray, NDArray]:
     """One row tile of ``energy_Hn`` from the tile's angles (``_tile_angles``)
     with a margin of ``margin >= 1`` cells: it forms both chiralities there
     and Wd and Ad one cell in, seals Wd and Ad on the reach of the 5-point
-    stencil, and adds Wd and ``|Ad|^2`` there, cut to ``region``, to
-    ``sums``.  Finite spins give finite angles and chiralities (cells outside
-    the valid rect hold ``(0, 0)``, whose angle is 0), so only Wd and Ad,
-    which square or divide by ``l``, can overflow."""
+    stencil, adds Wd and ``|Ad|^2`` there, cut to ``region``, to ``sums``,
+    and returns the tile's two components of ``chi``.  Finite spins give
+    finite angles and chiralities (cells outside the valid rect hold
+    ``(0, 0)``, whose angle is 0), so only Wd and Ad, which square or divide
+    by ``l``, can overflow."""
     c1, c2 = _chi(th, sqrt_delta), _chi(tv, sqrt_delta)
     t1, t2 = _chi_tilde(th, sqrt_delta), _chi_tilde(tv, sqrt_delta)
     wd = _wd(c1[1:, 1:], c1[:-1, 1:], c2[1:, 1:], c2[1:, :-1])
@@ -365,6 +366,7 @@ def _hn_tile(tile: _RowTile, th: NDArray, tv: NDArray, margin: int, sqrt_delta: 
     cells = tile.cells(_CROSS, margin - 1, region)
     sums[0].add(wd[cells])
     sums[1].add(ad[cells] ** 2)
+    return c1, c2
 
 
 def energy_Hn(u: SpinField, p: ModelParams, region: Rect | None = None) -> EnergyRecord:

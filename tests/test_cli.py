@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiralattice import (
-    Boundary, ConfigError, DomainError, Grid, ScalarField, VectorField, cli, lattice_core,
-    read_field_csv,
+    Boundary, ConfigError, DomainError, Grid, ScalarField, VectorField, cli, diagnostics,
+    lattice_core, read_field_csv,
     recovery_limsup, relaxation, spin_energy, write_field_csv,
 )
 from chiralattice.cli import main
@@ -708,26 +708,35 @@ class TestDiagnose:
     def test_each_cells_angles_are_formed_once_plus_the_tile_margins(self, tmp_path,
                                                                       monkeypatch):
         # each tile of h rows forms both angles on its (h + 3) x (16 + 3) cells
-        # with their two-cell margin, and every check reads those
+        # with their two-cell margin, and every check reads those; so too the
+        # two components of chi, which Hn, the Lp norms and Hn* share
         out = str(tmp_path)
         main(["--out-dir", out] + GROUND_STATE_ARGS)
         field = os.path.join(out, "ground_state_field.csv")
-        formed = []
-        original = spin_energy._oriented_angle
+        formed, chis = [], []
+        original, original_chi = spin_energy._oriented_angle, spin_energy._chi
 
         def counted(a, b):
             formed.append(a.shape[:2])
             return original(a, b)
 
+        def counted_chi(theta, sqrt_delta):
+            chis.append(theta.shape)
+            return original_chi(theta, sqrt_delta)
+
         monkeypatch.setattr(spin_energy, "_oriented_angle", counted)
+        monkeypatch.setattr(spin_energy, "_chi", counted_chi)
+        monkeypatch.setattr(diagnostics, "_chi", counted_chi, raising=False)
         for rows, tiles in ((16, 1), (1, 16), (7, 3)):
             formed.clear()
+            chis.clear()
             monkeypatch.setattr(lattice_core, "_TILE_CELLS", rows * 16)
             assert main(["--out-dir", out, "diagnose", "--field", field, "--l", "0.05",
                          "--alpha", "7.92", "--nx", "16", "--ny", "16"]) == 0
             assert len(formed) == 2 * tiles
             assert all(ny == 16 + 3 for _, ny in formed)
             assert sum(nx for nx, _ in formed) == 2 * (16 + 3 * tiles)
+            assert chis == formed
 
     @pytest.mark.parametrize("rows", [None, 1, 2, 7])
     def test_spins_off_the_unit_circle_in_the_last_row_are_a_config_error(
@@ -1104,9 +1113,10 @@ class TestFixedConfigOutputs:
     def test_the_field_commands_write_their_recorded_bytes_at_any_tile_height(
         self, rows, tmp_path, monkeypatch
     ):
-        # ground-state, diagnose and entropy-scan stream over row tiles, and
-        # the CSV reader parses blocks of as many lines: at a few rows per
-        # tile every 32 x 32 run crosses many tile seams
+        # ground-state, diagnose and entropy-scan stream over row tiles, the
+        # CSV reader parses blocks of as many lines, and the CSV writer blocks
+        # of an eighth as many cells (4, 8 and 28, so cut inside the rows):
+        # at a few rows per tile every 32 x 32 run crosses many seams
         monkeypatch.setattr(lattice_core, "_TILE_CELLS", rows * 32)
         out = str(tmp_path)
         chi_path = tmp_path / "chi.csv"

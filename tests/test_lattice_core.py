@@ -1,7 +1,9 @@
 """Discrete operators, fields, and CSV round-trips."""
 
 import math
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -307,6 +309,27 @@ def reference_field_csv(f):
     return "\n".join(lines) + "\n"
 
 
+def row_template_field_csv(f):
+    """The row-template writer that ``write_field_csv`` replaced (one ``%``
+    template per grid row, with ``i`` and ``j`` as text): the oracle for
+    the bytes of whole files."""
+    vec = isinstance(f, VectorField)
+    nx, ny = f.grid.nx, f.grid.ny
+    cells = [f"{j},%.17g,%.17g\n" if vec else f"{j},%.17g\n" for j in range(ny)]
+    values = f.values.reshape(nx, -1)
+    text = ["i,j,v1,v2\n" if vec else "i,j,v1\n"]
+    for i in range(nx):
+        text.append((f"{i}," + f"{i},".join(cells)) % tuple(values[i].tolist()))
+    return "".join(text).encode("ascii")
+
+
+def float_texts(values):
+    """The writer's text of each float, as the block formatter lays it out
+    and the writer strips it."""
+    rows = lattice_core._float_text(np.array(values, dtype=np.float64))
+    return [row.tobytes().translate(None, b"\0 ").decode("ascii") for row in rows]
+
+
 def extreme_field(cls):
     """A field on a 5x7 open grid of random finite bit patterns, led by
     signed zero, the smallest subnormal, the float extremes and 0.1."""
@@ -328,6 +351,47 @@ class TestSerialization:
         back = read_field_csv(str(path), f.grid)
         assert type(back) is cls
         assert back.values.tobytes() == f.values.tobytes()
+
+    @pytest.mark.parametrize("cls", [ScalarField, VectorField])
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("shape, tile_cells", [
+        ((2, 2), None), ((2, 50), 64), ((5, 13), 64), ((4, 7), 8), ((3, 5), 1),
+        ((2, 10050), None), ((10001, 2), 256),
+    ])
+    def test_writer_matches_the_row_template_writer_across_block_seams(
+        self, cls, boundary, shape, tile_cells, tmp_path, monkeypatch
+    ):
+        # the writer's blocks are an eighth of a row tile: rows longer than a
+        # block, blocks cut inside rows, one-cell blocks, indices past 9999
+        if tile_cells is not None:
+            monkeypatch.setattr(lattice_core, "_TILE_CELLS", tile_cells)
+        rng = np.random.default_rng(sum(shape))
+        size = shape + ((2,) if cls is VectorField else ())
+        bits = rng.integers(0, 2**64, size=size, dtype=np.uint64)
+        values = np.where(rng.random(size) < 0.3, bits.view(np.float64),
+                          np.cos(rng.normal(size=size)))
+        values[~np.isfinite(values)] = -0.0
+        values.flat[::7] = 0.0
+        f = cls(Grid(0.25, *shape, boundary), values)
+        path = tmp_path / "field.csv"
+        write_field_csv(f, str(path))
+        assert path.read_bytes() == row_template_field_csv(f)
+
+    def test_the_writers_peak_memory_on_a_wide_grid_is_under_twice_a_square_ones(self, tmp_path):
+        # the writer works in blocks of cells, not rows: a 2 x 131072 grid
+        # (row-template writer: 27 MB) holds no more than a 512 x 512 one
+        peaks = []
+        for shape in ((512, 512), (2, 131072)):
+            phase = 0.37 * np.arange(shape[0] * shape[1]).reshape(shape)
+            f = VectorField(Grid(0.01, *shape, Boundary.OPEN),
+                            np.stack([np.cos(phase), np.sin(phase)], axis=-1))
+            tracemalloc.start()
+            try:
+                write_field_csv(f, str(tmp_path / "field.csv"))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0]
 
     def test_columns_and_rows_in_any_order_between_blank_lines(self, tmp_path):
         f = extreme_field(VectorField)
@@ -427,3 +491,57 @@ class TestSerialization:
         path.write_text("a,b,c\n0,0,1.0\n")
         with pytest.raises(ConfigError, match="columns"):
             read_field_csv(str(path), open_grid(4))
+
+
+_BITS_1E4, _BITS_1 = (int(b) for b in np.array([1e-4, 1.0]).view(np.uint64))
+_SIGNS = st.sampled_from([1.0, -1.0])
+# every double of [1e-4, 1]; log-uniform values of [1e-5, 10], across the
+# range's ends; short decimals, whose 17 digits mostly carry through 9s
+_IN_RANGE = st.builds(lambda b, s: s * float(np.uint64(b).view(np.float64)),
+                      st.integers(_BITS_1E4, _BITS_1), _SIGNS)
+_LOG_UNIFORM = st.builds(lambda u, s: s * 10.0**u, st.floats(-5.0, 1.0), _SIGNS)
+_SHORT_DECIMAL = st.integers(1, 19).flatmap(
+    lambda p: st.integers(0, 10**p - 1).map(lambda n: float(f"0.{n:0{p}d}")))
+
+
+def _ties(k):
+    """Decade ``k`` and the doubles ``n / 2^(18 - k)``, ``n`` odd, of the
+    decade ``[10^(k-1), 10^k)``: each has 18 significant digits, the last a
+    5, so its 17 digits are a tie."""
+    lo, hi = Fraction(2 ** (18 - k), 10 ** (1 - k)), Fraction(2 ** (18 - k), 10**-k)
+    return st.integers(math.ceil((lo - 1) / 2), math.floor((hi - 1) / 2) - 1).map(
+        lambda n: (k, (2 * n + 1) / 2.0 ** (18 - k)))
+
+
+class TestFieldText:
+    """``_float_text`` writes the text of ``format_float`` for every float:
+    from integers for ``±0`` and ``1e-4 <= |x| <= 1``, else by the rule."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(_IN_RANGE, _LOG_UNIFORM, _SHORT_DECIMAL,
+                              st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0])),
+                    min_size=1, max_size=40))
+    def test_each_value_is_written_as_format_float_writes_it(self, values):
+        assert float_texts(values) == [format_float(x) for x in values]
+
+    def test_zeros_subnormals_extremes_and_the_neighbours_of_each_decade(self):
+        values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.0, -1.0,
+                  1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308]
+        for edge in (1e-4, 1e-3, 0.01, 0.1, 1.0):
+            for toward in (0.0, 2.0):
+                values += [np.nextafter(edge, toward), edge]
+        for nines in range(1, 22):  # 0.99999999999999999..., 0.099999999999999999...
+            values += [float("0." + "9" * nines), float("0.0" + "9" * nines)]
+        values += [-x for x in values]
+        assert float_texts(values) == [format_float(x) for x in values]
+        assert float_texts(values[:2]) == ["0", "-0"]  # a block of zeros only
+        assert float_texts([2.0, 1e-9]) == ["2", "1.0000000000000001e-09"]  # no value in range
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-3, 0).flatmap(_ties), min_size=1, max_size=20), _SIGNS)
+    def test_ties_round_half_to_even(self, ties, sign):
+        for k, x in ties:
+            assert 10.0 ** (k - 1) < x < 10.0**k
+            assert (Fraction(x) * 10 ** (17 - k)).denominator == 2
+        values = [sign * x for _, x in ties]
+        assert float_texts(values) == [format_float(x) for x in values]
