@@ -26,15 +26,16 @@ a gamma-table level, the entropy production and the ``diagnose`` report)
 read row tiles (``_RowTile``) in one loop, ``_tile_sums``, whose kernels add
 one block per tile, so no tile height changes a bit of their sums; each tiled
 quantity that can be non-finite is sealed on the reach of its stencil, the
-cells where a whole field of it would be valid.  The field seals and the CSV
-reader work in blocks of rows of the same size, and the CSV writer in blocks
-of an eighth as many cells, so a subcommand holds its one field and the
-arrays of one tile.
+cells where a whole field of it would be valid.  The field seals work in
+blocks of rows of the same size, the CSV writer in blocks of an eighth as
+many cells and the CSV reader in blocks of 96 KB of text, so a subcommand
+holds its one field and the arrays of one tile.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import math
 import sys
@@ -358,8 +359,8 @@ def _neighbours(f: ScalarField, *offsets: tuple[int, int]) -> tuple[list[NDArray
 
 
 # cells per row tile of the streams, per block of the field seals and per
-# block of lines the CSV reader parses; like _BLOCK_CELLS it sets memory and
-# speed only, never a bit of a result
+# block of lines np.loadtxt parses in the CSV reader; like _BLOCK_CELLS it
+# sets memory and speed only, never a bit of a result
 _TILE_CELLS = 1 << 15
 
 
@@ -644,6 +645,224 @@ def write_field_csv(f: ScalarField, path: str) -> None:
             fh.write(line[: c1 - c0].tobytes().translate(None, b"\0 "))
 
 
+# The reader's numpy path takes blocks of at most _READ_BYTES bytes, cut at
+# line ends, after _PAD bytes kept for the 8-byte loads that end in the
+# block's first tokens; like _TILE_CELLS it sets memory and speed only.
+# (From 128 KB, glibc maps a block's temporaries afresh and holds more:
+# 128 KB blocks raised the reader's peak resident memory by 0.2 MB.)
+_READ_BYTES = 96 << 10
+_PAD = 24
+_ZEROS = _U(0x3030303030303030)  # "00000000"
+_HIGH = _U(0x8080808080808080)
+_DIGIT_LIMIT = _U(0x7676767676767676)  # 0x76 + b sets the high bit for 9 < b < 0x80
+_PAIRS = _U(0x000000FF000000FF)
+_MUL1, _MUL2 = _U(100 + (10**6 << 32)), _U(1 + (10**4 << 32))
+# the groups of 8 digits before a token's last 8: where each ends before
+# the token's end, and how many digits come after it
+_GROUP_ENDS = np.array([[16], [24]])
+_GROUP_SKIPS = np.array([[8], [16]])
+_NEIGHBOURS = np.array([[1], [(1 << 64) - 1]], _U)  # + 1 and - 1 in the last bit
+
+
+@functools.cache
+def _read_tables() -> tuple[NDArray, NDArray, NDArray]:
+    """The reader's lookup tables, built at the first read: the mask that
+    keeps the last ``n`` bytes of a '<u8' word for ``n = 0..8``, and
+    ``10^n`` for ``n = 0..17`` in uint64 and ``0..20`` in float64."""
+    keep = np.array([((1 << 8 * n) - 1) << (64 - 8 * n) for n in range(9)], _U)
+    return keep, np.array([10**n for n in range(18)], _U), 10.0 ** np.arange(21)
+
+
+def _digits8(words: NDArray, n: NDArray) -> tuple[NDArray, NDArray]:
+    """The number written by the last ``n <= 8`` bytes of each little-endian
+    word, and whether those bytes are all ASCII digits.  The bytes before
+    them read as leading zeros; eight digits combine in three multiplies
+    (SWAR, as in Lemire, "Number parsing at a gigabyte per second", 2021)."""
+    v = words ^ _ZEROS
+    v &= _read_tables()[0].take(n)
+    digits = ((v + _DIGIT_LIMIT) | v) & _HIGH == 0
+    v *= _U(10 * 256 + 1)
+    v >>= _U(8)  # byte k: 10 d_k + d_(k+1), a pair of digits at even k
+    t = v >> _U(16)
+    t &= _PAIRS
+    t *= _MUL2
+    v &= _PAIRS
+    v *= _MUL1
+    v += t
+    v >>= _U(32)
+    return v, digits
+
+
+def _is_17_digits(bits: NDArray, whole: NDArray, m: NDArray) -> NDArray:
+    """Whether each double, given by the bits of ``|x|``, is written by
+    ``%.17g`` as ``whole 10^-m``: ``1e-4 <= |x| <= 1`` and ``_digits17``,
+    the writer's own digits, give back the same number.  As ``%.17g`` is
+    one to one on doubles, such an ``x`` is ``float`` of that text."""
+    ok = (bits >= _B1E4) & (bits <= _B1)
+    e, digits = _digits17(np.where(ok, bits, _BHALF))
+    shift = 20 - m - e  # the digits' 10^(e - 20) over 10^-m
+    ok &= (shift >= 0) & (shift <= 16)
+    np.minimum(np.maximum(shift, 0, out=shift), 16, out=shift)
+    pow10 = _read_tables()[1]
+    ok &= whole < pow10.take(17 - shift)
+    ok &= whole * pow10.take(shift) == digits.view(_U)
+    return ok
+
+
+def _parse_tokens(buf: NDArray, words: NDArray, end: NDArray,
+                  size: NDArray) -> tuple[NDArray, NDArray]:
+    """The values of tokens of ``size`` bytes that end before the bytes
+    ``end`` of ``buf``, and a mask of those left to ``_loadtxt``: integers
+    of up to 8 digits are exact, and the others go to ``_parse_decimals``
+    with the number their last 8 bytes write."""
+    low, digits = _digits8(words[end - 8], np.minimum(size, 8))
+    ok = digits & (size <= 8)
+    value = low.astype(np.float64)
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        low, digits = low[rest], digits[rest]  # and the whole-block arrays go
+        value[rest], ok[rest] = _parse_decimals(buf, words, end[rest], size[rest], low, digits)
+    return value, ~ok
+
+
+def _parse_decimals(buf: NDArray, words: NDArray, end: NDArray, size: NDArray,
+                    low: NDArray, digits: NDArray) -> tuple[NDArray, NDArray]:
+    """The values of the tokens of the writer's form ``[-]0.<m digits>``,
+    ``1 <= m <= 20``, and a mask of those read exactly; ``low`` and
+    ``digits`` are ``_digits8`` of each token's last ``min(size, 8)`` bytes.
+
+    Such a token is ``D 10^-m``.  ``D / 10^m`` in floats, or a neighbour
+    1 ulp away, is its value when ``_is_17_digits`` confirms it."""
+    start = end - size
+    neg = buf[start] == ord("-")
+    start += neg
+    form = (buf[start] == ord("0")) & (buf[start + 1] == ord("."))
+    m = end - start - 2  # the digits after "0."
+    form &= (m >= 1) & (m <= 20)
+    if not form.any():
+        return np.zeros(end.size), form
+    np.minimum(np.maximum(m, 0, out=m), 20, out=m)
+    short = np.flatnonzero(m < 8)  # the last 8 bytes hold the "."
+    if short.size:
+        low[short], digits[short] = _digits8(words[end[short] - 8], m[short])
+    whole, digits = _all_digits(words, end, m, low, digits)
+    form &= digits
+    x = _quotient(whole, m)
+    bits = x.view(_U)
+    exact = form & _is_17_digits(bits, whole, m)
+    miss = np.flatnonzero(form & ~exact)
+    if miss.size:  # the two neighbours of each miss, in one pass
+        near = bits[miss] + _NEIGHBOURS
+        up, down = _is_17_digits(near, whole[miss], m[miss])
+        bits[miss] = np.where(up, near[0], near[1])
+        exact[miss] = up | down
+    bits |= neg.astype(_U) << _U(63)
+    return x, exact
+
+
+def _all_digits(words: NDArray, end: NDArray, m: NDArray, low: NDArray,
+                digits: NDArray) -> tuple[NDArray, NDArray]:
+    """The number ``D`` written by the ``m <= 20`` bytes before ``end``, and
+    whether they are all digits, given ``_digits8`` of the last 8 of them:
+    the digits before those, in two groups of 8, last first."""
+    parts, ok = _digits8(words[end - _GROUP_ENDS], np.minimum(np.maximum(m - _GROUP_SKIPS, 0), 8))
+    pow10 = _read_tables()[1]
+    return (low + parts[0] * pow10[8] + parts[1] * pow10[16],
+            digits & ok[0] & ok[1] & (parts[1] < _U(10)))
+
+
+def _quotient(whole: NDArray, m: NDArray) -> NDArray:
+    """``D / 10^m`` to within 1 ulp, from D's low 12 bits and the rest,
+    each an exact float."""
+    scale = _read_tables()[2].take(m)
+    low12 = whole & _U(0xFFF)
+    x = (whole - low12).astype(np.float64) / scale
+    x += low12.astype(np.float64) / scale
+    return x
+
+
+def _number_bytes(text: NDArray) -> NDArray:
+    """Which bytes are ``0-9 + - . e E``, a ``,`` or a line end."""
+    ok = (text - np.uint8(ord("+"))) <= np.uint8(ord("9") - ord("+"))
+    ok &= text != ord("/")
+    ok |= (text == ord("e")) | (text == ord("E")) | (text == ord("\n"))
+    return ok
+
+
+def _plain_rows(buf: NDArray, words: NDArray, lo: int, hi: int, ncol: int) -> NDArray | None:
+    """The rows ``np.loadtxt`` reads from ``buf[lo:hi]``, whole lines of
+    ``ncol`` non-empty tokens split by ``,``, parsed in numpy; or None when
+    a line is not of that form, when more than one token in 8 lines is not
+    an integer or of the writer's form, or when one such token is not a
+    number of ``0-9 + - . e E`` that ``np.loadtxt`` reads.
+
+    ``_parse_tokens`` checks every byte of the tokens it reads; those it
+    leaves go, joined as one row, to one ``_loadtxt`` call."""
+    block = buf[lo:hi]
+    cut = np.flatnonzero((block == ord(",")) | (block == ord("\n")))
+    lines = cut.size // ncol
+    line_end = block[cut] == ord("\n")
+    if cut.size % ncol or np.count_nonzero(line_end) != lines or not line_end[ncol - 1 :: ncol].all():
+        return None
+    size = np.empty_like(cut)  # the bytes between a delimiter and the one before
+    size[0] = cut[0]
+    np.subtract(cut[1:], cut[:-1] + 1, out=size[1:])
+    if size.min() < 1:
+        return None
+    cut += lo
+    data, other = _parse_tokens(buf, words, cut, size)
+    token = np.flatnonzero(other)
+    if 8 * token.size > lines:
+        return None
+    if token.size:
+        text = b",".join(buf.data[e - n : e] for e, n in zip(cut[token].tolist(),
+                                                             size[token].tolist()))
+        if not np.all(_number_bytes(np.frombuffer(text, np.uint8))):
+            return None
+        try:
+            parsed = _loadtxt([text.decode("ascii")])
+        except ValueError:
+            return None
+        if parsed.shape != (1, token.size):
+            return None
+        data[token] = parsed[0]
+    return data.reshape(lines, ncol)
+
+
+def _read_plain(fh, rows: "_FieldRows") -> int | None:
+    """Parse the body in ``fh`` with ``_plain_rows`` into ``rows``, in
+    blocks of at most ``_READ_BYTES`` bytes cut at line ends, up to the end
+    (None) or up to a block it cannot parse: its offset in the file."""
+    ncol = len(rows.names)
+    top = _PAD + _READ_BYTES
+    raw = bytearray(top + 1)  # and a line end after a last line with none
+    view, buf = memoryview(raw), np.frombuffer(raw, np.uint8)
+    # the 8 bytes from each byte on as a '<u8' word: a gather is a load of each
+    words = np.ndarray((len(raw) - 7,), "<u8", buffer=raw, strides=(1,))
+    start, held = fh.tell(), 0
+    while True:
+        if held == _READ_BYTES:  # a line longer than a block
+            return start
+        got = fh.readinto(view[_PAD + held : top])
+        end = _PAD + held + got
+        if not got:  # the end of the file
+            if not held:
+                return None
+            raw[end] = ord("\n")  # for a last line with no line end
+            end += 1
+        cut = raw.rfind(b"\n", _PAD, end) + 1
+        if cut == 0:
+            held = end - _PAD
+            continue
+        data = _plain_rows(buf, words, _PAD, cut, ncol)
+        if data is None:
+            return start
+        rows.add(data)
+        start += cut - _PAD
+        held = end - cut
+        raw[_PAD : _PAD + held] = raw[cut:end]
+
+
 def _loadtxt(rows, max_rows=None) -> NDArray:
     return np.loadtxt(rows, delimiter=",", ndmin=2, max_rows=max_rows)
 
@@ -657,85 +876,142 @@ def _whole_file_error(path: str) -> None:
         _loadtxt(line for line in fh if not line.isspace())
 
 
+def _read_loadtxt(fh, rows: "_FieldRows", path: str) -> None:
+    """Parse the rest of the text file ``fh`` into ``rows`` with
+    ``np.loadtxt``, ``_TILE_CELLS`` rows that are not blank at a time.  A
+    block that fails after the first is parsed again with the whole body,
+    for the message and row number of a single parse."""
+    with warnings.catch_warnings():
+        # a header-only file is the "misses" error; lines with no data are
+        # skipped as they are by a single parse
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        warnings.filterwarnings("ignore", "Input line", UserWarning)
+        lines = (line for line in fh if not line.isspace())
+        while True:
+            try:
+                data = _loadtxt(lines, _TILE_CELLS)
+                if data.size and data.shape[1] != (rows.width or data.shape[1]):
+                    raise ValueError("the number of columns changed")
+            except ValueError:
+                if rows.offset:
+                    _whole_file_error(path)
+                raise
+            if data.size == 0:
+                break
+            rows.add(data)
+            if len(data) < _TILE_CELLS:
+                break
+
+
+class _FieldRows:
+    """The field that blocks of parsed CSV rows fill, one row per cell."""
+
+    def __init__(self, header: str, grid: Grid):
+        self.names = [name.strip() for name in header.split(",")]
+        self.grid = grid
+        self.columns = (all(self.names.count(name) == 1 for name in ("i", "j", "v1"))
+                        and self.names.count("v2") <= 1)
+        self.values = np.empty((grid.nx * grid.ny, 2 if "v2" in self.names else 1))
+        self.given = np.zeros(grid.nx * grid.ny, dtype=np.uint8)  # 0, 1, or 2 for twice or more
+        self.width = self.bad_row = None  # the columns of the first row; the first row off the grid
+        self.offset = 0  # the rows added
+
+    def add(self, data: NDArray) -> None:
+        self.width = data.shape[1]
+        if self.columns and self.width == len(self.names) and self.bad_row is None:
+            row = _place_rows(data, self.names, self.grid, self.values, self.given)
+            self.bad_row = None if row is None else self.offset + row
+        self.offset += len(data)
+
+    def field(self, path: str) -> ScalarField | VectorField:
+        nx, ny = self.grid.nx, self.grid.ny
+        if not self.columns:
+            raise ConfigError(f"{path}: field CSV needs the columns i, j, v1[, v2]")
+        if self.width is not None and self.width != len(self.names):
+            raise ConfigError(
+                f"{path}: malformed field CSV: the header names {len(self.names)} columns, "
+                f"the rows hold {self.width}"
+            )
+        if self.bad_row is not None:
+            raise ConfigError(
+                f"{path}: cell index is not an integer inside the {nx}x{ny} grid "
+                f"at row {self.bad_row}"
+            )
+        if np.any(self.given != 1):
+            bad = int(np.argmax(self.given != 1))
+            what = "repeats" if self.given[bad] > 1 else "misses"
+            raise ConfigError(f"{path}: field CSV {what} cell {divmod(bad, ny)}")
+        vec = self.values.shape[1] == 2
+        cls = VectorField if vec else ScalarField
+        try:
+            return cls._adopt(self.grid, self.values.reshape((nx, ny, 2) if vec else (nx, ny)),
+                              self.grid.full_rect)
+        except DomainError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+
+
 def read_field_csv(path: str, grid: Grid) -> ScalarField | VectorField:
     """Read a field written by :func:`write_field_csv` onto ``grid``.
 
     The first line names the columns; ``i``, ``j`` and ``v1`` are required
-    and ``v2`` makes a vector field.  The columns may come in any order and
-    extra ones are ignored.  Every other line that is not blank holds one
-    number per column, and these lines must give every cell of ``grid``
-    exactly once, in any order.  Values written as ``%.17g`` read back bit
-    for bit.
+    once each and ``v2``, at most once, makes a vector field.  The columns
+    may come in any order and extra ones are ignored.  Every other line
+    that is not blank holds one number per column, as ``np.loadtxt`` reads
+    it, and these lines must give every cell of ``grid`` exactly once, in
+    any order.  Values written as ``%.17g`` read back bit for bit.
 
     Every bad file raises :class:`ConfigError`: a file that is not ASCII, a
     body that does not parse as numbers in as many columns as the header
-    ("malformed"), a missing column ("columns"), an index that is not an
-    integer inside the grid ("inside"), a cell given twice ("repeats") or
-    not at all ("misses", also for a header with no rows), and a value that
-    is not finite.  A missing or unreadable file raises ``OSError``.
+    ("malformed"), a missing or repeated column ("columns"), an index that
+    is not an integer inside the grid ("inside"), a cell given twice
+    ("repeats") or not at all ("misses", also for a header with no rows),
+    and a value that is not finite.  A missing or unreadable file raises
+    ``OSError``.
 
-    The body is parsed ``_TILE_CELLS`` rows at a time into the field's own
-    array, with one byte per cell to count the cells given, so the reader
-    holds the field and one block of rows.  The errors, and the row numbers
-    in them, are those of one parse of the whole body: a block that fails to
-    parse after the first is parsed again with the whole body.
+    The body is read in blocks of at most ``_READ_BYTES`` bytes cut at line
+    ends and parsed in numpy (``_plain_rows``): integers of up to 8 digits
+    are exact, and a value of the writer's form ``[-]0.<digits>`` is taken
+    only when ``_digits17``, the writer's own digits, gives back its digits;
+    each block's few other tokens go to one ``np.loadtxt`` call.  From the
+    first block that holds a line of another form (a blank line, a comment,
+    a ``\\r``, a space, a byte that is not ASCII) or more than one other
+    token in 8 lines, ``np.loadtxt`` parses the rest, ``_TILE_CELLS`` rows
+    at a time, or the whole file if that block starts within the first
+    ``_TILE_CELLS`` rows.  So every file reads to the bits, and fails with
+    the message and row number, of one ``np.loadtxt`` parse of the whole
+    body.  The reader holds the field, one byte per cell to count the cells
+    given, and one block.
     """
-    nx, ny = grid.nx, grid.ny
-    width = bad_row = None  # the columns of the first row; the first row off the grid
-    offset = 0  # the rows parsed before the block
     try:
-        with open(path, encoding="ascii") as fh, warnings.catch_warnings():
-            # a header-only file is the "misses" error below; lines with no
-            # data are skipped as they are by a single parse
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            warnings.filterwarnings("ignore", "Input line", UserWarning)
-            names = [name.strip() for name in fh.readline().split(",")]
-            columns = {"i", "j", "v1"} <= set(names)
-            vec = "v2" in names
-            values = np.empty((nx * ny, 2 if vec else 1))
-            given = np.zeros(nx * ny, dtype=np.uint8)  # 0, 1, or 2 for twice or more
-            rows = (line for line in fh if not line.isspace())
-            while True:
-                try:
-                    data = _loadtxt(rows, _TILE_CELLS)
-                    if data.size and data.shape[1] != (width or data.shape[1]):
-                        raise ValueError("the number of columns changed")
-                except ValueError:
-                    if offset:
-                        _whole_file_error(path)
-                    raise
-                if data.size == 0:
-                    break
-                width = data.shape[1]
-                if columns and width == len(names) and bad_row is None:
-                    row = _place_rows(data, names, grid, values, given)
-                    bad_row = None if row is None else offset + row
-                offset += len(data)
-                if len(data) < _TILE_CELLS:
-                    break
+        rows = _read_numpy_first(path, grid)
+        if rows is None:
+            with open(path, encoding="ascii") as fh:
+                rows = _FieldRows(fh.readline(), grid)
+                _read_loadtxt(fh, rows, path)
     except ValueError as exc:  # UnicodeDecodeError included
         raise ConfigError(f"{path}: malformed field CSV: {exc}") from None
-    if not columns:
-        raise ConfigError(f"{path}: field CSV needs the columns i, j, v1[, v2]")
-    if width is not None and width != len(names):
-        raise ConfigError(
-            f"{path}: malformed field CSV: the header names {len(names)} columns, "
-            f"the rows hold {width}"
-        )
-    if bad_row is not None:
-        raise ConfigError(
-            f"{path}: cell index is not an integer inside the {nx}x{ny} grid at row {bad_row}"
-        )
-    if np.any(given != 1):
-        bad = int(np.argmax(given != 1))
-        what = "repeats" if given[bad] > 1 else "misses"
-        raise ConfigError(f"{path}: field CSV {what} cell {divmod(bad, ny)}")
-    cls = VectorField if vec else ScalarField
-    try:
-        return cls._adopt(grid, values.reshape((nx, ny, 2) if vec else (nx, ny)),
-                          grid.full_rect)
-    except DomainError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return rows.field(path)
+
+
+def _read_numpy_first(path: str, grid: Grid) -> _FieldRows | None:
+    """The rows of ``path`` read by ``_read_plain``, and by ``_read_loadtxt``
+    from its first block of another form, or None when the file must be
+    read from the top by ``_read_loadtxt``: a header that is not ASCII or
+    holds a ``\\r``, or a first such block within ``_TILE_CELLS`` rows."""
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        if not header.isascii() or b"\r" in header:
+            return None
+        rows = _FieldRows(header.decode("ascii"), grid)
+        start = _read_plain(fh, rows)
+        if start is not None:
+            if rows.offset < _TILE_CELLS:
+                return None
+            fh.seek(start)
+            text = io.TextIOWrapper(fh, encoding="ascii")
+            _read_loadtxt(text, rows, path)
+            text.detach()
+    return rows
 
 
 def _place_rows(data: NDArray, names: list[str], grid: Grid, values: NDArray,

@@ -23,6 +23,7 @@ from chiralattice import (
     recovery_limsup, relaxation, spin_energy, write_field_csv,
 )
 from chiralattice.cli import main
+from test_lattice_core import assert_reads_as_loadtxt_reads
 
 
 def read_csv_rows(path):
@@ -663,6 +664,27 @@ def test_a_mutated_field_csv_reads_alike_in_blocks_of_any_length(data, random_fi
                     mp.setattr(lattice_core, "_TILE_CELLS", cells)
                 outcomes.append(_read_outcome(path, Grid(0.05, 4, 4, Boundary.OPEN)))
     assert outcomes[1:] == outcomes[:1] * 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_mutated_field_csv_reads_as_the_loadtxt_reader_reads_it(data, random_field_4x4):
+    """Whole and in blocks of 1, 2 and 7 lines, every mutated file gives the
+    field, or the error message, of the ``np.loadtxt`` reader; a header
+    that names a column twice, which that reader read, is the columns error."""
+    text = _mutated_csv(data, random_field_4x4)
+    grid = Grid(0.05, 4, 4, Boundary.OPEN)
+    header = text.split(b"\n", 1)[0]
+    names = [name.strip() for name in header.decode("latin-1").split(",")]
+    if header.isascii() and any(names.count(name) > 1 for name in ("i", "j", "v1", "v2")):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "field.csv")
+            with open(path, "wb") as fh:
+                fh.write(text)
+            with pytest.raises(ConfigError, match="needs the columns i, j, v1"):
+                read_field_csv(path, grid)
+        return
+    assert_reads_as_loadtxt_reads(text, grid)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,6 +1,9 @@
 """Discrete operators, fields, and CSV round-trips."""
 
+import contextlib
 import math
+import os
+import tempfile
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -323,6 +326,104 @@ def row_template_field_csv(f):
     return "".join(text).encode("ascii")
 
 
+def _oracle_loadtxt(rows, max_rows=None):
+    return np.loadtxt(rows, delimiter=",", ndmin=2, max_rows=max_rows)
+
+
+def _oracle_whole_file_error(path):
+    with open(path, encoding="ascii") as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        fh.readline()
+        _oracle_loadtxt(line for line in fh if not line.isspace())
+
+
+def _oracle_place_rows(data, names, grid, values, given):
+    fi, fj = data[:, names.index("i")], data[:, names.index("j")]
+    inside = (fi >= 0) & (fi < grid.nx) & (fj >= 0) & (fj < grid.ny)
+    inside &= (np.floor(fi) == fi) & (np.floor(fj) == fj)
+    if not np.all(inside):
+        return int(np.argmin(inside)) + 1
+    cell = fi.astype(int) * grid.ny + fj.astype(int)
+    ordered = np.sort(cell)
+    twice = np.concatenate((ordered[1:][ordered[1:] == ordered[:-1]], cell[given[cell] > 0]))
+    given[cell] = 1
+    given[twice] = 2
+    values[cell, 0] = data[:, names.index("v1")]
+    if values.shape[1] == 2:
+        values[cell, 1] = data[:, names.index("v2")]
+    return None
+
+
+def loadtxt_read_field_csv(path, grid):
+    """The reader that ``read_field_csv`` replaced (every body line through
+    ``np.loadtxt``, ``_TILE_CELLS`` lines per call): the oracle for the
+    fields and error messages of every file, but for a header that names a
+    column twice, which it reads."""
+    nx, ny = grid.nx, grid.ny
+    width = bad_row = None
+    offset = 0
+    tile = lattice_core._TILE_CELLS
+    try:
+        with open(path, encoding="ascii") as fh, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            warnings.filterwarnings("ignore", "Input line", UserWarning)
+            names = [name.strip() for name in fh.readline().split(",")]
+            columns = {"i", "j", "v1"} <= set(names)
+            vec = "v2" in names
+            values = np.empty((nx * ny, 2 if vec else 1))
+            given = np.zeros(nx * ny, dtype=np.uint8)
+            rows = (line for line in fh if not line.isspace())
+            while True:
+                try:
+                    data = _oracle_loadtxt(rows, tile)
+                    if data.size and data.shape[1] != (width or data.shape[1]):
+                        raise ValueError("the number of columns changed")
+                except ValueError:
+                    if offset:
+                        _oracle_whole_file_error(path)
+                    raise
+                if data.size == 0:
+                    break
+                width = data.shape[1]
+                if columns and width == len(names) and bad_row is None:
+                    row = _oracle_place_rows(data, names, grid, values, given)
+                    bad_row = None if row is None else offset + row
+                offset += len(data)
+                if len(data) < tile:
+                    break
+    except ValueError as exc:
+        raise ConfigError(f"{path}: malformed field CSV: {exc}") from None
+    if not columns:
+        raise ConfigError(f"{path}: field CSV needs the columns i, j, v1[, v2]")
+    if width is not None and width != len(names):
+        raise ConfigError(
+            f"{path}: malformed field CSV: the header names {len(names)} columns, "
+            f"the rows hold {width}"
+        )
+    if bad_row is not None:
+        raise ConfigError(
+            f"{path}: cell index is not an integer inside the {nx}x{ny} grid at row {bad_row}"
+        )
+    if np.any(given != 1):
+        bad = int(np.argmax(given != 1))
+        what = "repeats" if given[bad] > 1 else "misses"
+        raise ConfigError(f"{path}: field CSV {what} cell {divmod(bad, ny)}")
+    cls = VectorField if vec else ScalarField
+    try:
+        return cls._adopt(grid, values.reshape((nx, ny, 2) if vec else (nx, ny)), grid.full_rect)
+    except DomainError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def read_outcome(reader, path, grid):
+    """The type and bytes of the field ``reader`` reads, or its error's message."""
+    try:
+        f = reader(str(path), grid)
+    except ConfigError as exc:
+        return str(exc)
+    return type(f).__name__, f.values.tobytes()
+
+
 def float_texts(values):
     """The writer's text of each float, as the block formatter lays it out
     and the writer strips it."""
@@ -545,3 +646,162 @@ class TestFieldText:
             assert (Fraction(x) * 10 ** (17 - k)).denominator == 2
         values = [sign * x for _, x in ties]
         assert float_texts(values) == [format_float(x) for x in values]
+
+
+# the writer's values: those it writes from integers, and by the rule the
+# values outside [1e-4, 1], subnormals and the extremes
+_ANY_VALUE = st.one_of(
+    _IN_RANGE, _LOG_UNIFORM, _SHORT_DECIMAL,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e300, -1e300, 1.7976931348623157e308]),
+)
+# hand-written tokens: short, padded, signed, exponent and over-long forms
+_HAND_TOKEN_LIST = ["0.1", "0.50", ".5", "5.", "+0.5", "00.5", "1E-5", "1e-5", "-0.25",
+                    "0.99999999999999999", "-0.99999999999999999", " 0.5", "0.5 ",
+                    "0.5 # c", "-0", "0", "1", "-1", "007", "0.0001", "0.00001", "0.",
+                    "-", "e", "1e", "0x1", "nan", ""]
+_HAND_TOKENS = st.one_of(
+    st.sampled_from(_HAND_TOKEN_LIST),
+    st.integers(18, 25).flatmap(lambda k: st.tuples(
+        st.sampled_from(["0.", "-0.", ""]), st.text("0123456789", min_size=k - 2, max_size=k))
+    ).map("".join),
+)
+
+
+@contextlib.contextmanager
+def blocks_of(lines, text):
+    """``read_field_csv`` patched to read blocks of the ``lines`` longest
+    lines of ``text`` and ``np.loadtxt`` blocks of ``lines`` rows, or not
+    patched for None."""
+    with pytest.MonkeyPatch.context() as mp:
+        if lines is not None:
+            longest = max(len(line) for line in text.split(b"\n")) + 1
+            mp.setattr(lattice_core, "_READ_BYTES", lines * longest)
+            mp.setattr(lattice_core, "_TILE_CELLS", lines)
+        yield
+
+
+def assert_reads_as_loadtxt_reads(text, grid, blocks=(None, 1, 2, 7)):
+    """``read_field_csv`` reads the file ``text`` as the loadtxt reader
+    does, in blocks of each length; returns the outcome."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = os.path.join(tmp, "field.csv")
+        with open(path, "wb") as fh:
+            fh.write(text)
+        expected = read_outcome(loadtxt_read_field_csv, path, grid)
+        for lines in blocks:
+            with blocks_of(lines, text):
+                assert read_outcome(read_field_csv, path, grid) == expected
+    return expected
+
+
+@contextlib.contextmanager
+def loadtxt_calls():
+    """The list of the values each ``lattice_core._loadtxt`` call parses."""
+    calls = []
+
+    def counting(rows, max_rows=None):
+        data = np.loadtxt(rows, delimiter=",", ndmin=2, max_rows=max_rows)
+        calls.append(data.size)
+        return data
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice_core, "_loadtxt", counting)
+        yield calls
+
+
+class TestFieldReader:
+    """``read_field_csv`` reads every file as ``loadtxt_read_field_csv``
+    does: the same field, bit for bit, or the same ``ConfigError`` message."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 5), st.integers(2, 5), st.booleans(), st.data())
+    def test_the_writers_output_reads_as_loadtxt_reads_it(self, nx, ny, vec, data):
+        shape = (nx, ny, 2) if vec else (nx, ny)
+        values = data.draw(st.lists(_ANY_VALUE, min_size=math.prod(shape),
+                                    max_size=math.prod(shape)))
+        cls = VectorField if vec else ScalarField
+        f = cls(Grid(0.25, nx, ny, Boundary.OPEN), np.reshape(values, shape))
+        text = row_template_field_csv(f)
+        outcome = assert_reads_as_loadtxt_reads(text, f.grid)
+        assert outcome == (type(f).__name__, f.values.tobytes())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(
+        st.builds(lambda b, s: s * float(np.uint64(b).view(np.float64)),
+                  st.integers(_BITS_1E4, _BITS_1 - 1), _SIGNS),
+        _SHORT_DECIMAL.filter(lambda x: x == 0.0 or x >= 1e-4), st.sampled_from([0.0, 1.0])),
+        min_size=18, max_size=18))
+    def test_the_writers_values_in_range_never_reach_loadtxt(self, values):
+        # every candidate 1 ulp off is found by the retry, and every index
+        # and 0 or 1 is read as an integer
+        f = VectorField(Grid(0.25, 3, 3, Boundary.OPEN), np.reshape(values, (3, 3, 2)))
+        with tempfile.TemporaryDirectory() as tmp, loadtxt_calls() as calls:
+            path = os.path.join(tmp, "field.csv")
+            write_field_csv(f, path)
+            back = read_field_csv(path, f.grid)
+        assert calls == []
+        assert back.values.tobytes() == f.values.tobytes()
+
+    def test_a_helix_reads_in_blocks_cut_anywhere_with_loadtxt_for_its_tiny_values(
+            self, tmp_path, monkeypatch):
+        phase = 0.37 * np.arange(64)[:, None] + 0.011 * np.arange(40)[None, :] + 0.3
+        f = VectorField(Grid(0.1, 64, 40, Boundary.OPEN),
+                        np.stack([np.cos(phase), np.sin(phase)], axis=-1))
+        path = str(tmp_path / "field.csv")
+        write_field_csv(f, path)
+        for read_bytes in (1000, 3000, 1 << 17):
+            monkeypatch.setattr(lattice_core, "_READ_BYTES", read_bytes)
+            with loadtxt_calls() as calls:
+                back = read_field_csv(path, f.grid)
+            assert sum(calls) == np.count_nonzero(np.abs(f.values) < 1e-4) > 0
+            assert back.values.tobytes() == f.values.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_HAND_TOKENS, min_size=18, max_size=18), st.sampled_from(["\n", "\r\n"]),
+           st.booleans())
+    def test_hand_written_tokens_read_as_loadtxt_reads_them(self, tokens, newline, last_end):
+        lines = ["i,j,v1,v2"] + [f"{i},{j},{tokens[2 * (3 * i + j)]},{tokens[2 * (3 * i + j) + 1]}"
+                                 for i in range(3) for j in range(3)]
+        text = (newline.join(lines) + (newline if last_end else "")).encode("ascii")
+        assert_reads_as_loadtxt_reads(text, Grid(0.25, 3, 3, Boundary.OPEN))
+
+    def test_each_hand_written_token_reads_as_loadtxt_reads_it(self):
+        for token in _HAND_TOKEN_LIST + ["0." + "9" * k for k in range(15, 24)] + ["1" * 25]:
+            lines = ["i,j,v1", f"0,0,{token}", "0,1,0.5", "1,0,0.25", "1,1,-0.125"]
+            for newline in ("\n", "\r\n"):
+                text = (newline.join(lines) + newline).encode("ascii")
+                assert_reads_as_loadtxt_reads(text, Grid(0.25, 2, 2, Boundary.OPEN))
+        assert float("0.99999999999999999") == 1.0
+
+    @pytest.mark.parametrize("header", ["i,j,i,v1", "i,j,v1,v1", "j,i,j,v1,v2", "i,j,v1,v2,v2"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_a_header_that_names_a_column_twice_is_a_columns_error(self, header, newline,
+                                                                  tmp_path):
+        # the loadtxt reader read the first of the two columns
+        ncol = len(header.split(","))
+        rows = [",".join([str(i), str(j)] + ["1"] * (ncol - 2)) for i in range(2) for j in range(2)]
+        path = tmp_path / "field.csv"
+        path.write_bytes(newline.join([header] + rows).encode("ascii") + newline.encode())
+        with pytest.raises(ConfigError, match="needs the columns i, j, v1"):
+            read_field_csv(str(path), open_grid(2))
+
+    def test_the_readers_peak_memory_is_one_field_and_one_block(self, tmp_path):
+        # 6.6 MB for the loadtxt reader on 512 x 512 (a 4.2 MB field); a
+        # 2 x 131072 grid holds no more than twice as much
+        peaks = []
+        for shape in ((512, 512), (2, 131072)):
+            phase = 0.37 * np.arange(shape[0] * shape[1]).reshape(shape)
+            grid = Grid(0.01, *shape, Boundary.OPEN)
+            write_field_csv(VectorField(grid, np.stack([np.cos(phase), np.sin(phase)], axis=-1)),
+                            str(tmp_path / "field.csv"))
+            tracemalloc.start()
+            try:
+                read_field_csv(str(tmp_path / "field.csv"), grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 6.6e6
+        assert peaks[1] < 2 * peaks[0]
