@@ -1,6 +1,7 @@
 """Discrete operators, fields, and CSV round-trips."""
 
 import contextlib
+import functools
 import math
 import os
 import tempfile
@@ -712,6 +713,62 @@ def loadtxt_calls():
         yield calls
 
 
+@functools.cache
+def helix_300_lines():
+    """The lines of ``write_field_csv``'s text of a helix on an open 300 x 300
+    grid, more rows than one ``_TILE_CELLS`` block of lines."""
+    phase = 0.37 * np.arange(300)[:, None] + 0.011 * np.arange(300)[None, :] + 0.3
+    f = VectorField(open_grid(300), np.stack([np.cos(phase), np.sin(phase)], axis=-1))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "field.csv")
+        write_field_csv(f, path)
+        with open(path, "rb") as fh:
+            return tuple(fh.read().split(b"\n")[:-1])
+
+
+def _with_v1(line, token):
+    i, j, _, v2 = line.split(b",")
+    return b",".join([i, j, token, v2])
+
+
+# each takes the lines before and from the edited one, and joins them edited
+_HELIX_EDITS = {
+    "a non-ASCII byte": lambda head, tail: head + [tail[0][:-1] + b"\xe9"] + tail[1:],
+    "a bad token": lambda head, tail: head + [tail[0] + b"x"] + tail[1:],
+    "a comment line": lambda head, tail: head + [b"# a comment"] + tail,
+    "a blank line": lambda head, tail: head + [b""] + tail,
+    "CRLF from there on": lambda head, tail: head + [line + b"\r" for line in tail],
+    "one extra column": lambda head, tail: head + [tail[0] + b",1"] + tail[1:],
+    "300 rows of 1e-05": lambda head, tail: (
+        head + [_with_v1(line, b"1e-05") for line in tail[:300]] + tail[300:]),
+}
+
+
+def odd_field_csv(case):
+    """The text and grid of a field CSV that holds ``case``: line ends of
+    another kind, a line longer than small blocks, or one of
+    ``_HELIX_EDITS`` ``at`` a fraction of the body of ``helix_300_lines``."""
+    if case.startswith("helix: "):
+        kind, at = case[len("helix: "):].rsplit(" at ", 1)
+        lines = list(helix_300_lines())
+        k = 1 + int(float(at) * (len(lines) - 1))
+        return b"\n".join(_HELIX_EDITS[kind](lines[:k], lines[k:])) + b"\n", open_grid(300)
+    f = VectorField(open_grid(3), np.cos(np.arange(18.0)).reshape(3, 3, 2))
+    lines = row_template_field_csv(f).split(b"\n")[:-1]
+    if case == "cr only":
+        return b"\r".join(lines) + b"\r", f.grid
+    if case == "lone cr in the header":
+        return b"\n".join([b"i,j\r,v1,v2"] + lines[1:]) + b"\n", f.grid
+    if case == "cr cr lf after the header":
+        return lines[0] + b"\r\r\n" + b"\n".join(lines[1:]) + b"\n", f.grid
+    if case == "mixed line ends":
+        return b"".join(line + (b"\r", b"\n", b"\r\n")[k % 3]
+                        for k, line in enumerate(lines)), f.grid
+    assert case == "long token"  # a 302-byte token, longer than a block of 64
+    lines[4] = _with_v1(lines[4], b"0." + b"1" * 300)
+    return b"\n".join(lines) + b"\n", f.grid
+
+
 class TestFieldReader:
     """``read_field_csv`` reads every file as ``loadtxt_read_field_csv``
     does: the same field, bit for bit, or the same ``ConfigError`` message."""
@@ -787,6 +844,22 @@ class TestFieldReader:
         path.write_bytes(newline.join([header] + rows).encode("ascii") + newline.encode())
         with pytest.raises(ConfigError, match="needs the columns i, j, v1"):
             read_field_csv(str(path), open_grid(2))
+
+    @pytest.mark.parametrize("case, read_bytes", [
+        ("cr only", None), ("cr only", 20), ("lone cr in the header", None),
+        ("cr cr lf after the header", None), ("mixed line ends", None), ("long token", 64),
+    ] + [(f"helix: {kind} at {at}", None) for kind in _HELIX_EDITS for at in (0.3, 0.9)])
+    def test_an_odd_file_reads_as_loadtxt_reads_it(self, case, read_bytes, tmp_path,
+                                                    monkeypatch):
+        text, grid = odd_field_csv(case)
+        path = tmp_path / "field.csv"
+        path.write_bytes(text)
+        expected = read_outcome(loadtxt_read_field_csv, path, grid)
+        if read_bytes is not None:
+            monkeypatch.setattr(lattice_core, "_READ_BYTES", read_bytes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_outcome(read_field_csv, path, grid) == expected
 
     def test_the_readers_peak_memory_is_one_field_and_one_block(self, tmp_path):
         # 6.6 MB for the loadtxt reader on 512 x 512 (a 4.2 MB field); a
