@@ -38,6 +38,7 @@ import functools
 import io
 import itertools
 import math
+import re
 import sys
 import warnings
 from dataclasses import dataclass
@@ -358,9 +359,9 @@ def _neighbours(f: ScalarField, *offsets: tuple[int, int]) -> tuple[list[NDArray
     return _views(np.pad(f.values, pad, mode="wrap"), h, offsets), rect
 
 
-# cells per row tile of the streams, per block of the field seals and per
-# block of lines np.loadtxt parses in the CSV reader; like _BLOCK_CELLS it
-# sets memory and speed only, never a bit of a result
+# cells per row tile of the streams and per block of the field seals (the
+# CSV writer's blocks are an eighth of it); like _BLOCK_CELLS it sets memory
+# and speed only, never a bit of a result
 _TILE_CELLS = 1 << 15
 
 
@@ -645,13 +646,14 @@ def write_field_csv(f: ScalarField, path: str) -> None:
             fh.write(line[: c1 - c0].tobytes().translate(None, b"\0 "))
 
 
-# The reader's numpy path takes blocks of at most _READ_BYTES bytes, cut at
-# line ends, after _PAD bytes kept for the 8-byte loads that end in the
-# block's first tokens; like _TILE_CELLS it sets memory and speed only.
+# The reader takes blocks of at most _READ_BYTES bytes, or one longer line,
+# cut at line ends, after _PAD bytes kept for the 8-byte loads that end in
+# the block's first tokens; like _TILE_CELLS it sets memory and speed only.
 # (From 128 KB, glibc maps a block's temporaries afresh and holds more:
 # 128 KB blocks raised the reader's peak resident memory by 0.2 MB.)
 _READ_BYTES = 96 << 10
 _PAD = 24
+_LINE_END = re.compile(rb"\r\n?|\n")
 _ZEROS = _U(0x3030303030303030)  # "00000000"
 _HIGH = _U(0x8080808080808080)
 _DIGIT_LIMIT = _U(0x7676767676767676)  # 0x76 + b sets the high bit for 9 < b < 0x80
@@ -789,20 +791,25 @@ def _number_bytes(text: NDArray) -> NDArray:
     return ok
 
 
-def _plain_rows(buf: NDArray, words: NDArray, lo: int, hi: int, ncol: int) -> NDArray | None:
-    """The rows ``np.loadtxt`` reads from ``buf[lo:hi]``, whole lines of
-    ``ncol`` non-empty tokens split by ``,``, parsed in numpy; or None when
-    a line is not of that form, when more than one token in 8 lines is not
-    an integer or of the writer's form, or when one such token is not a
-    number of ``0-9 + - . e E`` that ``np.loadtxt`` reads.
+def _plain_rows(raw: bytearray, lo: int, hi: int, ncol: int) -> NDArray | None:
+    """The rows ``np.loadtxt`` reads from ``raw[lo:hi]``, whole lines of
+    ``ncol`` non-empty tokens split by ``,`` and ended by ``\\n``, parsed in
+    numpy; or None when a line is not of that form, when more than one token
+    in 8 lines is not an integer or of the writer's form, or when one such
+    token is not a number of ``0-9 + - . e E`` that ``np.loadtxt`` reads.
+    ``raw`` holds ``_PAD`` bytes before ``lo`` for the 8-byte loads.
 
     ``_parse_tokens`` checks every byte of the tokens it reads; those it
     leaves go, joined as one row, to one ``_loadtxt`` call."""
+    buf = np.frombuffer(raw, np.uint8)
+    # the 8 bytes from each byte on as a '<u8' word: a gather is a load of each
+    words = np.ndarray((len(raw) - 7,), "<u8", buffer=raw, strides=(1,))
     block = buf[lo:hi]
     cut = np.flatnonzero((block == ord(",")) | (block == ord("\n")))
     lines = cut.size // ncol
     line_end = block[cut] == ord("\n")
-    if cut.size % ncol or np.count_nonzero(line_end) != lines or not line_end[ncol - 1 :: ncol].all():
+    if (not lines or cut.size % ncol or np.count_nonzero(line_end) != lines
+            or not line_end[ncol - 1 :: ncol].all()):
         return None
     size = np.empty_like(cut)  # the bytes between a delimiter and the one before
     size[0] = cut[0]
@@ -829,42 +836,16 @@ def _plain_rows(buf: NDArray, words: NDArray, lo: int, hi: int, ncol: int) -> ND
     return data.reshape(lines, ncol)
 
 
-def _read_plain(fh, rows: "_FieldRows") -> int | None:
-    """Parse the body in ``fh`` with ``_plain_rows`` into ``rows``, in
-    blocks of at most ``_READ_BYTES`` bytes cut at line ends, up to the end
-    (None) or up to a block it cannot parse: its offset in the file."""
-    ncol = len(rows.names)
-    top = _PAD + _READ_BYTES
-    raw = bytearray(top + 1)  # and a line end after a last line with none
-    view, buf = memoryview(raw), np.frombuffer(raw, np.uint8)
-    # the 8 bytes from each byte on as a '<u8' word: a gather is a load of each
-    words = np.ndarray((len(raw) - 7,), "<u8", buffer=raw, strides=(1,))
-    start, held = fh.tell(), 0
-    while True:
-        if held == _READ_BYTES:  # a line longer than a block
-            return start
-        got = fh.readinto(view[_PAD + held : top])
-        end = _PAD + held + got
-        if not got:  # the end of the file
-            if not held:
-                return None
-            raw[end] = ord("\n")  # for a last line with no line end
-            end += 1
-        cut = raw.rfind(b"\n", _PAD, end) + 1
-        if cut == 0:
-            held = end - _PAD
-            continue
-        data = _plain_rows(buf, words, _PAD, cut, ncol)
-        if data is None:
-            return start
-        rows.add(data)
-        start += cut - _PAD
-        held = end - cut
-        raw[_PAD : _PAD + held] = raw[cut:end]
+def _loadtxt(rows) -> NDArray:
+    return np.loadtxt(rows, delimiter=",", ndmin=2)
 
 
-def _loadtxt(rows, max_rows=None) -> NDArray:
-    return np.loadtxt(rows, delimiter=",", ndmin=2, max_rows=max_rows)
+def _loadtxt_block(text: bytearray) -> NDArray:
+    """The rows ``np.loadtxt`` reads from the lines of ``text`` that are not
+    blank, decoded as ASCII and split at ``\\n``, ``\\r\\n`` and ``\\r`` as
+    in text mode."""
+    lines = io.StringIO(text.decode("ascii"), newline=None)
+    return _loadtxt(line for line in lines if not line.isspace())
 
 
 def _whole_file_error(path: str) -> None:
@@ -874,33 +855,6 @@ def _whole_file_error(path: str) -> None:
         warnings.simplefilter("ignore", UserWarning)
         fh.readline()
         _loadtxt(line for line in fh if not line.isspace())
-
-
-def _read_loadtxt(fh, rows: "_FieldRows", path: str) -> None:
-    """Parse the rest of the text file ``fh`` into ``rows`` with
-    ``np.loadtxt``, ``_TILE_CELLS`` rows that are not blank at a time.  A
-    block that fails after the first is parsed again with the whole body,
-    for the message and row number of a single parse."""
-    with warnings.catch_warnings():
-        # a header-only file is the "misses" error; lines with no data are
-        # skipped as they are by a single parse
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        warnings.filterwarnings("ignore", "Input line", UserWarning)
-        lines = (line for line in fh if not line.isspace())
-        while True:
-            try:
-                data = _loadtxt(lines, _TILE_CELLS)
-                if data.size and data.shape[1] != (rows.width or data.shape[1]):
-                    raise ValueError("the number of columns changed")
-            except ValueError:
-                if rows.offset:
-                    _whole_file_error(path)
-                raise
-            if data.size == 0:
-                break
-            rows.add(data)
-            if len(data) < _TILE_CELLS:
-                break
 
 
 class _FieldRows:
@@ -958,7 +912,8 @@ def read_field_csv(path: str, grid: Grid) -> ScalarField | VectorField:
     may come in any order and extra ones are ignored.  Every other line
     that is not blank holds one number per column, as ``np.loadtxt`` reads
     it, and these lines must give every cell of ``grid`` exactly once, in
-    any order.  Values written as ``%.17g`` read back bit for bit.
+    any order.  Values written as ``%.17g`` read back bit for bit.  Lines
+    end as in text mode, at ``\\n``, ``\\r\\n`` or ``\\r``.
 
     Every bad file raises :class:`ConfigError`: a file that is not ASCII, a
     body that does not parse as numbers in as many columns as the header
@@ -968,50 +923,76 @@ def read_field_csv(path: str, grid: Grid) -> ScalarField | VectorField:
     and a value that is not finite.  A missing or unreadable file raises
     ``OSError``.
 
-    The body is read in blocks of at most ``_READ_BYTES`` bytes cut at line
-    ends and parsed in numpy (``_plain_rows``): integers of up to 8 digits
-    are exact, and a value of the writer's form ``[-]0.<digits>`` is taken
-    only when ``_digits17``, the writer's own digits, gives back its digits;
-    each block's few other tokens go to one ``np.loadtxt`` call.  From the
-    first block that holds a line of another form (a blank line, a comment,
-    a ``\\r``, a space, a byte that is not ASCII) or more than one other
-    token in 8 lines, ``np.loadtxt`` parses the rest, ``_TILE_CELLS`` rows
-    at a time, or the whole file if that block starts within the first
-    ``_TILE_CELLS`` rows.  So every file reads to the bits, and fails with
-    the message and row number, of one ``np.loadtxt`` parse of the whole
-    body.  The reader holds the field, one byte per cell to count the cells
-    given, and one block.
+    The file is read once, in blocks of whole lines of at least
+    ``_READ_BYTES`` bytes.  Each is parsed in numpy (``_plain_rows``):
+    integers of up to 8 digits are exact, and a value of the writer's form
+    ``[-]0.<digits>`` is taken only when ``_digits17``, the writer's own
+    digits, gives back its digits; each block's few other tokens go to one
+    ``np.loadtxt`` call.  From the first block that holds a line of another
+    form (a blank line, a comment, a ``\\r``, a space, a byte that is not
+    ASCII) or more than one other token in 8 lines, ``np.loadtxt`` parses
+    every block.  A read that fails parses the whole body again in one
+    ``np.loadtxt`` call for its message.  So every file reads to the bits,
+    and fails with the message and row number, of one ``np.loadtxt`` parse
+    of the whole body.  The reader holds the field, one byte per cell to
+    count the cells given, and one block.
     """
     try:
-        rows = _read_numpy_first(path, grid)
-        if rows is None:
-            with open(path, encoding="ascii") as fh:
-                rows = _FieldRows(fh.readline(), grid)
-                _read_loadtxt(fh, rows, path)
-    except ValueError as exc:  # UnicodeDecodeError included
+        try:
+            with open(path, "rb") as fh, warnings.catch_warnings():
+                # a block of comments only is skipped, as in a single parse
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                rows = _read_rows(fh, grid)
+        except ValueError:  # UnicodeDecodeError included
+            _whole_file_error(path)
+            raise
+    except ValueError as exc:
         raise ConfigError(f"{path}: malformed field CSV: {exc}") from None
     return rows.field(path)
 
 
-def _read_numpy_first(path: str, grid: Grid) -> _FieldRows | None:
-    """The rows of ``path`` read by ``_read_plain``, and by ``_read_loadtxt``
-    from its first block of another form, or None when the file must be
-    read from the top by ``_read_loadtxt``: a header that is not ASCII or
-    holds a ``\\r``, or a first such block within ``_TILE_CELLS`` rows."""
-    with open(path, "rb") as fh:
-        header = fh.readline()
-        if not header.isascii() or b"\r" in header:
-            return None
-        rows = _FieldRows(header.decode("ascii"), grid)
-        start = _read_plain(fh, rows)
-        if start is not None:
-            if rows.offset < _TILE_CELLS:
-                return None
-            fh.seek(start)
-            text = io.TextIOWrapper(fh, encoding="ascii")
-            _read_loadtxt(text, rows, path)
-            text.detach()
-    return rows
+def _read_rows(fh, grid: Grid) -> _FieldRows:
+    """The header and rows of the field CSV open in ``fh``.  Each block is
+    cut at its last ``\\n``, or at its last ``\\r`` when it holds no
+    ``\\n``; a line longer than the buffer doubles it.  ``_plain_rows``
+    parses the blocks up to the first that it refuses, and ``np.loadtxt``
+    that block and every later one.  The header is the first line, up to
+    its first ``\\r`` or ``\\n``."""
+    size, held = _READ_BYTES, 0  # the room for a block; the bytes of a line begun
+    raw = bytearray(_PAD + size + 1)  # and a line end after a last line with none
+    rows, plain = None, True
+    while True:
+        if held == size:  # a line longer than the buffer
+            raw = raw + bytes(size)
+            size *= 2
+        got = fh.readinto(memoryview(raw)[_PAD + held : _PAD + size])
+        end = _PAD + held + got
+        if not got:  # the end of the file
+            if not held:
+                return rows or _FieldRows("", grid)
+            raw[end] = ord("\n")
+            end += 1
+        cut = raw.rfind(b"\n", _PAD, end) + 1 or raw.rfind(b"\r", _PAD, end) + 1
+        if not cut:
+            held = end - _PAD
+            continue
+        lo = _PAD
+        if rows is None:
+            line_end = _LINE_END.search(raw, _PAD, cut)
+            rows = _FieldRows(raw[_PAD : line_end.start()].decode("ascii"), grid)
+            lo = line_end.end()
+        if lo < cut:
+            data = _plain_rows(raw, lo, cut, len(rows.names)) if plain else None
+            if data is None:
+                plain = False
+                data = _loadtxt_block(raw[lo:cut])
+                if data.size and data.shape[1] != (rows.width or data.shape[1]):
+                    raise ValueError("the number of columns changed")
+            if data.size:
+                rows.add(data)
+        held = end - cut
+        raw[_PAD : _PAD + held] = raw[cut:end]
 
 
 def _place_rows(data: NDArray, names: list[str], grid: Grid, values: NDArray,

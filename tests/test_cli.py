@@ -648,10 +648,12 @@ def _read_outcome(path, grid):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_a_mutated_field_csv_reads_alike_in_blocks_of_any_length(data, random_field_4x4):
-    """The reader parses ``_TILE_CELLS`` lines at a time.  In blocks of 1, 2
-    and 7 lines every file gives the field, or the error with its message and
-    row number, of a single parse of the whole body."""
+    """The reader parses blocks of ``_READ_BYTES`` bytes cut at line ends.
+    In blocks of the 1, 2 and 7 longest lines every file gives the field, or
+    the error with its message and row number, of a single parse of the
+    whole body."""
     text = _mutated_csv(data, random_field_4x4)
+    longest = max(len(line) for line in text.split(b"\n")) + 1
     outcomes = []
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -662,6 +664,7 @@ def test_a_mutated_field_csv_reads_alike_in_blocks_of_any_length(data, random_fi
             with pytest.MonkeyPatch.context() as mp:
                 if cells is not None:
                     mp.setattr(lattice_core, "_TILE_CELLS", cells)
+                    mp.setattr(lattice_core, "_READ_BYTES", cells * longest)
                 outcomes.append(_read_outcome(path, Grid(0.05, 4, 4, Boundary.OPEN)))
     assert outcomes[1:] == outcomes[:1] * 3
 

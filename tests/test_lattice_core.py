@@ -861,6 +861,27 @@ class TestFieldReader:
             warnings.simplefilter("error")
             assert read_outcome(read_field_csv, path, grid) == expected
 
+    def test_a_read_that_does_not_fail_opens_the_file_once(self, tmp_path, monkeypatch):
+        # values in [1, 101) go to np.loadtxt from the first block, and a
+        # lone \r ends the header as in text mode
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(lattice_core, "open", counting_open, raising=False)
+        grid = open_grid(16)
+        f = VectorField(grid, 1.0 + 100.0 * np.random.default_rng(1).random((16, 16, 2)))
+        above_one, lone_cr = str(tmp_path / "above_one.csv"), tmp_path / "lone_cr.csv"
+        write_field_csv(f, above_one)
+        with open(above_one, "rb") as fh:
+            lone_cr.write_bytes(fh.read().replace(b"\n", b"\r", 1))
+        for path in (above_one, str(lone_cr)):
+            opened.clear()
+            assert read_field_csv(path, grid).values.tobytes() == f.values.tobytes()
+            assert opened == [path]
+
     def test_the_readers_peak_memory_is_one_field_and_one_block(self, tmp_path):
         # 6.6 MB for the loadtxt reader on 512 x 512 (a 4.2 MB field); a
         # 2 x 131072 grid holds no more than twice as much
