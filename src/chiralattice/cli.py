@@ -158,8 +158,9 @@ def _model(
 def _run_ground_state(q: dict, out_dir: str) -> tuple[dict, list[str]]:
     chi = _parse_vec(q["chi"])
     norm = math.hypot(*chi)
-    if not norm >= sys.float_info.min:  # a subnormal norm does not normalize to 1e-12
-        raise ConfigError(f"chirality must be nonzero, got |chi| = {norm!r}")
+    # a subnormal norm does not normalize to 1e-12, and chi / inf is (0, 0)
+    if not sys.float_info.min <= norm < math.inf:
+        raise ConfigError(f"chirality must be nonzero and finite, got |chi| = {norm!r}")
     chi = (chi[0] / norm, chi[1] / norm)  # tolerate 4-5 digit inputs
     if not math.isfinite(q["theta0"]):
         raise ConfigError(f"theta0 must be finite, got {q['theta0']!r}")

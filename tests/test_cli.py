@@ -320,6 +320,8 @@ class TestRelax:
      "--ny", str(1 << 40)],
     # |chi| is subnormal, so chi / |chi| is (1, 1), not a unit vector
     ["ground-state", "--chi", "5e-324,5e-324"],
+    # |chi| overflows to inf, so chi / |chi| is (0, 0)
+    ["ground-state", "--chi", "1.7e308,1.7e308", "--nx", "8", "--ny", "8"],
     ["--threads", "-3", "ground-state"],
     ["--threads", "0", "relax"],
 ])
