@@ -1,4 +1,4 @@
-"""Time ``write_field_csv`` and ``read_field_csv`` on four kinds of field,
+"""Time ``write_field_csv`` and ``read_field_csv`` on five kinds of field,
 and trace their peak memory.
 
 Usage, from the root of a source checkout::
@@ -17,7 +17,10 @@ and ``read_<field>_<n>``):
 - ``above_one``: components drawn uniformly from ``[1, 101)`` (seed 1),
   which the writer and the reader hand to Python and ``np.loadtxt``;
 - ``short``: components drawn uniformly from ``[-1, 1)`` and rounded to 2
-  decimals (seed 2), written as a person would write them (``-0.37``).
+  decimals (seed 2), written as a person would write them (``-0.37``);
+- ``late_tiny``: the helix with ``v1 = 3e-5`` on the two rows from 78% of
+  the grid on, so the reader's numpy path hands the rest of the file to
+  ``np.loadtxt`` there.
 
 It also records the sha256 of each file and of the values read back, and
 the ``tracemalloc`` peak of one write and one read of the 512 x 512 helix
@@ -56,6 +59,9 @@ def fields(n):
     yield "zero", np.zeros((n, n, 2))
     yield "above_one", 1.0 + 100.0 * np.random.default_rng(1).random((n, n, 2))
     yield "short", np.round(np.random.default_rng(2).uniform(-1.0, 1.0, (n, n, 2)), 2)
+    late = helix(n, n)
+    late[int(0.78 * n) : int(0.78 * n) + 2, :, 0] = 3e-5
+    yield "late_tiny", late
 
 def sha256(path):
     h = hashlib.sha256()

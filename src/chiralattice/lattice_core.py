@@ -28,8 +28,9 @@ one block per tile, so no tile height changes a bit of their sums; each tiled
 quantity that can be non-finite is sealed on the reach of its stencil, the
 cells where a whole field of it would be valid.  The field seals work in
 blocks of rows of the same size, the CSV writer in blocks of an eighth as
-many cells and the CSV reader in blocks of 96 KB of text, so a subcommand
-holds its one field and the arrays of one tile.
+many cells and the CSV reader, in one pass over the file, in blocks of
+96 KB of text, so a subcommand holds its one field and the arrays of one
+tile.
 """
 
 from __future__ import annotations
@@ -923,19 +924,20 @@ def read_field_csv(path: str, grid: Grid) -> ScalarField | VectorField:
     and a value that is not finite.  A missing or unreadable file raises
     ``OSError``.
 
-    The file is read once, in blocks of whole lines of at least
-    ``_READ_BYTES`` bytes.  Each is parsed in numpy (``_plain_rows``):
-    integers of up to 8 digits are exact, and a value of the writer's form
-    ``[-]0.<digits>`` is taken only when ``_digits17``, the writer's own
-    digits, gives back its digits; each block's few other tokens go to one
-    ``np.loadtxt`` call.  From the first block that holds a line of another
-    form (a blank line, a comment, a ``\\r``, a space, a byte that is not
-    ASCII) or more than one other token in 8 lines, ``np.loadtxt`` parses
-    every block.  A read that fails parses the whole body again in one
-    ``np.loadtxt`` call for its message.  So every file reads to the bits,
-    and fails with the message and row number, of one ``np.loadtxt`` parse
-    of the whole body.  The reader holds the field, one byte per cell to
-    count the cells given, and one block.
+    The file is read once, in blocks of whole lines of up to
+    ``_READ_BYTES`` bytes (a longer line grows them).  Each is parsed in
+    numpy (``_plain_rows``): integers of up to 8 digits are exact, and a
+    value of the writer's form ``[-]0.<digits>`` is taken only when
+    ``_digits17``, the writer's own digits, gives back its digits; each
+    block's few other tokens go to one ``np.loadtxt`` call.  From the
+    first block that holds a line of another form (a blank line, a
+    comment, a ``\\r``, a space, a byte that is not ASCII) or more than one
+    other token in 8 lines, ``np.loadtxt`` parses every block.  A read that
+    fails parses the whole body again in one ``np.loadtxt`` call for its
+    message.  So every file reads to the bits, and fails with the message
+    and row number, of one ``np.loadtxt`` parse of the whole body.  The
+    reader holds the field, one byte per cell to count the cells given,
+    and one block.
     """
     try:
         try:

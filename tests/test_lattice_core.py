@@ -757,6 +757,8 @@ def odd_field_csv(case):
     lines = row_template_field_csv(f).split(b"\n")[:-1]
     if case == "cr only":
         return b"\r".join(lines) + b"\r", f.grid
+    if case == "blank cr lines":  # blocks of 20 of them hold no delimiter
+        return b"\r".join(lines[:1] + [b""] * 50 + lines[1:]) + b"\r", f.grid
     if case == "lone cr in the header":
         return b"\n".join([b"i,j\r,v1,v2"] + lines[1:]) + b"\n", f.grid
     if case == "cr cr lf after the header":
@@ -846,8 +848,9 @@ class TestFieldReader:
             read_field_csv(str(path), open_grid(2))
 
     @pytest.mark.parametrize("case, read_bytes", [
-        ("cr only", None), ("cr only", 20), ("lone cr in the header", None),
-        ("cr cr lf after the header", None), ("mixed line ends", None), ("long token", 64),
+        ("cr only", None), ("cr only", 20), ("blank cr lines", 20),
+        ("lone cr in the header", None), ("cr cr lf after the header", None),
+        ("mixed line ends", None), ("long token", 64),
     ] + [(f"helix: {kind} at {at}", None) for kind in _HELIX_EDITS for at in (0.3, 0.9)])
     def test_an_odd_file_reads_as_loadtxt_reads_it(self, case, read_bytes, tmp_path,
                                                     monkeypatch):
@@ -881,6 +884,20 @@ class TestFieldReader:
             opened.clear()
             assert read_field_csv(path, grid).values.tobytes() == f.values.tobytes()
             assert opened == [path]
+
+    def test_blocks_of_one_line_keep_to_their_path(self, tmp_path, monkeypatch):
+        # blocks of 30 bytes, then of 60 after a longer line, hold one line:
+        # the writer's text stays in numpy after a block that holds only the
+        # header, and a file with no \n is cut at its \r, one line per
+        # np.loadtxt call
+        monkeypatch.setattr(lattice_core, "_READ_BYTES", 30)
+        text, grid = odd_field_csv("cr only")
+        for line_end, expected in ((b"\n", []), (b"\r", [4] * 9)):
+            path = tmp_path / "field.csv"
+            path.write_bytes(text.replace(b"\r", line_end))
+            with loadtxt_calls() as calls:
+                read_field_csv(str(path), grid)
+            assert calls == expected
 
     def test_the_readers_peak_memory_is_one_field_and_one_block(self, tmp_path):
         # 6.6 MB for the loadtxt reader on 512 x 512 (a 4.2 MB field); a
