@@ -647,9 +647,10 @@ def write_field_csv(f: ScalarField, path: str) -> None:
             fh.write(line[: c1 - c0].tobytes().translate(None, b"\0 "))
 
 
-# The reader takes blocks of at most _READ_BYTES bytes, or one longer line,
-# cut at line ends, after _PAD bytes kept for the 8-byte loads that end in
-# the block's first tokens; like _TILE_CELLS it sets memory and speed only.
+# The reader takes blocks of at most _READ_BYTES bytes cut at line ends (a
+# longer line grows the buffer for the rest of the file), after _PAD bytes
+# kept for the 8-byte loads that end in the block's first tokens; like
+# _TILE_CELLS it sets memory and speed only.
 # (From 128 KB, glibc maps a block's temporaries afresh and holds more:
 # 128 KB blocks raised the reader's peak resident memory by 0.2 MB.)
 _READ_BYTES = 96 << 10

@@ -746,8 +746,9 @@ _HELIX_EDITS = {
 
 def odd_field_csv(case):
     """The text and grid of a field CSV that holds ``case``: line ends of
-    another kind, a line longer than small blocks, or one of
-    ``_HELIX_EDITS`` ``at`` a fraction of the body of ``helix_300_lines``."""
+    another kind, a line longer than small blocks, a first row one column
+    short of the rest, or one of ``_HELIX_EDITS`` ``at`` a fraction of the
+    body of ``helix_300_lines``."""
     if case.startswith("helix: "):
         kind, at = case[len("helix: "):].rsplit(" at ", 1)
         lines = list(helix_300_lines())
@@ -766,6 +767,9 @@ def odd_field_csv(case):
     if case == "mixed line ends":
         return b"".join(line + (b"\r", b"\n", b"\r\n")[k % 3]
                         for k, line in enumerate(lines)), f.grid
+    if case == "a short first row":  # then a block of 47 bytes holds one line
+        lines[1] = b"0,0,1"
+        return b"\n".join(lines) + b"\n", f.grid
     assert case == "long token"  # a 302-byte token, longer than a block of 64
     lines[4] = _with_v1(lines[4], b"0." + b"1" * 300)
     return b"\n".join(lines) + b"\n", f.grid
@@ -850,7 +854,7 @@ class TestFieldReader:
     @pytest.mark.parametrize("case, read_bytes", [
         ("cr only", None), ("cr only", 20), ("blank cr lines", 20),
         ("lone cr in the header", None), ("cr cr lf after the header", None),
-        ("mixed line ends", None), ("long token", 64),
+        ("mixed line ends", None), ("long token", 64), ("a short first row", 47),
     ] + [(f"helix: {kind} at {at}", None) for kind in _HELIX_EDITS for at in (0.3, 0.9)])
     def test_an_odd_file_reads_as_loadtxt_reads_it(self, case, read_bytes, tmp_path,
                                                     monkeypatch):
