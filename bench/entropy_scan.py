@@ -17,8 +17,9 @@ Every scan is timed ``--repeats`` times, the fields alternating.  The JSON
 written to ``--out`` holds per field the cell and run counts, every time, the
 best and the median, and a sha256 of the productions' ``float.hex`` strings,
 so two checkouts can be compared for speed and for bytes.  The package is
-taken from ``src/`` of the checkout; the BLAS and OpenMP thread counts are
-pinned to 1 unless already set, as in perfbench's children.
+taken from ``src/`` of the checkout; the six BLAS and OpenMP thread
+variables that perfbench pins in its children are set to 1 here, whatever
+their values were.
 """
 
 from __future__ import annotations
@@ -33,8 +34,11 @@ import statistics
 import sys
 import time
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+THREAD_VARS = (  # the BLAS/OpenMP thread variables perfbench/run.py pins
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS",
+)
+os.environ.update({var: "1" for var in THREAD_VARS})
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))

@@ -30,8 +30,9 @@ With ``--parent``, a second checkout runs the same children, the two
 alternating within each of ``--pairs`` pairs (the parent first in odd
 pairs), and every sha256 is compared between them.  The JSON written to
 ``--out`` holds every run, the best and the median time of each key over
-all runs of a checkout, and the parent's over this checkout's.  The BLAS and
-OpenMP thread counts are pinned to 1 and no bytecode is written.
+all runs of a checkout, and the parent's over this checkout's.  The six BLAS
+and OpenMP thread variables that perfbench pins are set to 1 in each child
+and no bytecode is written.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+THREAD_VARS = (  # the BLAS/OpenMP thread variables perfbench/run.py pins
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS",
+)
 CHILD = """\
 import hashlib, json, os, sys, tempfile, time, tracemalloc
 import numpy as np
@@ -113,8 +118,7 @@ print(json.dumps(out))
 
 def run(checkout: str, repeats: int) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), PYTHONDONTWRITEBYTECODE="1")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
+    env.update({var: "1" for var in THREAD_VARS})
     done = subprocess.run([sys.executable, "-c", CHILD, str(repeats)], env=env, check=True,
                           capture_output=True, text=True)
     return json.loads(done.stdout)

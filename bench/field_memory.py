@@ -19,9 +19,9 @@ At 512 x 512 every run repeats ``--pairs`` times.  With ``--parent``, a
 second checkout runs the same children, the two alternating within each
 pair (the parent first in odd pairs), and every output's sha256 is compared
 between them.  At ``--large`` cells per side (default 2048, 0 to skip) each
-subcommand runs once per checkout.  The BLAS and OpenMP thread counts are
-pinned to 1 and no bytecode is written, as in perfbench's children.  The
-JSON written to ``--out`` holds every run and the medians.
+subcommand runs once per checkout.  The six BLAS and OpenMP thread
+variables are set to 1 and no bytecode is written, as in perfbench's
+children.  The JSON written to ``--out`` holds every run and the medians.
 
 A child's ``ru_maxrss`` can include the peak of the process that started
 it (Linux keeps the larger of the two across ``vfork`` and ``exec``), so
@@ -45,6 +45,10 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SMALL = 512
 LATTICE = ["--l", "0.01", "--alpha", "7.92"]
+THREAD_VARS = (  # the BLAS/OpenMP thread variables perfbench/run.py pins
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS",
+)
 CHILD = """\
 import json, resource, sys, time
 from chiralattice.cli import main
@@ -78,7 +82,7 @@ def steps(n: int, out_dir: str, field: str) -> dict[str, list[list[str]]]:
 
 def child(checkout: str, argvs: list[list[str]]) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), PYTHONDONTWRITEBYTECODE="1")
-    env.update({k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
+    env.update({var: "1" for var in THREAD_VARS})
     done = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argvs)], env=env,
                           capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])

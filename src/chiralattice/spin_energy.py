@@ -275,7 +275,9 @@ def energy_F(u: SpinField, p: ModelParams) -> float:
     Both residual sums run over the common index set where the full 5-point
     stencil exists, so that the rescaling identity with ``energy_Hn`` holds
     cell by cell also on open grids.  It streams over row tiles: the density
-    of each tile array is exact on all but its one-cell margin.
+    of each tile array is exact on all but its one-cell margin.  Like
+    ``energy_E``, it sums an empty set to 0.0 (an open grid too small for the
+    stencil), where ``energy_Hn`` raises ``DimensionError`` on the same cells.
     """
     p.require_spacing(u.grid)
 

@@ -180,6 +180,19 @@ class TestEntropyScan:
         _, rows = read_csv_rows(os.path.join(out_b, "entropy_scan.csv"))
         assert len(rows) == 4
 
+    def test_a_config_file_without_the_commands_section_leaves_its_defaults(self, tmp_path):
+        # the other section is not read: its value would be a config error
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[ground-state]\nnx = 8.5\n")
+        args = ["entropy-scan", "--nx", "16", "--ny", "16", "--l", "0.0625", "--angles", "4"]
+        texts = []
+        for name, pre in (("plain", []), ("config", ["--config", str(ini)])):
+            out = str(tmp_path / name)
+            assert main(pre + ["--out-dir", out] + args) == 0
+            with open(os.path.join(out, "entropy_scan.csv"), "rb") as fh:
+                texts.append(fh.read())
+        assert texts[0] == texts[1]
+
 
 class TestRelax:
     def test_quick_descent_run(self, tmp_path):
@@ -360,6 +373,15 @@ def test_bad_config_files_are_config_errors(command, text, tmp_path, capsys):
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "CONFIG_INVALID"
     assert not (out / f"{command.replace('-', '_')}_manifest.json").exists()
+
+
+def test_a_missing_config_file_is_a_config_error(tmp_path, capsys):
+    ini = str(tmp_path / "missing.ini")
+    assert main(["--config", ini, "--out-dir", str(tmp_path / "out"), "relax"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert json.loads(lines[0]) == {
+        "error": "CONFIG_INVALID", "message": f"config file {ini!r} not found or unreadable"}
+    assert len(lines) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -1141,10 +1163,12 @@ class TestFixedConfigOutputs:
         self, rows, tmp_path, monkeypatch
     ):
         # ground-state, diagnose and entropy-scan stream over row tiles, the
-        # CSV reader parses blocks of as many lines, and the CSV writer blocks
-        # of an eighth as many cells (4, 8 and 28, so cut inside the rows):
-        # at a few rows per tile every 32 x 32 run crosses many seams
+        # CSV writer blocks of an eighth as many cells (4, 8 and 28, so cut
+        # inside the rows), and the CSV reader blocks of about as many lines
+        # (its lines hold 46 to 50 bytes): at a few rows per tile every
+        # 32 x 32 run crosses many seams
         monkeypatch.setattr(lattice_core, "_TILE_CELLS", rows * 32)
+        monkeypatch.setattr(lattice_core, "_READ_BYTES", rows * 32 * 48)
         out = str(tmp_path)
         chi_path = tmp_path / "chi.csv"
         _smooth_wall_chirality_csv(chi_path)

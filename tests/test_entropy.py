@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from chiralattice import (
     Boundary,
+    DimensionError,
     DomainError,
     Entropy,
     Grid,
@@ -218,6 +219,17 @@ class TestTotalVariation:
         tv0 = total_variation_production(chi, jin_kohn((0.0, 1.0)))
         assert tv45 <= 1e-12
         assert tv45 < tv0
+
+    def test_an_empty_valid_set_raises_the_error_of_entropy_production(self):
+        # one valid row leaves the divergence no cell, as in entropy_production
+        g = Grid(0.25, 4, 4, Boundary.OPEN)
+        chi = VectorField(g, np.full((4, 4, 2), 1.0 / math.sqrt(2.0)), Rect(0, 1, 0, 4))
+        e = jin_kohn((0.0, 1.0))
+        message = r"^empty valid set for the stencil \(\(1, 0\), \(0, 1\)\)$"
+        with pytest.raises(DimensionError, match=message):
+            total_variation_production(chi, e)
+        with pytest.raises(DimensionError, match=message):
+            entropy_production(chi, e, lambda pts: np.zeros(pts.shape[:-1]))
 
 
 # cell values the piecewise-constant fields draw from: signed zeros in either

@@ -673,8 +673,9 @@ _HAND_TOKENS = st.one_of(
 @contextlib.contextmanager
 def blocks_of(lines, text):
     """``read_field_csv`` patched to read blocks of the ``lines`` longest
-    lines of ``text`` and ``np.loadtxt`` blocks of ``lines`` rows, or not
-    patched for None."""
+    lines of ``text``, or not patched for None.  ``_READ_BYTES`` alone cuts
+    the reader's blocks; the ``_TILE_CELLS`` patch reaches only the seal of
+    the field read, in blocks of ``lines`` cells."""
     with pytest.MonkeyPatch.context() as mp:
         if lines is not None:
             longest = max(len(line) for line in text.split(b"\n")) + 1
@@ -746,16 +747,21 @@ _HELIX_EDITS = {
 
 def odd_field_csv(case):
     """The text and grid of a field CSV that holds ``case``: line ends of
-    another kind, a line longer than small blocks, a first row one column
-    short of the rest, or one of ``_HELIX_EDITS`` ``at`` a fraction of the
-    body of ``helix_300_lines``."""
+    another kind, a line longer than small blocks, rows one column short of
+    the header or of the rest, a token that only ``np.loadtxt`` can refuse,
+    or one of ``_HELIX_EDITS`` ``at`` a fraction of the body of
+    ``helix_300_lines``."""
     if case.startswith("helix: "):
         kind, at = case[len("helix: "):].rsplit(" at ", 1)
         lines = list(helix_300_lines())
         k = 1 + int(float(at) * (len(lines) - 1))
         return b"\n".join(_HELIX_EDITS[kind](lines[:k], lines[k:])) + b"\n", open_grid(300)
-    f = VectorField(open_grid(3), np.cos(np.arange(18.0)).reshape(3, 3, 2))
+    n = 4 if case.startswith("a token ") else 3
+    f = VectorField(open_grid(n), np.cos(np.arange(2.0 * n * n)).reshape(n, n, 2))
     lines = row_template_field_csv(f).split(b"\n")[:-1]
+    if case.startswith("a token "):  # of number bytes, so it reaches np.loadtxt, at row 9
+        lines[10] = _with_v1(lines[10], case[len("a token "):].encode("ascii"))
+        return b"\n".join(lines) + b"\n", f.grid
     if case == "cr only":
         return b"\r".join(lines) + b"\r", f.grid
     if case == "blank cr lines":  # blocks of 20 of them hold no delimiter
@@ -769,6 +775,9 @@ def odd_field_csv(case):
                         for k, line in enumerate(lines)), f.grid
     if case == "a short first row":  # then a block of 47 bytes holds one line
         lines[1] = b"0,0,1"
+        return b"\n".join(lines) + b"\n", f.grid
+    if case == "rows one column short of the header":
+        lines[1:] = [line.rsplit(b",", 1)[0] for line in lines[1:]]
         return b"\n".join(lines) + b"\n", f.grid
     assert case == "long token"  # a 302-byte token, longer than a block of 64
     lines[4] = _with_v1(lines[4], b"0." + b"1" * 300)
@@ -855,6 +864,7 @@ class TestFieldReader:
         ("cr only", None), ("cr only", 20), ("blank cr lines", 20),
         ("lone cr in the header", None), ("cr cr lf after the header", None),
         ("mixed line ends", None), ("long token", 64), ("a short first row", 47),
+        ("rows one column short of the header", None), ("a token 1e", None), ("a token -", None),
     ] + [(f"helix: {kind} at {at}", None) for kind in _HELIX_EDITS for at in (0.3, 0.9)])
     def test_an_odd_file_reads_as_loadtxt_reads_it(self, case, read_bytes, tmp_path,
                                                     monkeypatch):

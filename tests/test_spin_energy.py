@@ -8,6 +8,7 @@ import pytest
 from chiralattice import (
     Ad,
     Boundary,
+    DimensionError,
     DomainError,
     FixedAngles,
     Grid,
@@ -219,6 +220,14 @@ class TestEnergyF:
         p = ModelParams(l=0.1, alpha=7.5)
         expected = 0.5 * 0.1**2 * 64 * p.delta**2
         assert math.isclose(energy_F(u, p), expected, rel_tol=1e-13)
+
+    def test_too_small_open_grid_sums_nothing(self):
+        # as energy_E does, where energy_Hn over the same cells raises
+        u = constant_spins(Grid(0.1, 2, 2, Boundary.OPEN))
+        p = ModelParams(l=0.1, alpha=7.5)
+        assert energy_F(u, p) == 0.0
+        with pytest.raises(DimensionError, match="empty valid set"):
+            energy_Hn(u, p)
 
     def test_beta_zero_helix_is_a_ground_state(self):
         # at beta = 0 the residuals vanish when cos(theta) = alpha / 4 per axis
