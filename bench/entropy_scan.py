@@ -4,9 +4,11 @@ Usage, from the root of a source checkout::
 
     python3 bench/entropy_scan.py [--repeats N] [--out PATH]
 
-Each field is scanned as ``entropy-scan`` scans it: 16 axes at ``2 pi k / 16``,
-one ``total_variation_production(chi, jin_kohn(nu))`` per axis, on the open
-grid of spacing 1/128 that the subcommand uses by default.  The fields are
+Each field is scanned as ``entropy-scan`` scans it: 16 axes at ``2 pi k / 16``
+passed as a generator to one ``total_variation_productions`` call (in a
+checkout that predates it, one ``total_variation_production(chi,
+jin_kohn(nu))`` per axis), on the open grid of spacing 1/128 that the
+subcommand uses by default.  The fields are
 
 - ``sharp_wall``: the subcommand's built-in wall (two runs of equal cells per
   row), and
@@ -49,6 +51,11 @@ from chiralattice import Boundary, Grid, VectorField, jin_kohn  # noqa: E402
 from chiralattice import total_variation_production  # noqa: E402
 from chiralattice.cli import _sharp_wall_chi  # noqa: E402
 
+try:
+    from chiralattice import total_variation_productions  # noqa: E402
+except ImportError:  # a checkout that scans one axis per call
+    total_variation_productions = None
+
 N = 512
 ANGLES = 16
 SPACING = 1.0 / 128.0
@@ -69,11 +76,11 @@ def runs(chi: VectorField) -> int:
 
 
 def scan(chi: VectorField) -> list[float]:
-    out = []
-    for k in range(ANGLES):
-        angle = 2.0 * math.pi * k / ANGLES
-        out.append(total_variation_production(chi, jin_kohn((math.cos(angle), math.sin(angle)))))
-    return out
+    angles = [2.0 * math.pi * k / ANGLES for k in range(ANGLES)]
+    axes = (jin_kohn((math.cos(angle), math.sin(angle))) for angle in angles)
+    if total_variation_productions is None:
+        return [total_variation_production(chi, e) for e in axes]
+    return total_variation_productions(chi, axes)
 
 
 def main(argv=None) -> int:

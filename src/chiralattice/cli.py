@@ -39,7 +39,7 @@ from .lattice_core import (
 )
 from .spin_energy import ModelParams, energy_E, energy_F, energy_Hn
 from .ground_states import ground_state_from_chirality
-from .entropy import jin_kohn, total_variation_production
+from .entropy import jin_kohn, total_variation_productions
 from .recovery_limsup import (
     DEFAULT_KERNEL_RADIUS,
     MAX_GRID_CELLS,
@@ -240,12 +240,13 @@ def _run_entropy_scan(q: dict, out_dir: str) -> tuple[dict, list[str]]:
         chi = _read_vector_field(q["field"], grid, "entropy-scan")
     else:
         chi = _sharp_wall_chi(grid)
-    rows = []
-    for k in range(n):
-        angle = 2.0 * math.pi * k / n
-        nu = (math.cos(angle), math.sin(angle))
-        production = total_variation_production(chi, jin_kohn(nu))
-        rows.append({"angle": angle, "production": production})
+    angles = [2.0 * math.pi * k / n for k in range(n)]
+    axes = (jin_kohn((math.cos(angle), math.sin(angle))) for angle in angles)
+    try:
+        productions = total_variation_productions(chi, axes)
+    except DomainError as exc:  # a file's flux can overflow; the built-in wall's cannot
+        raise ConfigError(f"{q['field']}: {exc}") from None
+    rows = [{"angle": a, "production": p} for a, p in zip(angles, productions)]
     scan_path = os.path.join(out_dir, "entropy_scan.csv")
     _write_csv(scan_path, ("angle", "production"), rows)
     return {"angles": n}, [scan_path]

@@ -11,9 +11,11 @@ also the value of the optimal one-dimensional transition profile.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -21,8 +23,8 @@ from numpy.typing import NDArray
 
 from .errors import DomainError
 from .lattice_core import (
-    _AHEAD, ScalarField, VectorField, _div, _reach, _RowTile, _sq_norm, _tile_sums, _unit,
-    cell_sum, div_d,
+    _AHEAD, ScalarField, VectorField, _div, _reach, _require_finite, _RowTile, _sq_norm,
+    _tile_sums, _unit, cell_sum, div_d,
 )
 
 __all__ = [
@@ -33,6 +35,7 @@ __all__ = [
     "ent_norm_estimate",
     "entropy_production",
     "total_variation_production",
+    "total_variation_productions",
     "sigma_surface_density",
     "modica_mortola_profile_energy",
 ]
@@ -53,7 +56,10 @@ class Entropy:
     cell's two floats, not on the array's shape or the cell's place in it.
     The productions evaluate it once per run of bitwise-equal consecutive
     cells (row-major) and repeat the result; when every cell is its own run
-    they take over the array ``phi`` returns, so it must be new.  ``dphi``
+    they take over the array ``phi`` returns, so it must be new.  The total
+    variation scan finds the runs once per tile for a group of axes, and
+    skips the cells that do not move (equal, bit for bit, to the cells ahead
+    in ``i`` and in ``j``), whose divergence is an exact zero.  ``dphi``
     maps (...,2) arrays to (...,2,2) Jacobians.  Both must be pure and
     reentrant.
     """
@@ -191,31 +197,99 @@ def entropy_production(chi: VectorField, e: Entropy, zeta: Callable) -> float:
 
 def total_variation_production(chi: VectorField, e: Entropy) -> float:
     """l^1 cell sum of the production density: the lattice total variation of
-    ``div(Phi o chi_perp)`` over its valid set.
+    ``div(Phi o chi_perp)`` over its valid set.  The one-axis case of
+    :func:`total_variation_productions`."""
+    return total_variation_productions(chi, (e,))[0]
 
-    It streams over row tiles: each tile forms the flux of its rows and the
-    row ahead (``Phi`` once per run of equal cells, as on the whole field)
-    and its divergence, and seals both where a whole field of them would be
-    valid, so the sum is ``div_d``'s, bit for bit, with no whole-grid array.
+
+# axes per tile pass of total_variation_productions: each tile's rows, runs
+# and moving cells serve this many productions, and a scan of any length
+# holds this many accumulators; like _TILE_CELLS it sets memory and speed only
+_GROUP_AXES = 64
+
+
+def total_variation_productions(chi: VectorField, entropies: Iterable[Entropy]) -> list[float]:
+    """:func:`total_variation_production` of ``chi`` for each entropy, in order.
+
+    It streams over row tiles, once per group of ``_GROUP_AXES`` entropies
+    taken from the iterable as it goes.  Each tile gathers its rows and the
+    row ahead, finds its runs of bitwise-equal consecutive cells and, when
+    there are runs, its moving cells: those of the divergence's reach whose
+    value differs bitwise from the cell ahead in ``i`` or in ``j`` (wrapped
+    on a periodic grid).  Per entropy it evaluates ``Phi`` once per run and
+    forms the divergence on the moving cells only: a cell that does not move
+    reads one flux three times, so its divergence is ``+0.0``, which adds
+    nothing to the exact sum.  A tile with no runs forms the flux and the
+    divergence of every cell.  Both are sealed where a whole field of them
+    would be valid, so each sum is ``div_d``'s, bit for bit, with no
+    whole-grid array.  When several entropies fail, the error of the first
+    tile that fails is raised, whichever axis it belongs to.
     """
+    g, out = chi.grid, []
+    axes = iter(entropies)
+    while group := list(itertools.islice(axes, _GROUP_AXES)):
+        if _reach(chi, _AHEAD).empty:  # the whole-field path names the stencil without a cell
+            _production_density(chi, group[0])
+        kernel = functools.partial(_tv_tile, chi, group)
+        out += [g.spacing**2 * total for total in _tile_sums(g, chi.valid, len(group), kernel,
+                                                              margin=0)]
+    return out
+
+
+def _tv_tile(chi: VectorField, group: list[Entropy], tile: _RowTile, sums: list) -> None:
+    """Add each entropy's ``|div(Phi o chi_perp)|`` on the tile's reach to its sum."""
     g, l = chi.grid, chi.grid.spacing
-    if _reach(chi, _AHEAD).empty:  # the whole-field path names the stencil without a cell
-        _production_density(chi, e)
+    # an open grid's last row and last column lie outside the reach, so
+    # only a periodic grid wraps to the row and the column ahead
+    rows = np.arange(tile.i0, min(tile.i1 + 1, g.nx + g.periodic)) % g.nx
+    values = chi.values[rows]
+    cells = values.reshape(-1, 2)
+    starts = _run_starts(cells)
+    reach = tile.cells(_AHEAD, 0)
+    if starts is None:
+        for e, total in zip(group, sums):
+            flux = e.phi(perp(values))
+            tile.seal((), 0, flux)
+            if g.periodic:
+                flux = np.concatenate((flux, flux[:, :1]), axis=1)
+            div = _div(flux[:-1, :-1], flux[1:, :-1], flux[:-1, 1:], l)
+            tile.seal(_AHEAD, 0, div)
+            total.add(np.abs(div[reach]))
+        return
+    lengths = np.diff(starts, append=len(cells))
+    here, right, up = _moving_runs(values, starts, reach, g.periodic)
+    for e, total in zip(group, sums):
+        flux = e.phi(perp(cells[starts]))
+        if not np.all(np.isfinite(flux)):  # the seal of the cells, as on the whole tile
+            tile.seal((), 0, np.repeat(flux, lengths, axis=0).reshape(values.shape))
+        div = _div(flux[here], flux[right], flux[up], l)
+        _require_finite(div)
+        total.add(np.abs(div))
 
-    def tile_tv(tile: _RowTile, sums: list) -> None:
-        # an open grid's last row and last column lie outside the reach, so
-        # only a periodic grid wraps to the row and the column ahead
-        rows = np.arange(tile.i0, min(tile.i1 + 1, g.nx + g.periodic)) % g.nx
-        flux = _flux(chi.values[rows], e)
-        tile.seal((), 0, flux)
-        if g.periodic:
-            flux = np.concatenate((flux, flux[:, :1]), axis=1)
-        div = _div(flux[:-1, :-1], flux[1:, :-1], flux[:-1, 1:], l)
-        tile.seal(_AHEAD, 0, div)
-        sums[0].add(np.abs(div[tile.cells(_AHEAD, 0)]))
 
-    (total,) = _tile_sums(g, chi.valid, 1, tile_tv, margin=0)
-    return l**2 * total
+def _moving_runs(values: NDArray, starts: NDArray, reach: tuple[slice, slice],
+                 periodic: bool) -> tuple[NDArray, NDArray, NDArray]:
+    """The runs (indices into ``starts``) of each moving cell of ``reach`` in
+    the ``(rows, ny, 2)`` tile ``values``, of the cell ahead in ``i`` and of
+    the cell ahead in ``j``: a cell moves when its value differs bitwise from
+    one of the two."""
+    ny = values.shape[1]
+    bits = values.view(np.int64)
+    if periodic:
+        bits = np.concatenate((bits, bits[:, :1]), axis=1)
+    (r0, r1), (c0, c1) = ((s.start, s.stop) for s in reach)
+    at = bits[r0:r1, c0:c1]
+    moved = np.zeros(at.shape[:2], dtype=bool)
+    for ahead in (bits[r0 + 1 : r1 + 1, c0:c1], bits[r0:r1, c0 + 1 : c1 + 1]):
+        moved |= at[..., 0] != ahead[..., 0]
+        moved |= at[..., 1] != ahead[..., 1]
+    i, j = np.nonzero(moved)
+    i += r0
+    j += c0
+    cell = i * ny + j
+    runs = np.searchsorted(starts, np.concatenate((cell, cell + ny, cell - j + (j + 1) % ny)),
+                           side="right") - 1
+    return np.split(runs, 3)
 
 
 def _jump_size(a, b, nu) -> float:

@@ -256,18 +256,38 @@ class _ExactSum:
     to its cells, so the value is the correctly rounded sum of all cells
     added, the same float however they are cut into blocks; only a sum that
     leaves the float range part way depends, as under ``math.fsum``, on the
-    order.
+    order.  Blocks of at most ``_SHORT`` cells have no partials to extract:
+    they wait, in order, and go in as one block before the next longer
+    block, once ``_SHORT_WAIT`` of their cells wait, or at the value, so a
+    stream of short blocks holds a few partials and not every cell.
     """
 
     def __init__(self):
         self._chunks: list = []
+        self._short: list = []  # the short blocks waiting, in order
+        self._waiting = 0
 
     def add(self, block: NDArray) -> None:
-        if block.size:
-            parts = _exact_parts(block)
-            self._chunks.append(block.ravel(order="C") if parts is None else parts)
+        if block.size > _SHORT:
+            self._add_short()
+            self._add(block)
+        elif block.size:
+            self._short.append(block.flatten())
+            self._waiting += block.size
+            if self._waiting >= _SHORT_WAIT:
+                self._add_short()
+
+    def _add_short(self) -> None:
+        if self._short:
+            self._add(np.concatenate(self._short))
+            self._short, self._waiting = [], 0
+
+    def _add(self, block: NDArray) -> None:
+        parts = _exact_parts(block)
+        self._chunks.append(block.ravel(order="C") if parts is None else parts)
 
     def value(self) -> float:
+        self._add_short()
         try:
             return math.fsum(itertools.chain.from_iterable(self._chunks))
         except (OverflowError, ValueError) as exc:
@@ -280,6 +300,7 @@ _BLOCK_CELLS = 1 << 16
 _MAX_SIGMA_EXP = 1000
 _FLOAT_MIN = sys.float_info.min
 _SHORT = 32  # leftovers at most this long go to math.fsum as they are
+_SHORT_WAIT = 1 << 10  # cells of short blocks an accumulator holds unextracted
 
 
 def _exact_parts(block: NDArray) -> list[float] | None:
@@ -1003,17 +1024,23 @@ def _place_rows(data: NDArray, names: list[str], grid: Grid, values: NDArray,
     """Put the values of a block of parsed rows into ``values`` (one row per
     cell, row-major) and count their cells in ``given``, up to 2.  Returns
     the 1-based row in the block of the first index that is not a cell of
-    the grid, with nothing put, or None."""
+    the grid, with nothing put, or None.  A block of consecutive cells (the
+    writer's order) holds no cell twice, so it goes by slices, with no sort."""
     fi, fj = data[:, names.index("i")], data[:, names.index("j")]
     inside = (fi >= 0) & (fi < grid.nx) & (fj >= 0) & (fj < grid.ny)
     inside &= (np.floor(fi) == fi) & (np.floor(fj) == fj)
     if not np.all(inside):
         return int(np.argmin(inside)) + 1
     cell = fi.astype(int) * grid.ny + fj.astype(int)
-    ordered = np.sort(cell)
-    twice = np.concatenate((ordered[1:][ordered[1:] == ordered[:-1]], cell[given[cell] > 0]))
-    given[cell] = 1
-    given[twice] = 2
+    c0 = int(cell[0])
+    if np.array_equal(cell, np.arange(c0, c0 + len(cell))):  # the writer's row-major order
+        cell = slice(c0, c0 + len(cell))
+        given[cell] = np.minimum(given[cell] + 1, 2)
+    else:
+        ordered = np.sort(cell)
+        twice = np.concatenate((ordered[1:][ordered[1:] == ordered[:-1]], cell[given[cell] > 0]))
+        given[cell] = 1
+        given[twice] = 2
     values[cell, 0] = data[:, names.index("v1")]
     if values.shape[1] == 2:
         values[cell, 1] = data[:, names.index("v2")]

@@ -343,7 +343,7 @@ def test_bad_flags_are_config_errors_before_any_numerics(argv, tmp_path, capsys,
         raise AssertionError("numerics ran on a bad configuration")
 
     for name in ("relax", "wall_start", "ground_state_from_chirality",
-                 "total_variation_production", "gamma_limsup_experiment", "read_field_csv",
+                 "total_variation_productions", "gamma_limsup_experiment", "read_field_csv",
                  "_sharp_wall_chi"):
         monkeypatch.setattr(cli, name, numerics)
     assert main(["--out-dir", str(tmp_path)] + argv) == 2
@@ -412,20 +412,34 @@ def _checkerboard_chirality_csv(path, magnitude):
     path.write_text("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("magnitude", [6e101, 1e200])
-def test_overflowing_entropy_production_is_a_runtime_failure(magnitude, tmp_path, capsys):
-    # at 6e101 Phi stays finite and the difference quotients of div_d overflow;
-    # at 1e200 Phi itself overflows
+def _one_large_component_csv(path, magnitude):
+    lines = ["i,j,v1,v2"]
+    for i in range(6):
+        for j in range(6):
+            lines.append(f"{i},{j},{magnitude!r},0" if (i, j) == (2, 3) else f"{i},{j},1,0")
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("write, magnitude", [
+    (_checkerboard_chirality_csv, 6e101), (_checkerboard_chirality_csv, 1e200),
+    (_one_large_component_csv, 1e120),
+], ids=["checkerboard-6e101", "checkerboard-1e200", "one-cell-1e120"])
+def test_an_overflowing_entropy_production_is_a_config_error_that_names_the_file(
+        write, magnitude, tmp_path, capsys):
+    # every value in the file is finite: at 6e101 Phi stays finite and the
+    # difference quotients of div_d overflow; at 1e200 and 1e120 Phi itself
+    # overflows.  The file is at fault, as in diagnose.
     field = tmp_path / "chi.csv"
-    _checkerboard_chirality_csv(field, magnitude)
-    argv = ["entropy-scan", "--field", str(field), "--nx", "4", "--ny", "4", "--l", "0.001"]
+    write(field, magnitude)
+    n = "4" if write is _checkerboard_chirality_csv else "6"
+    argv = ["entropy-scan", "--field", str(field), "--nx", n, "--ny", n, "--l", "0.001"]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        assert main(["--out-dir", str(tmp_path)] + argv) == 1
+        assert main(["--out-dir", str(tmp_path)] + argv) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0]) == {
-        "error": "RUNTIME_FAILURE", "message": "field values must be finite",
+        "error": "CONFIG_INVALID", "message": f"{field}: field values must be finite",
     }
     assert not (tmp_path / "entropy_scan.csv").exists()
 

@@ -30,7 +30,9 @@ from chiralattice import (
     psi_alpha,
     sigma_surface_density,
     total_variation_production,
+    total_variation_productions,
 )
+from chiralattice import entropy, lattice_core
 from chiralattice.cli import _sharp_wall_chi
 
 SQRT2_OVER_3 = math.sqrt(2.0) / 3.0
@@ -281,12 +283,81 @@ def test_both_productions_equal_the_per_cell_formula_bit_for_bit(case):
     chi, e, rng = case
     g = chi.grid
     dv = div_d(VectorField._adopt(g, e.phi(perp(chi.values)), chi.valid))
-    tv = g.spacing**2 * cell_sum(np.abs(dv.values), dv.valid)
-    assert total_variation_production(chi, e).hex() == tv.hex()
+    assert total_variation_production(chi, e).hex() == per_cell_total_variation(chi, e).hex()
     weights = np.zeros((g.nx, g.ny))
     weights[dv.valid.slices] = rng.normal(size=weights[dv.valid.slices].shape)
     paired = g.spacing**2 * cell_sum(weights * dv.values, dv.valid)
     assert entropy_production(chi, e, lambda pts: weights).hex() == paired.hex()
+
+
+def per_cell_total_variation(chi, e):
+    """The whole-field per-cell formula of ``total_variation_production``."""
+    g = chi.grid
+    dv = div_d(VectorField._adopt(g, e.phi(perp(chi.values)), chi.valid))
+    return g.spacing**2 * cell_sum(np.abs(dv.values), dv.valid)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=production_cases(), rows=st.sampled_from([1, 2, 7]), extra=st.sampled_from([-1, 0, 1]))
+def test_a_scan_in_groups_equals_the_per_cell_formula_at_any_tile_height(case, rows, extra):
+    # one group short of full, one full group, and a full group and one more
+    # axis; the case's entropy comes first and _SIGNS at a random place
+    chi, e, rng = case
+    count = entropy._GROUP_AXES + extra
+    axes = [jin_kohn((math.cos(a), math.sin(a))) for a in rng.uniform(0.0, 2.0 * math.pi, count)]
+    axes[0], axes[int(rng.integers(1, count))] = e, _SIGNS
+    expected = [per_cell_total_variation(chi, a).hex() for a in axes]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice_core, "_TILE_CELLS", rows * chi.grid.ny)
+        assert [p.hex() for p in total_variation_productions(chi, iter(axes))] == expected
+
+
+@pytest.mark.parametrize("kind", ["constant", "one cell", "all distinct"])
+@pytest.mark.parametrize("rows", [1, 2, 6])
+def test_an_overflowing_flux_raises_the_error_of_the_per_cell_formula(kind, rows, monkeypatch):
+    # a constant field has no moving cell: only the seal of its run's Phi
+    # sees the overflow
+    values = np.random.default_rng(3).normal(size=(6, 6, 2))
+    if kind != "all distinct":
+        values[...] = (1e120 if kind == "constant" else 1.0, 0.0)
+    values[2, 3, 0] = 1e120
+    chi = VectorField(Grid(0.25, 6, 6, Boundary.OPEN), values)
+    axes = [jin_kohn((math.cos(a), math.sin(a))) for a in np.linspace(0.0, math.pi, 5)]
+    monkeypatch.setattr(lattice_core, "_TILE_CELLS", rows * 6)
+    messages = set()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for scan in (lambda: [per_cell_total_variation(chi, e) for e in axes],
+                     lambda: total_variation_productions(chi, axes)):
+            with pytest.raises(DomainError) as exc:
+                scan()
+            messages.add(str(exc.value))
+    assert messages == {"field values must be finite"}
+
+
+@pytest.mark.parametrize("kind", ["runs", "all distinct"])
+def test_a_phi_not_finite_outside_the_valid_rect_is_not_read(kind):
+    # Phi(0) is nan, and the cells outside the rect are zeros; with its last
+    # column outside, a field of distinct cells has no run of two
+    base = jin_kohn((0.6, 0.8))
+
+    def phi(xi):
+        out = base.phi(xi)
+        out[(xi[..., 0] == 0.0) & (xi[..., 1] == 0.0)] = math.nan
+        return out
+
+    nan_at_zero = Entropy(phi, base.dphi)
+    g = Grid(0.125, 8, 8, Boundary.OPEN)
+    if kind == "runs":
+        chi = VectorField(g, _sharp_wall_chi(g).values, Rect(1, 6, 2, 7))
+    else:
+        chi = VectorField(g, np.random.default_rng(5).normal(size=(8, 8, 2)), Rect(0, 8, 0, 7))
+    assert (entropy._run_starts(chi.values.reshape(-1, 2)) is None) == (kind == "all distinct")
+    expected = per_cell_total_variation(chi, nan_at_zero)
+    assert expected > 0.0
+    for rows in (1, 3, 8):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice_core, "_TILE_CELLS", rows * 8)
+            assert total_variation_productions(chi, [nan_at_zero]) == [expected]
 
 
 def test_the_sharp_wall_evaluates_phi_once_per_run_of_equal_cells():

@@ -221,6 +221,30 @@ class TestCellSum:
         with pytest.raises(DomainError):
             cell_sum(np.full((6, 8), 1e307), Rect(0, 6, 0, 8))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_an_accumulator_fed_blocks_of_any_length_equals_fsum(self, data):
+        # short blocks wait, and go in with the next longer block, once
+        # _SHORT_WAIT of their cells wait, or at the value
+        vals, _ = data.draw(_grid_and_rect())
+        flat = vals.ravel()
+        cuts = sorted(data.draw(st.lists(st.integers(0, flat.size), max_size=40)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice_core, "_SHORT_WAIT", data.draw(st.sampled_from([1, 5, 64, 1 << 10])))
+            total = lattice_core._ExactSum()
+            for block in np.split(flat, cuts):
+                total.add(block)
+            assert total.value().hex() == math.fsum(flat.tolist()).hex()
+
+    def test_short_blocks_waiting_go_in_before_the_next_longer_block(self):
+        # in order the sum leaves the float range part way, as under math.fsum;
+        # the longer block first would cancel it and give 1.7e308
+        total = lattice_core._ExactSum()
+        total.add(np.array([1.7e308, 1.7e308]))
+        total.add(np.concatenate(([-1.7e308], np.zeros(40))))
+        with pytest.raises(DomainError):
+            total.value()
+
     def test_empty_rect_sums_to_zero(self):
         assert cell_sum(np.ones((4, 4)), Rect(2, 2, 0, 4)) == 0.0
 
@@ -749,8 +773,8 @@ def odd_field_csv(case):
     """The text and grid of a field CSV that holds ``case``: line ends of
     another kind, a line longer than small blocks, rows one column short of
     the header or of the rest, a token that only ``np.loadtxt`` can refuse,
-    or one of ``_HELIX_EDITS`` ``at`` a fraction of the body of
-    ``helix_300_lines``."""
+    the writer's rows with one repeated or in reverse order, or one of
+    ``_HELIX_EDITS`` ``at`` a fraction of the body of ``helix_300_lines``."""
     if case.startswith("helix: "):
         kind, at = case[len("helix: "):].rsplit(" at ", 1)
         lines = list(helix_300_lines())
@@ -776,6 +800,10 @@ def odd_field_csv(case):
     if case == "a short first row":  # then a block of 47 bytes holds one line
         lines[1] = b"0,0,1"
         return b"\n".join(lines) + b"\n", f.grid
+    if case == "a line repeated across a block seam":  # the rows of cells 0-3 fill 170 bytes
+        return b"\n".join(lines[:5] + lines[4:]) + b"\n", f.grid
+    if case == "rows in reverse order":
+        return b"\n".join(lines[:1] + lines[:0:-1]) + b"\n", f.grid
     if case == "rows one column short of the header":
         lines[1:] = [line.rsplit(b",", 1)[0] for line in lines[1:]]
         return b"\n".join(lines) + b"\n", f.grid
@@ -865,6 +893,8 @@ class TestFieldReader:
         ("lone cr in the header", None), ("cr cr lf after the header", None),
         ("mixed line ends", None), ("long token", 64), ("a short first row", 47),
         ("rows one column short of the header", None), ("a token 1e", None), ("a token -", None),
+        ("a line repeated across a block seam", None), ("a line repeated across a block seam", 170),
+        ("rows in reverse order", None), ("rows in reverse order", 47),
     ] + [(f"helix: {kind} at {at}", None) for kind in _HELIX_EDITS for at in (0.3, 0.9)])
     def test_an_odd_file_reads_as_loadtxt_reads_it(self, case, read_bytes, tmp_path,
                                                     monkeypatch):

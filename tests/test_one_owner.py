@@ -85,7 +85,7 @@ def test_only_the_cli_streams_call_the_tile_loop():
                         if (isinstance(node, ast.Name) and node.id == "_tile_sums")
                         or (isinstance(node, ast.Attribute) and node.attr == "_tile_sums")]
     assert sorted(callers) == [
-        "diagnostics.py:diagnose_report", "entropy.py:total_variation_production",
+        "diagnostics.py:diagnose_report", "entropy.py:total_variation_productions",
         "recovery_limsup.py:_level_energies", "spin_energy.py:energy_E", "spin_energy.py:energy_F",
         "spin_energy.py:energy_Hn",
     ]
