@@ -8,7 +8,10 @@ atomically (temp-then-rename), floats carry 17 significant digits, and
 identical configurations reproduce every output byte for byte regardless of
 the thread-count flag, on one numpy build at one SIMD dispatch level: numpy's
 ``arctan2``, ``arcsin`` and ``**`` can round differently in their AVX2 and
-AVX-512 loops.
+AVX-512 loops.  ``Hn`` and the ground-state energies use none of them (the
+chiralities come from spin differences); ``diagnose``'s angle count, curl
+checks and Lp norms, the wall profile's arcsine, the cubic entropy's flux
+and ``relax``'s starting lift do.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 """

@@ -8,9 +8,9 @@ asserted theorem.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .errors import DimensionError, DomainError
 from .lattice_core import (
@@ -21,6 +21,9 @@ from .spin_energy import (
     EnergyRecord, ModelParams, SpinField, _chi_bar, _hn_tile, _jacobian_sq, _record,
     _require_unit, _resolve_region, _tile_angles, _well_and_jacobian, energy_Hn, potential_W,
 )
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 __all__ = [
     "count_large_angle_cells",
@@ -79,6 +82,7 @@ def lp_norm(chi: VectorField, p: int) -> float:
 def hn_vs_hnstar(
     u: SpinField, chi: VectorField, p: ModelParams
 ) -> tuple[EnergyRecord, EnergyRecord, float]:
+
     """``energy_Hn`` and ``energy_Hn_star`` of ``u``, whose chirality is
     ``chi = chirality(u, p).chi``, over ``chi``'s valid rect shrunk by two
     cells, plus their ratio.
@@ -123,10 +127,12 @@ def diagnose_report(field: VectorField, p: ModelParams, t: float) -> dict:
 
     One pass over row tiles with a two-cell margin runs them all: each tile
     checks that its spins are unit vectors (the ``DomainError`` of
-    :class:`SpinField`), forms the angles once and every chirality from
-    them, and adds each check's cells to exact sums.  Each check takes the
-    cells and the per-cell formula of its whole-field function, so the
-    floats are theirs bit for bit, and no field besides ``field`` is built.
+    :class:`SpinField`), forms the chiralities once from the spins'
+    differences and cross products, and the angles once for the count and
+    ``chi_bar``, and adds each check's cells to exact sums.  Each check
+    takes the cells and the per-cell formula of its whole-field function, so
+    the floats are theirs bit for bit, and no field besides ``field`` is
+    built.
     """
     if field.valid != field.grid.full_rect:
         raise DimensionError(f"diagnose reads a field valid on the whole grid, got {field.valid}")
@@ -142,8 +148,8 @@ def diagnose_report(field: VectorField, p: ModelParams, t: float) -> dict:
         nonlocal large, turn
         spins = field.values[tile.index]
         _require_unit(spins)  # every cell the tile reads
+        chi = _hn_tile(tile, spins[..., 0], spins[..., 1], 2, p.delta, l, inner, sums, True)
         th, tv = _tile_angles(spins)
-        chi = np.stack(_hn_tile(tile, th, tv, 2, sqd, l, inner, sums), axis=-1)
         cells = tile.cells(_AHEAD, 2)
         large += int(np.count_nonzero(_large_angles(th, tv, t)[cells]))
         for k, total in zip((2, 4, 6), sums[2:5]):

@@ -15,17 +15,18 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from numpy.typing import NDArray
 
 from .errors import DomainError
 from .lattice_core import (
     _AHEAD, ScalarField, VectorField, _div, _reach, _require_finite, _RowTile, _sq_norm,
     _tile_sums, _unit, cell_sum, div_d,
 )
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 __all__ = [
     "Entropy",
@@ -319,6 +320,8 @@ def modica_mortola_profile_energy(d: float) -> float:
     if d == 0.0:
         raise DomainError("jump size d must be nonzero")
     # 256 panels of 16 Gauss nodes on [-12, 12]; beyond it 2 sech^4 < 5e-20
+    from numpy.polynomial.legendre import leggauss  # only here: no CLI path needs it
+
     z, w = leggauss(16)
     edges = np.linspace(-12.0, 12.0, 257)
     mid = 0.5 * (edges[:-1] + edges[1:])

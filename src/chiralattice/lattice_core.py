@@ -44,11 +44,14 @@ import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .errors import ConfigError, DimensionError, DomainError
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 __all__ = [
     "Boundary",

@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from numpy.typing import NDArray
 
 from .errors import ConfigError, DomainError, ParameterError, ScalingError
 from .lattice_core import (
@@ -29,9 +27,12 @@ from .lattice_core import (
     _sq_norm, _tile_sums, _views, cell_sum, grad_d, laplace_shifted,
 )
 from .spin_energy import (
-    EnergyRecord, ModelParams, SpinField, _hn_tile, _record, _spins, _tile_angles, potential_W,
+    EnergyRecord, ModelParams, SpinField, _hn_tile, _record, _spins, potential_W,
 )
 from .entropy import _jump_size, perp, sigma_surface_density
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 __all__ = [
     "WallConfig",
@@ -132,6 +133,8 @@ def mollify(
     is within about 1e-10 of an affine ``phi``, 1e-6 across the roof's kink."""
     if eps <= 0:
         raise DomainError("mollification scale must be positive")
+    from numpy.polynomial.legendre import leggauss  # only here: no CLI path needs it
+
     z, w = leggauss(128)
     z, w = z * m.radius, w * m.radius
     zz = np.stack(np.meshgrid(z, z, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -307,7 +310,8 @@ def _level_energies(
         phi = np.asarray(phi_eps(np.stack([x, y], axis=-1)), dtype=np.float64)
         tile.seal((), 1, phi)
         max_d = max(max_d, _ag_tile(tile, phi, p.l, sums[2:]))
-        _hn_tile(tile, *_tile_angles(_spins((sqd / p.l) * phi)), 1, sqd, p.l, None, sums)
+        phi *= sqd / p.l  # the lift, in place
+        _hn_tile(tile, np.cos(phi), np.sin(phi), 1, p.delta, p.l, None, sums)
         if tile.i1 == grid.nx:  # after every tile, before the loop rounds a sum
             _require_small_angles(sqd * max_d)
 

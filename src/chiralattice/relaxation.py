@@ -28,15 +28,17 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .errors import DimensionError, DomainError, OptimizationError
 from .ground_states import _helix_angles
 from .lattice_core import Grid, ScalarField, _unit, _zero_outside, cell_sum
 from .spin_energy import ModelParams, SpinField, _f_density, _f_residuals, _spins
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 __all__ = [
     "FixedAngles",

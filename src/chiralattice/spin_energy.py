@@ -2,9 +2,10 @@
 
 Implements the three-coupling lattice energy ``E`` on unit spin fields, its
 nonnegative bulk form ``F`` (they differ by an exact per-cell constant on
-periodic grids), the chirality fields derived from the oriented angles between
-adjacent spins, and the rescaled transition energies ``H_n`` / ``H_n*`` /
-``AG_d`` that the package's wall experiments are built on.
+periodic grids), the chirality fields of adjacent spins (from their
+differences and cross products, and the linearized one from their oriented
+angles), and the rescaled transition energies ``H_n`` / ``H_n*`` / ``AG_d``
+that the package's wall experiments are built on.
 
 The exact identity ``F = delta^{3/2} * l * H_n`` holds cell by cell over
 matching index sets and is the central consistency check of this module.
@@ -15,10 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .errors import DimensionError, DomainError, ParameterError
 from .lattice_core import (
@@ -38,6 +38,9 @@ from .lattice_core import (
     cell_sum,
     grad_d,
 )
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 __all__ = [
     "ModelParams",
@@ -121,44 +124,99 @@ def _spins(psi: NDArray) -> NDArray:
 
 @dataclass(eq=False)
 class ChiralityFields:
-    """Oriented angle fields and the three chirality variants of a spin field.
+    """The chirality variants of a spin field, each built on its first read.
 
-    ``chi`` carries ``(2/sqrt(delta)) sin(theta/2)`` per direction, ``chi_tilde``
-    the single-angle sine variant, and ``chi_bar`` the linearization
-    ``theta / sqrt(delta)``.  Each variant is built on its first read.
+    ``chi`` carries ``(2/sqrt(delta)) sin(theta/2)`` per direction,
+    ``chi_sq`` its square and ``chi_tilde`` the sine variant
+    ``sin(theta)/sqrt(delta)``; all three come from the spins' differences
+    and cross products (``_chiralities``), with no angle.  ``theta_hor`` and
+    ``theta_ver`` are the oriented angles (``angles``), and ``chi_bar`` their
+    linearization ``theta / sqrt(delta)``.
     """
 
-    theta_hor: ScalarField
-    theta_ver: ScalarField
-    sqrt_delta: float
+    u: SpinField
+    delta: float
 
-    def _pack(self, f: Callable[[NDArray], NDArray]) -> VectorField:
-        """``f`` of each angle field, stacked over their common valid rect."""
-        th, tv = self.theta_hor, self.theta_ver
-        vals = np.stack([f(th.values), f(tv.values)], axis=-1)
-        return VectorField._adopt(th.grid, vals, th.valid.intersect(tv.valid))
+    @property
+    def sqrt_delta(self) -> float:
+        return math.sqrt(self.delta)
 
     @cached_property
-    def chi(self) -> VectorField:
-        return self._pack(lambda theta: _chi(theta, self.sqrt_delta))
+    def _steps(self) -> tuple[tuple[NDArray, NDArray], tuple[NDArray, NDArray], Rect]:
+        """``_chiralities`` to the right and upper neighbour, and where both exist."""
+        (right, up), rect = _neighbours(self.u, (1, 0), (0, 1))
+        x = self.u.values
+        return (_chiralities(x[..., 0], x[..., 1], right[..., 0], right[..., 1], self.delta),
+                _chiralities(x[..., 0], x[..., 1], up[..., 0], up[..., 1], self.delta), rect)
+
+    def _pack(self, k: int) -> VectorField:
+        """Part ``k`` of both directions' ``_steps``, stacked over their rect."""
+        hor, ver, rect = self._steps
+        return VectorField._adopt(self.u.grid, np.stack([hor[k], ver[k]], axis=-1), rect)
+
+    @cached_property
+    def chi_sq(self) -> VectorField:
+        return self._pack(0)
 
     @cached_property
     def chi_tilde(self) -> VectorField:
-        return self._pack(lambda theta: _chi_tilde(theta, self.sqrt_delta))
+        return self._pack(1)
+
+    @cached_property
+    def chi(self) -> VectorField:
+        chi = _chi(self.chi_sq.values, self.chi_tilde.values, self.delta)
+        return VectorField._adopt(self.u.grid, chi, self.chi_sq.valid)
+
+    @cached_property
+    def _angles(self) -> tuple[ScalarField, ScalarField]:
+        return angles(self.u)
+
+    @property
+    def theta_hor(self) -> ScalarField:
+        return self._angles[0]
+
+    @property
+    def theta_ver(self) -> ScalarField:
+        return self._angles[1]
 
     @cached_property
     def chi_bar(self) -> VectorField:
-        return self._pack(lambda theta: _chi_bar(theta, self.sqrt_delta))
+        th, tv = self._angles
+        vals = np.stack([_chi_bar(th.values, self.sqrt_delta),
+                         _chi_bar(tv.values, self.sqrt_delta)], axis=-1)
+        return VectorField._adopt(self.u.grid, vals, th.valid.intersect(tv.valid))
 
 
-def _chi(theta: NDArray, sqrt_delta: float) -> NDArray:
-    """Per-cell chirality ``(2/sqrt(delta)) sin(theta/2)`` of a neighbour angle."""
-    return 2.0 / sqrt_delta * np.sin(theta / 2.0)
+def _chiralities(a0: NDArray, a1: NDArray, b0: NDArray, b1: NDArray,
+                 delta: float) -> tuple[NDArray, NDArray]:
+    """Per cell, ``|chi|^2 = |b - a|^2 / delta`` and ``chi_tilde = cross(a, b) /
+    sqrt(delta)`` of the step from the spin ``a = (a0, a1)`` to ``b = (b0, b1)``.
+    For unit spins at the angle ``theta`` these are ``4 sin^2(theta/2) / delta``
+    and ``sin(theta) / sqrt(delta)``.  The square is formed from the
+    component differences, never as ``2 - 2 a.b``, which cancels for small
+    angles.  Reversing the step or mapping both spins by a quarter turn or a
+    reflection keeps ``|chi|^2`` bit for bit and at most negates
+    ``chi_tilde``."""
+    cross = a0 * b1
+    sq = a1 * b0
+    cross -= sq
+    cross /= math.sqrt(delta)
+    np.subtract(b0, a0, out=sq)
+    sq *= sq
+    d1 = b1 - a1
+    d1 *= d1
+    sq += d1
+    sq /= delta
+    return sq, cross
 
 
-def _chi_tilde(theta: NDArray, sqrt_delta: float) -> NDArray:
-    """Per-cell sine-variant chirality ``sin(theta)/sqrt(delta)``."""
-    return np.sin(theta) / sqrt_delta
+def _chi(chi_sq: NDArray, chi_tilde: NDArray, delta: float) -> NDArray:
+    """Per cell, the signed chirality ``(2/sqrt(delta)) sin(theta/2)``: the root
+    of ``chi_sq`` with the sign of ``chi_tilde``, which is the sign of
+    ``theta``.  An antipodal step (``chi_tilde`` is ``±0`` and ``chi_sq > 2 /
+    delta``, that is ``a.b < 0``) is negative, as ``theta = -pi`` gives."""
+    sign = np.where((chi_tilde == 0.0) & (chi_sq > 2.0 / delta), -1.0, chi_tilde)
+    return np.copysign(np.sqrt(chi_sq), sign)
 
 
 def _chi_bar(theta: NDArray, sqrt_delta: float) -> NDArray:
@@ -186,6 +244,15 @@ def _tile_angles(spins: NDArray) -> tuple[NDArray, NDArray]:
     return _oriented_angle(here, spins[1:, :-1]), _oriented_angle(here, spins[:-1, 1:])
 
 
+def _tile_chiralities(c: NDArray, s: NDArray, delta: float) -> tuple[NDArray, ...]:
+    """``_chiralities`` from each spin ``(c, s)`` of a tile's component planes
+    to its right and to its upper neighbour, on all but the planes' last row
+    and column: ``|chi1|^2, chi_tilde1, |chi2|^2, chi_tilde2``."""
+    c0, s0 = c[:-1, :-1], s[:-1, :-1]
+    return (*_chiralities(c0, s0, c[1:, :-1], s[1:, :-1], delta),
+            *_chiralities(c0, s0, c[:-1, 1:], s[:-1, 1:], delta))
+
+
 def angles(u: SpinField) -> tuple[ScalarField, ScalarField]:
     """Oriented angles to the right and upper neighbour, in [-pi, pi)."""
     g = u.grid
@@ -195,10 +262,11 @@ def angles(u: SpinField) -> tuple[ScalarField, ScalarField]:
 
 
 def chirality(u: SpinField, p: ModelParams) -> ChiralityFields:
-    """All chirality variants of ``u`` at the scale ``delta`` of ``p``."""
+    """All chirality variants of ``u`` at the scale ``delta`` of ``p``, each
+    built when it is first read."""
     if not (p.delta > 0):
         raise ParameterError(f"chirality needs delta > 0, got {p.delta}")
-    return ChiralityFields(*angles(u), math.sqrt(p.delta))
+    return ChiralityFields(u, p.delta)
 
 
 def _resolve_region(rect: Rect, region: Rect | None) -> Rect:
@@ -240,6 +308,7 @@ def energy_E(u: SpinField, p: ModelParams) -> float:
 def _f_residuals(
     values: NDArray, p: ModelParams, grid: Grid, valid: Rect
 ) -> tuple[NDArray, NDArray, Rect]:
+
     """Horizontal and vertical 5-point residuals of ``F`` on a raw
     ``(nx, ny, 2)`` spin array, and the part of ``valid`` where the full
     stencil exists.  Indices wrap; the residuals are meaningful only on the
@@ -304,25 +373,37 @@ def bulk_identity_check(u: SpinField, p: ModelParams) -> float:
     return abs(e + shift - f) / (1.0 + abs(f))
 
 
-def _wd(c1: NDArray, c1_left: NDArray, c2: NDArray, c2_down: NDArray) -> NDArray:
-    """Per-cell Wd from the chirality components and their left and lower neighbours."""
-    w = 2.0 - c1**2 - c1_left**2 - c2**2 - c2_down**2
-    return w * w / 4.0
+def _wd(a1: NDArray, a1_left: NDArray, a2: NDArray, a2_down: NDArray) -> NDArray:
+    """Per-cell Wd from the squared chirality components and their left and
+    lower neighbours.  Each pair is summed first, so a flip (which swaps a
+    square and its neighbour) or a transposition (which swaps the pairs)
+    keeps every bit."""
+    w = a1 + a1_left
+    w += a2 + a2_down
+    np.subtract(2.0, w, out=w)
+    w *= w
+    w /= 4.0
+    return w
 
 
 def _ad(t1: NDArray, t1_left: NDArray, t2: NDArray, t2_down: NDArray, l: float) -> NDArray:
     """Per-cell Ad from the sine-variant components and their left and lower neighbours."""
-    return (t1 - t1_left) / l + (t2 - t2_down) / l
+    ad = t1 - t1_left
+    ad /= l
+    ver = t2 - t2_down
+    ver /= l
+    ad += ver
+    return ad
 
 
 def Wd(ch: ChiralityFields) -> ScalarField:
     """Discrete double-well density ``w^2 / 4`` from four shifted chirality squares,
-    ``w = 2 - |chi1|^2(i,j) - |chi1|^2(i-1,j) - |chi2|^2(i,j) - |chi2|^2(i,j-1)``."""
-    chi = ch.chi
-    (left, down), rect = _neighbours(chi, (-1, 0), (0, -1))
-    x = chi.values
+    ``w = 2 - ((|chi1|^2(i,j) + |chi1|^2(i-1,j)) + (|chi2|^2(i,j) + |chi2|^2(i,j-1)))``."""
+    sq = ch.chi_sq
+    (left, down), rect = _neighbours(sq, (-1, 0), (0, -1))
+    x = sq.values
     wd = _wd(x[..., 0], left[..., 0], x[..., 1], down[..., 1])
-    return ScalarField._adopt(chi.grid, wd, rect)
+    return ScalarField._adopt(sq.grid, wd, rect)
 
 
 def Ad(ch: ChiralityFields) -> ScalarField:
@@ -350,25 +431,29 @@ def _record(p: ModelParams, well_sum: float, derivative_sum: float) -> EnergyRec
     return EnergyRecord(pot + der, pot, der)
 
 
-def _hn_tile(tile: _RowTile, th: NDArray, tv: NDArray, margin: int, sqrt_delta: float,
-             l: float, region: Rect | None, sums: list) -> tuple[NDArray, NDArray]:
-    """One row tile of ``energy_Hn`` from the tile's angles (``_tile_angles``)
-    with a margin of ``margin >= 1`` cells: it forms both chiralities there
+def _hn_tile(tile: _RowTile, c: NDArray, s: NDArray, margin: int, delta: float, l: float,
+             region: Rect | None, sums: list, signed: bool = False) -> NDArray | None:
+    """One row tile of ``energy_Hn`` from the component planes ``c`` and ``s``
+    of the tile's spins with a margin of ``margin >= 1`` cells: it forms both
+    directions' ``|chi|^2`` and ``chi_tilde`` there (``_tile_chiralities``)
     and Wd and Ad one cell in, seals Wd and Ad on the reach of the 5-point
-    stencil, adds Wd and ``|Ad|^2`` there, cut to ``region``, to ``sums``,
-    and returns the tile's two components of ``chi``.  Finite spins give
-    finite angles and chiralities (cells outside the valid rect hold
-    ``(0, 0)``, whose angle is 0), so only Wd and Ad, which square or divide
-    by ``l``, can overflow."""
-    c1, c2 = _chi(th, sqrt_delta), _chi(tv, sqrt_delta)
-    t1, t2 = _chi_tilde(th, sqrt_delta), _chi_tilde(tv, sqrt_delta)
-    wd = _wd(c1[1:, 1:], c1[:-1, 1:], c2[1:, 1:], c2[1:, :-1])
+    stencil, and adds Wd and ``|Ad|^2`` there, cut to ``region``, to
+    ``sums``.  With ``signed`` it returns the tile's ``chi`` (``_chi`` of
+    each direction, stacked), else None.  Finite spins give finite
+    chiralities (cells outside the valid rect hold ``(0, 0)``), so only Wd
+    and Ad, which square or divide by ``l``, can overflow.  Only Wd, Ad and
+    ``chi`` outlive the planes while the sums run."""
+    a1, t1, a2, t2 = _tile_chiralities(c, s, delta)
+    del c, s  # a caller that passes fresh planes frees them here
+    wd = _wd(a1[1:, 1:], a1[:-1, 1:], a2[1:, 1:], a2[1:, :-1])
     ad = _ad(t1[1:, 1:], t1[:-1, 1:], t2[1:, 1:], t2[1:, :-1], l)
+    chi = np.stack([_chi(a1, t1, delta), _chi(a2, t2, delta)], axis=-1) if signed else None
+    del a1, t1, a2, t2
     tile.seal(_CROSS, margin - 1, wd, ad)
     cells = tile.cells(_CROSS, margin - 1, region)
     sums[0].add(wd[cells])
     sums[1].add(ad[cells] ** 2)
-    return c1, c2
+    return chi
 
 
 def energy_Hn(u: SpinField, p: ModelParams, region: Rect | None = None) -> EnergyRecord:
@@ -377,15 +462,20 @@ def energy_Hn(u: SpinField, p: ModelParams, region: Rect | None = None) -> Energ
     Satisfies ``F = delta^{3/2} * l * Hn`` exactly over matching cell sets.
     It streams over row tiles (``_hn_tile``): no whole-grid intermediate is
     built, and the sums, exact per tile, give the same floats for any tile
-    height.
+    height.  ``Wd(chirality(u, p))`` and ``Ad(chirality(u, p))`` are its
+    whole-field oracle, bit for bit.
     """
     p.require_transition_regime()
     p.require_spacing(u.grid)
     rect = _reach(u, _CROSS)
     if rect.empty:  # the whole-field operators name the stencil without a cell
         Wd(chirality(u, p))
-    well, derivative = _tile_sums(u.grid, u.valid, 2, lambda tile, sums: _hn_tile(
-        tile, *_tile_angles(u.values[tile.index]), 1, math.sqrt(p.delta), p.l, region, sums))
+
+    def tile_hn(tile: _RowTile, sums: list) -> None:
+        spins = u.values[tile.index]
+        _hn_tile(tile, spins[..., 0], spins[..., 1], 1, p.delta, p.l, region, sums)
+
+    well, derivative = _tile_sums(u.grid, u.valid, 2, tile_hn)
     _resolve_region(rect, region)  # after the seals, as with whole fields
     return _record(p, well, derivative)
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiralattice import (
-    Boundary, ConfigError, DomainError, Grid, ScalarField, VectorField, cli, diagnostics,
+    Boundary, ConfigError, DomainError, Grid, ScalarField, VectorField, cli,
     lattice_core, read_field_csv,
     recovery_limsup, relaxation, spin_energy, write_field_csv,
 )
@@ -135,6 +135,15 @@ class TestGammaTable:
                          "--levels", "1"]) == 0
             _, rows = read_csv_rows(os.path.join(out, "gamma_table.csv"))
             assert len(rows) == 1 and float(rows[0]["Hn"]) > 0.0
+
+    def test_a_level_forms_no_angle(self, tmp_path, monkeypatch):
+        # Hn takes both chiralities from the spins' differences and cross
+        # products, so a level never reaches the angle kernel
+        def no_angle(a, b):
+            raise AssertionError("a gamma level formed an angle")
+
+        monkeypatch.setattr(spin_energy, "_oriented_angle", no_angle)
+        assert main(["--out-dir", str(tmp_path), "gamma-table", "--levels", "2"]) == 0
 
     def test_over_wide_layer_is_a_config_error(self, tmp_path, capsys):
         # eps0 * radius = 0.8 exceeds every corner's distance from the wall
@@ -771,27 +780,34 @@ class TestDiagnose:
     def test_each_cells_angles_are_formed_once_plus_the_tile_margins(self, tmp_path,
                                                                       monkeypatch):
         # each tile of h rows forms both angles on its (h + 3) x (16 + 3) cells
-        # with their two-cell margin, and every check reads those; so too the
-        # two components of chi, which Hn, the Lp norms and Hn* share
+        # with their two-cell margin, and every check reads those; so too both
+        # steps' chiralities and the two components of chi, which Hn, the Lp
+        # norms and Hn* share
         out = str(tmp_path)
         main(["--out-dir", out] + GROUND_STATE_ARGS)
         field = os.path.join(out, "ground_state_field.csv")
-        formed, chis = [], []
-        original, original_chi = spin_energy._oriented_angle, spin_energy._chi
+        formed, steps, chis = [], [], []
+        original = spin_energy._oriented_angle
+        original_steps, original_chi = spin_energy._chiralities, spin_energy._chi
 
         def counted(a, b):
             formed.append(a.shape[:2])
             return original(a, b)
 
-        def counted_chi(theta, sqrt_delta):
-            chis.append(theta.shape)
-            return original_chi(theta, sqrt_delta)
+        def counted_steps(a0, a1, b0, b1, delta):
+            steps.append(a0.shape)
+            return original_steps(a0, a1, b0, b1, delta)
+
+        def counted_chi(chi_sq, chi_tilde, delta):
+            chis.append(chi_sq.shape)
+            return original_chi(chi_sq, chi_tilde, delta)
 
         monkeypatch.setattr(spin_energy, "_oriented_angle", counted)
+        monkeypatch.setattr(spin_energy, "_chiralities", counted_steps)
         monkeypatch.setattr(spin_energy, "_chi", counted_chi)
-        monkeypatch.setattr(diagnostics, "_chi", counted_chi, raising=False)
         for rows, tiles in ((16, 1), (1, 16), (7, 3)):
             formed.clear()
+            steps.clear()
             chis.clear()
             monkeypatch.setattr(lattice_core, "_TILE_CELLS", rows * 16)
             assert main(["--out-dir", out, "diagnose", "--field", field, "--l", "0.05",
@@ -799,7 +815,7 @@ class TestDiagnose:
             assert len(formed) == 2 * tiles
             assert all(ny == 16 + 3 for _, ny in formed)
             assert sum(nx for nx, _ in formed) == 2 * (16 + 3 * tiles)
-            assert chis == formed
+            assert steps == chis == formed
 
     @pytest.mark.parametrize("rows", [None, 1, 2, 7])
     def test_spins_off_the_unit_circle_in_the_last_row_are_a_config_error(
@@ -923,6 +939,20 @@ def test_an_energy_error_in_a_late_tile_leaves_no_file(tmp_path, capsys, monkeyp
     assert os.listdir(tmp_path) == []
 
 
+def test_the_cli_imports_neither_numpy_polynomial_nor_numpy_typing():
+    # no CLI path calls leggauss, which mollify and the profile energy import
+    # where they call it, and NDArray is imported for type checkers only
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, chiralattice.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith(('numpy.polynomial', "
+            "'numpy.typing'))))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.split() == ["[]"]
+
+
 def test_a_failed_text_write_leaves_no_file(tmp_path):
     path = str(tmp_path / "report.json")
     with pytest.raises(UnicodeEncodeError):
@@ -935,31 +965,31 @@ def test_a_failed_text_write_leaves_no_file(tmp_path):
 # diagnose_manifest.json is left out: it echoes the absolute --field path.
 FIXED_CONFIG_SHA256 = {
     "ground_state_field.csv": "4994056108780255c92b08cf8654c699bae8c60937a1ba317030ab891806405f",
-    "ground_state_energies.csv": "ceaae9db0335aabb8bdbf30078d2f2d1c976d93c309e027f56fb12c9c065fffc",
+    "ground_state_energies.csv": "361a4ecef9624d70fbd8a4b9cd2b6b93ce2084e4ea3ff5a5067fe2f4bfd621bc",
     "ground_state_manifest.json": "ba933a93092b6d11624e4bbfb17d0885384b080c62f9d577bebc89814e4fe455",
-    "diagnose_report.json": "a789a5c176fc8d92b3c090e47c0f443878d75ca8c460f0972787a8593c03d0c3",
+    "diagnose_report.json": "f6eb90eec8a325d139053d03c5befd54796dfdfb41fe222c322ae3565b7ea255",
     "entropy_scan.csv": "76e8cbc4b95b263b40c326875a9c3b57e31d4764298655818c8a1f1ae08bf4f7",
     "entropy_scan_manifest.json": "8de8574b31f4537d1c8fa31c3469edf99f0a47877553aa7984fe11db1662a8fc",
-    "gamma_table.csv": "a81df054a34426a7141fe9a07bb9c003b0316af2c6988ebe8a080e2167940d4f",
+    "gamma_table.csv": "a959d225b36190af89f901b3294d13577cc2f5639088d79b7eb16708a4d61885",
     "gamma_table_manifest.json": "4d74adff554460ced088950ededf0495f989a674c840203018efcc9ac2f278c7",
 }
 
 # the same for a wall rotated by 30 degrees, where every lattice point has
 # its own distance from the wall
 ROTATED_WALL_SHA256 = {
-    "gamma_table.csv": "718f1f14c82365bd4df8868c106d9c4fd6a194d049260a6e0ef8eee1e859d122",
+    "gamma_table.csv": "b329e1f1f17bdd4eceb1b1ec7ef9500ecb3090c9f85fab0114ecf136dc5c7d5b",
     "gamma_table_manifest.json": "955f0622e599b1483a2e58278638abffb35fc33750bf237362d07940a6871197",
 }
 
 # the same at more levels, whose 400 x 400 finest grids span many row tiles
 MULTI_TILE_SHA256 = {
     ("--levels", "4"): {
-        "gamma_table.csv": "4bcfa8e8fc588531da0f6931721f303b049f68d924c4c9bb37f2867c3aa5ded9",
+        "gamma_table.csv": "3e07d1cfdaad24fa84156a486ab8e640fbfe63d10f94fa5448d2b4e6e71e487a",
         "gamma_table_manifest.json":
             "634d8accd7087081cc0b774642d624abbcd3d2c71067be0babd81000e7022d8d",
     },
     ("--wall-angle", "30", "--eps0", "0.04", "--levels", "3"): {
-        "gamma_table.csv": "69a12a3efe55745a8abf8f161dccf2751f725fc5340a5d1c8392bb0a6028b580",
+        "gamma_table.csv": "631e67c337f147b339e505cbc9ac02d8a0b7345fc3d58987de0d6735371959d0",
         "gamma_table_manifest.json":
             "c54487bbaa80f7efa45c1889230bf4699f5e6b1a92736127e471f202e52afd36",
     },
@@ -978,7 +1008,7 @@ RELAX_SHA256 = {
 # ground state; both manifests echo the absolute --field path and are left out
 FIELD_READ_SHA256 = {
     "entropy_scan.csv": "77d258151665a214d24030375f41bcc2298fd92d843bbec47b388de81ee0c458",
-    "diagnose_report.json": "c4dcf8115d01e205d053505b9dcccd968c020702ba4c3cb01e27369f930b8c07",
+    "diagnose_report.json": "af1ba6a468f779933a0569d8472df518a016eae9ea9c0f86a0d2988c56ab426a",
 }
 
 
@@ -988,18 +1018,16 @@ FIELD_READ_SHA256 = {
 # those levels.  Recorded on one AVX-512 machine with NPY_DISABLE_CPU_FEATURES
 # set to "AVX512_SPR", "AVX512_SPR AVX512_ICL", "... X86_V4" and "... X86_V3".
 AVX2_SHA256 = {
-    "ceaae9db0335aabb8bdbf30078d2f2d1c976d93c309e027f56fb12c9c065fffc":  # ground_state_energies
-        "c7ce73d5fa715eb76b10b1e8bb95b3191cdaf6d477fa983ea0253e9aa16d19de",
-    "a789a5c176fc8d92b3c090e47c0f443878d75ca8c460f0972787a8593c03d0c3":  # diagnose_report
-        "75cd1e784e4f551bbb81415ecf86c7948e542b947049dcec50869da6f57c26a2",
-    "69a12a3efe55745a8abf8f161dccf2751f725fc5340a5d1c8392bb0a6028b580":  # gamma_table, 30 degrees
-        "fb0fc5e848eb68dfa0f11e698b6c3c8fb055a8b54f0584d9f616ddb683b04c87",
+    "f6eb90eec8a325d139053d03c5befd54796dfdfb41fe222c322ae3565b7ea255":  # diagnose_report
+        "48935392ac4d73fca2b4d0f9668d6592883f0b3e164f07dcca3901caab62c771",
+    "631e67c337f147b339e505cbc9ac02d8a0b7345fc3d58987de0d6735371959d0":  # gamma_table, 30 degrees
+        "498599723b2f0e2f3a05d37710057e00e5cbacd2f5dcfd6e1e04c1624095f6a1",
     "adabfb5804e85d603721fd3add551b04aff7221473865466f72635c538cb2754":  # relax_trace
         "c8a87a48902bfff1bec757a04238244af077cd22fd1578873925458fab16604e",
     "615a407a7417649cbb8b223ae21e6f12e063d2344a1e892f6baae50b9abdad8f":  # relax_field
         "2be63ba58898b867868eada4a6d7726b5ecf9b04df15205dc9955fca719d036c",
-    "c4dcf8115d01e205d053505b9dcccd968c020702ba4c3cb01e27369f930b8c07":  # field-read diagnose
-        "fa79ed21bb00b8486e6dd5f0c9e61e2fa6b49757be101a5b7522b4b710158ab9",
+    "af1ba6a468f779933a0569d8472df518a016eae9ea9c0f86a0d2988c56ab426a":  # field-read diagnose
+        "22560815562f54568770b3987e3c0c240f37520f05fa7ef2aefc9c2a77e43262",
 }
 LEVEL_SHA256 = {"AVX512_SPR": {}, "AVX512_ICL": {}, "X86_V4": {},
                 "X86_V3": AVX2_SHA256, "X86_V2": AVX2_SHA256}

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chiralattice import (
     Ad,
@@ -37,7 +39,7 @@ from chiralattice import (
     spin_from_potential,
     wall_start,
 )
-from chiralattice.lattice_core import ScalarField
+from chiralattice.lattice_core import ScalarField, _reach
 
 
 def random_spins(grid, seed):
@@ -187,6 +189,106 @@ class TestChirality:
         ch = chirality(u, p)
         si, sj = ch.chi.valid.slices
         assert np.allclose(ch.chi.values[si, sj, 0], 1.0, rtol=0, atol=1e-14)
+
+
+# unit spins whose steps between them give equal spins with a +0 or a -0
+# cross product, and antipodes with a +0 ((1, 0) -> (-1, 0)) or a -0
+# ((0, 1) -> (0, -1)) cross product
+PALETTE = ((1.0, 0.0), (1.0, -0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (-0.0, 1.0))
+
+
+def reference_chiralities(a, b, delta):
+    """``(2/sqrt(delta)) sin(theta/2)`` and ``sin(theta)/sqrt(delta)`` of the
+    steps from ``a`` to ``b``, in long double, with ``theta`` in [-pi, pi)
+    the angle of ``atan2(cross, dot)`` and ``-pi`` for an antipode whose
+    cross product is ``±0``."""
+    a, b = a.astype(np.longdouble), b.astype(np.longdouble)
+    cross = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    dot = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+    theta = np.arctan2(cross, dot)
+    theta[(cross == 0) & (dot < 0)] = -np.pi
+    sqd = np.sqrt(np.longdouble(delta))
+    return 2 / sqd * np.sin(theta / 2), np.sin(theta) / sqd, theta
+
+
+@st.composite
+def step_fields(draw):
+    """Unit spins on a grid with sides 2 to 12, each drawn from ``PALETTE``
+    or at a random angle, valid on a drawn rect of at least 2 x 2 cells of
+    an open grid; and a ``delta`` in (0, 4)."""
+    boundary = draw(st.sampled_from([Boundary.OPEN, Boundary.PERIODIC]))
+    nx, ny = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    grid = Grid(0.1, nx, ny, boundary)
+    valid = None
+    if boundary is Boundary.OPEN:
+        i0, j0 = draw(st.integers(0, nx - 2)), draw(st.integers(0, ny - 2))
+        valid = Rect(i0, draw(st.integers(i0 + 2, nx)), j0, draw(st.integers(j0 + 2, ny)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = rng.uniform(-math.pi, math.pi, (nx, ny))
+    values = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
+    pick = rng.integers(0, 2 * len(PALETTE), (nx, ny))
+    palette = np.array(PALETTE)
+    values[pick < len(PALETTE)] = palette[pick[pick < len(PALETTE)]]
+    alpha = draw(st.floats(0.01, 7.99))
+    return SpinField(grid, values, valid), ModelParams(l=0.1, alpha=alpha)
+
+
+class TestChiralityFromDifferences:
+    @settings(max_examples=200, deadline=None)
+    @given(step_fields())
+    def test_the_chiralities_agree_with_the_angle_formulas(self, case):
+        # against the angle formulas in long double: chi and chi_tilde within
+        # 4e-16 of their largest size 2/sqrt(delta), |chi|^2 within 8e-16 of
+        # 4/delta; chi has the sign of theta, so an antipode's is negative
+        u, p = case
+        ch = chirality(u, p)
+        x = u.values
+        refs = [reference_chiralities(x, np.roll(x, -1, axis), p.delta) for axis in (0, 1)]
+        chi, tilde, theta = (np.stack([r[k] for r in refs], axis=-1) for k in range(3))
+        valid = ch.chi.valid
+        for field in (ch.chi, ch.chi_tilde, ch.chi_sq):
+            assert field.valid == valid == _reach(u, ((1, 0), (0, 1)))
+            inside = np.zeros(field.values.shape[:2], dtype=bool)
+            inside[valid.slices] = True
+            assert np.all(field.values[~inside] == 0.0)
+        si, sj = valid.slices
+        top = 2.0 / math.sqrt(p.delta)
+        assert np.all(np.abs(ch.chi.values[si, sj] - chi[si, sj]) <= 4e-16 * top)
+        assert np.all(np.abs(ch.chi_tilde.values[si, sj] - tilde[si, sj]) <= 4e-16 * top)
+        assert np.all(np.abs(ch.chi_sq.values[si, sj] - chi[si, sj] ** 2) <= 8e-16 * top**2)
+        assert np.array_equal(np.signbit(ch.chi.values[si, sj]), np.signbit(theta[si, sj]))
+
+    def test_equal_spins_and_antipodes_with_either_zero_cross_product(self):
+        # the steps along x: equal spins with cross +0 and -0, an antipode
+        # with cross +0, a quarter turn, an antipode with cross -0 and a
+        # quarter turn
+        g = Grid(0.1, 7, 2, Boundary.OPEN)
+        chain = [(1.0, 0.0), (1.0, 0.0), (1.0, -0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
+                 (-1.0, 0.0)]
+        u = SpinField(g, np.repeat(np.array(chain)[:, None, :], 2, axis=1))
+        p = ModelParams(l=0.1, alpha=7.92)  # delta = 0.04
+        ch = chirality(u, p)
+        chi, tilde = ch.chi.values[:6, 0, 0], ch.chi_tilde.values[:6, 0, 0]
+        top = 1.0 / math.sqrt(p.delta)
+        root2 = math.sqrt(2.0)
+        for found, expected in ((chi, [0.0, -0.0, -2.0, -root2, -2.0, -root2]),
+                                (tilde, [0.0, -0.0, 0.0, -1.0, -0.0, -1.0])):
+            assert [math.copysign(1.0, x) for x in found] == [
+                math.copysign(1.0, x) for x in expected]
+            assert all(math.isclose(x, y * top, rel_tol=1e-15) for x, y in zip(found, expected))
+        th, _ = angles(u)
+        assert list(th.values[:6, 0]) == [0.0, 0.0, -math.pi, -math.pi / 2, -math.pi, -math.pi / 2]
+
+    def test_hn_is_its_whole_field_oracle_bit_for_bit(self):
+        g = Grid(0.05, 12, 9, Boundary.OPEN)
+        u = random_spins(g, 5)
+        p = ModelParams(l=0.05, alpha=7.5)
+        ch = chirality(u, p)
+        wd, ad = Wd(ch), Ad(ch)
+        hn = energy_Hn(u, p)
+        pot = 0.5 / p.eps * p.l**2 * math.fsum(wd.values[wd.valid.slices].ravel().tolist())
+        der = 0.5 * p.eps * p.l**2 * math.fsum((ad.values[ad.valid.slices] ** 2).ravel().tolist())
+        assert (hn.potential_part, hn.derivative_part) == (pot, der)
 
 
 class TestEnergyE:

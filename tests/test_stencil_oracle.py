@@ -207,10 +207,23 @@ def test_every_stencil_matches_its_np_roll_formula(fs, beta):
         return
     check_field(lambda: angles(spin)[0], oriented_angle(u, ahead(u, 1, 0)), right)
     check_field(lambda: angles(spin)[1], oriented_angle(u, ahead(u, 0, 1)), up)
+    # the chiralities of each step from the spin differences and cross products
     ch = chirality(spin, p)
-    c, t = ch.chi.values, ch.chi_tilde.values
-    c1, c2, t1, t2 = c[..., 0], c[..., 1], t[..., 0], t[..., 1]
-    w = 2.0 - c1**2 - ahead(c1, -1, 0) ** 2 - c2**2 - ahead(c2, 0, -1) ** 2
+    sq, tilde, signed = [], [], []
+    for di, dj in ((1, 0), (0, 1)):
+        b = ahead(u, di, dj)
+        d0, d1 = b[..., 0] - u[..., 0], b[..., 1] - u[..., 1]
+        q = (d0 * d0 + d1 * d1) / p.delta
+        x = (u[..., 0] * b[..., 1] - u[..., 1] * b[..., 0]) / math.sqrt(p.delta)
+        sq.append(q)
+        tilde.append(x)
+        signed.append(np.copysign(np.sqrt(q), np.where((x == 0) & (q > 2.0 / p.delta), -1.0, x)))
+    check_field(lambda: ch.chi_sq, np.stack(sq, axis=-1), both)
+    check_field(lambda: ch.chi_tilde, np.stack(tilde, axis=-1), both)
+    check_field(lambda: ch.chi, np.stack(signed, axis=-1), both)
+    (a1, a2), (t1, t2), c = sq, tilde, ch.chi.values
+    c1, c2 = c[..., 0], c[..., 1]
+    w = 2.0 - ((a1 + ahead(a1, -1, 0)) + (a2 + ahead(a2, 0, -1)))
     behind = lookup_mask(both, ((-1, 0), (0, -1)), per)
     check_field(lambda: Wd(ch), w * w / 4.0, behind)
     a = (t1 - ahead(t1, -1, 0)) / l + (t2 - ahead(t2, 0, -1)) / l
