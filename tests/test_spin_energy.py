@@ -279,17 +279,6 @@ class TestChiralityFromDifferences:
         th, _ = angles(u)
         assert list(th.values[:6, 0]) == [0.0, 0.0, -math.pi, -math.pi / 2, -math.pi, -math.pi / 2]
 
-    def test_hn_is_its_whole_field_oracle_bit_for_bit(self):
-        g = Grid(0.05, 12, 9, Boundary.OPEN)
-        u = random_spins(g, 5)
-        p = ModelParams(l=0.05, alpha=7.5)
-        ch = chirality(u, p)
-        wd, ad = Wd(ch), Ad(ch)
-        hn = energy_Hn(u, p)
-        pot = 0.5 / p.eps * p.l**2 * math.fsum(wd.values[wd.valid.slices].ravel().tolist())
-        der = 0.5 * p.eps * p.l**2 * math.fsum((ad.values[ad.valid.slices] ** 2).ravel().tolist())
-        assert (hn.potential_part, hn.derivative_part) == (pot, der)
-
 
 class TestEnergyE:
     def test_constant_field_at_the_transition_point(self):
