@@ -340,17 +340,22 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    parser = _Parser(
-        prog="chiralattice",
-        description="Chirality-wall energies on spin lattices: experiments and reports.",
-    )
+def _global_parser(**kwargs) -> argparse.ArgumentParser:
+    """A parser of the flags that come before the subcommand.  Abbreviations
+    are off, so the ``--config`` pre-scan reads the same tokens as the full
+    parser and never takes a subcommand's ``--t`` for ``--threads``."""
+    parser = _Parser(prog="chiralattice", allow_abbrev=False, **kwargs)
     parser.add_argument("--config", help="INI config file with per-subcommand sections")
     parser.add_argument("--out-dir", default=".", help="directory for output files")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads (recorded; never changes numbers)")
+    return parser
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _global_parser(
+        description="Chirality-wall energies on spin lattices: experiments and reports.")
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = {}
 
     gs = sub.add_parser("ground-state", help="emit a helical ground state and its energies")
     gs.add_argument("--chi", default="0.70710678118654752,0.70710678118654752")
@@ -360,7 +365,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     gs.add_argument("--ny", type=int, default=64)
     gs.add_argument("--theta0", type=float, default=0.0)
     gs.add_argument("--boundary", choices=["periodic", "open"], default="open")
-    subparsers["ground-state"] = gs
 
     rx = sub.add_parser("relax", help="descend the bulk energy between two fixed chiralities")
     rx.add_argument("--eps", type=float, default=0.02)
@@ -372,7 +376,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     rx.add_argument("--max-iters", type=int, default=20000)
     rx.add_argument("--step", type=float, default=1.0)
     rx.add_argument("--tol-grad", type=float, default=1e-10)
-    subparsers["relax"] = rx
 
     es = sub.add_parser("entropy-scan", help="sweep the entropy axis over an angular grid")
     es.add_argument("--field", default="", help="chirality field CSV (default: built-in wall)")
@@ -380,7 +383,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     es.add_argument("--nx", type=int, default=128)
     es.add_argument("--ny", type=int, default=128)
     es.add_argument("--angles", type=int, default=64)
-    subparsers["entropy-scan"] = es
 
     gt = sub.add_parser("gamma-table", help="wall-energy convergence table along a schedule")
     gt.add_argument("--eps0", type=float, default=0.08)
@@ -389,7 +391,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     gt.add_argument("--ratio", type=float, default=0.5)
     gt.add_argument("--wall-angle", type=float, default=0.0, help="degrees")
     gt.add_argument("--radius", type=float, default=DEFAULT_KERNEL_RADIUS)
-    subparsers["gamma-table"] = gt
 
     dg = sub.add_parser("diagnose", help="JSON report of the a-priori checks on a stored field")
     dg.add_argument("--field", required=True)
@@ -399,15 +400,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     dg.add_argument("--ny", type=int, required=True)
     dg.add_argument("--boundary", choices=["periodic", "open"], default="open")
     dg.add_argument("--t", type=float, default=1.0)
-    subparsers["diagnose"] = dg
-
-    return parser, subparsers
+    return parser
 
 
-def _apply_config_file(path: str, command: str, subparser: argparse.ArgumentParser) -> None:
-    """The ``[command]`` section as subcommand defaults: each key names a flag
-    (``delta-exponent`` or ``delta_exponent``), whose type and choices check
-    it, and a required flag the file gives is no longer required."""
+def _config_flags(path: str, command: str) -> list[str]:
+    """The ``[command]`` section of the INI file at ``path`` as ``--key=value``
+    tokens (``delta-exponent`` or ``delta_exponent`` both name
+    ``--delta-exponent``), for the subcommand's parser to check."""
     ini = configparser.ConfigParser(interpolation=None)
     try:
         if not ini.read(path):
@@ -415,38 +414,23 @@ def _apply_config_file(path: str, command: str, subparser: argparse.ArgumentPars
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path!r}: {exc}") from None
     if not ini.has_section(command):
-        return
-    defaults = {}
-    for key, raw in ini.items(command):
-        flag = "--" + key.replace("_", "-")
-        action = subparser._option_string_actions.get(flag)
-        if action is None or action.nargs == 0:
-            raise ConfigError(f"config file {path!r}: [{command}] has no flag {flag}")
-        try:
-            value = raw if action.type is None else action.type(raw)
-        except ValueError:
-            raise ConfigError(f"config file {path!r}: invalid {key} value {raw!r}") from None
-        if action.choices is not None and value not in action.choices:
-            raise ConfigError(f"config file {path!r}: {key} must be one of {action.choices}")
-        defaults[action.dest] = value
-        action.required = False
-    subparser.set_defaults(**defaults)
+        return []
+    return [f"--{key.replace('_', '-')}={value}" for key, value in ini.items(command)]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subparsers = _build_parser()
+    parser = _build_parser()
     try:
-        # pre-scan for --config so file values become subcommand defaults;
-        # no flag is required yet, since the file may give it
-        required = [a for sp in subparsers.values() for a in sp._actions if a.required]
-        for action in required:
-            action.required = False
-        pre, _ = parser.parse_known_args(argv)
-        for action in required:
-            action.required = True
-        if pre.config and pre.command:
-            _apply_config_file(pre.config, pre.command, subparsers[pre.command])
+        # find --config and the subcommand; the file's section goes in as flags
+        # right after the subcommand, so the flags that follow override it
+        pre = _global_parser(add_help=False)
+        pre.add_argument("command", nargs="?")
+        pre.add_argument("rest", nargs=argparse.REMAINDER)
+        found, _ = pre.parse_known_args(argv)
+        if found.config and found.command:
+            at = len(argv) - len(found.rest)
+            argv[at:at] = _config_flags(found.config, found.command)
         args = vars(parser.parse_args(argv))
         command, out_dir, threads = args.pop("command"), args.pop("out_dir"), args.pop("threads")
         args.pop("config", None)

@@ -225,15 +225,17 @@ def _chi_bar(theta: NDArray, sqrt_delta: float) -> NDArray:
 
 
 def _oriented_angle(a: NDArray, b: NDArray) -> NDArray:
-    """Signed angle from spin a to spin b in [-pi, pi), with -pi for antipodes.
+    """Signed angle from spin a to spin b in [-pi, pi], with -pi for antipodes.
 
     atan2 of (cross, dot) is used instead of sign(cross) * arccos(dot): the two
-    agree everywhere except that atan2 returns +pi for antipodal pairs, where
-    the sign(0) = -1 convention demands -pi.
+    agree everywhere except that atan2 returns +pi for antipodal pairs whose
+    cross product is +0, where the sign(0) = -1 convention demands -pi.  A
+    step whose positive cross product is too small to move atan2 off pi keeps
+    +pi, so the angle has the sign of ``chi``.
     """
     cross = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
     theta = np.arctan2(cross, _cell_dot(a, b))
-    theta[theta == np.pi] = -np.pi
+    theta[(theta == np.pi) & (cross == 0.0)] = -np.pi
     return theta
 
 
@@ -254,7 +256,7 @@ def _tile_chiralities(c: NDArray, s: NDArray, delta: float) -> tuple[NDArray, ..
 
 
 def angles(u: SpinField) -> tuple[ScalarField, ScalarField]:
-    """Oriented angles to the right and upper neighbour, in [-pi, pi)."""
+    """Oriented angles to the right and upper neighbour, in [-pi, pi]."""
     g = u.grid
     (right, up), _ = _neighbours(u, (1, 0), (0, 1))
     return (ScalarField._adopt(g, _oriented_angle(u.values, right), _reach(u, ((1, 0),))),

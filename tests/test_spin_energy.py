@@ -136,6 +136,19 @@ class TestOrientedAngles:
         th, _ = angles(u)
         assert np.all(th.values == -math.pi)
 
+    def test_a_turn_that_rounds_to_pi_keeps_the_sign_of_its_cross_product(self):
+        # (1, 0) -> (-1, 1.2246e-16) has a positive cross product that atan2
+        # rounds away: +pi, like chi; the wrap step back is -pi
+        g = Grid(0.1, 2, 2, Boundary.PERIODIC)
+        vals = np.zeros((2, 2, 2))
+        vals[0, :] = (1.0, 0.0)
+        vals[1, :] = (-1.0, math.sin(math.pi))
+        ch = chirality(SpinField(g, vals), ModelParams(l=0.1, alpha=7.5))
+        assert ch.delta == 0.25
+        assert ch.theta_hor.values[:, 0].tolist() == [math.pi, -math.pi]
+        assert ch.chi.values[:, 0, 0].tolist() == [4.0, -4.0]
+        assert ch.chi_bar.values[:, 0, 0].tolist() == [2.0 * math.pi, -2.0 * math.pi]
+
     def test_tiny_angles_to_relative_precision(self):
         g = Grid(0.1, 2, 2, Boundary.PERIODIC)
         t = 1e-8

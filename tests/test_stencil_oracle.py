@@ -85,7 +85,7 @@ def oriented_angle(a, b):
     cross = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
     dot = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
     theta = np.arctan2(cross, dot)
-    theta[theta == np.pi] = -np.pi
+    theta[(theta == np.pi) & (cross == 0.0)] = -np.pi
     return theta
 
 
